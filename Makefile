@@ -5,7 +5,7 @@ GO ?= go
 BENCHTIME ?=
 BENCHFLAGS = -bench . -benchmem -run '^$$' $(if $(BENCHTIME),-benchtime=$(BENCHTIME))
 
-.PHONY: build test race vet fmt lint lint-tools chaos cluster-chaos cover alloc bench benchcheck ci clean
+.PHONY: build test race vet fmt lint lint-tools chaos cluster-chaos cover alloc bench benchcheck loc ci clean
 
 # Pinned static-analysis tool versions; `make lint-tools` installs them
 # (CI does this — it needs network, so it is not part of `make lint`).
@@ -26,11 +26,13 @@ test:
 # and span buffer, the parallel-for pool, the kernel-registry tiling,
 # the memplan arena, the DDP trainer, the pooled pipeline, the
 # inference server (worker pool + micro-batcher + admission control),
-# and the cluster gateway (router, hedges, prober).
+# the cluster gateway (router, hedges, prober), and DDnet's eval
+# forward (the differential oracle, the fused plan, and concurrent
+# warm forwards sharing the table cache and recycled backends).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -run 'Pooled|Concurrent|Allocs' ./internal/core/
-	$(GO) test -race -run 'Warm|Fused' ./internal/ddnet/
+	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
 
 vet:
 	$(GO) vet ./...
@@ -114,6 +116,13 @@ bench:
 # regressions. See scripts/benchcheck.sh for the knobs.
 benchcheck:
 	./scripts/benchcheck.sh
+
+# Line-count report: non-test Go lines per internal/* package at
+# BASE_REF (default origin/main or HEAD~1) versus this tree, with the
+# net delta — a reported metric of every PR (negative is good). See
+# scripts/loc.sh.
+loc:
+	./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

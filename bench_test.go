@@ -74,7 +74,7 @@ func BenchmarkTable5_MeasuredKernelsThisMachine(b *testing.B) {
 	b.ResetTimer()
 	var total kernels.Timing
 	for i := 0; i < b.N; i++ {
-		total.Add(kernels.RunDDnetInference(cfg.Arch(), 64, kernels.REFPFLU, 0, rng))
+		total.Add(kernels.RunDDnetImpl(cfg.Arch(), 64, kernels.MustSelect("ref+pf+lu"), 0, rng))
 	}
 	n := float64(b.N)
 	b.ReportMetric(total.Conv.Seconds()/n, "conv-s/op")
@@ -96,12 +96,11 @@ func BenchmarkTable7_OptimizationLadder(b *testing.B) {
 	// dominant win, exactly the paper's Table 7 story.
 	rng := rand.New(rand.NewSource(2))
 	cfg := ddnet.PaperConfig()
-	variants := []kernels.Variant{kernels.Baseline, kernels.REF, kernels.REFPF, kernels.REFPFLU}
 	names := []string{"baseline-s", "ref-s", "refpf-s", "refpflu-s"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for vi, v := range variants {
-			t := kernels.RunDDnetInference(cfg.Arch(), 48, v, 0, rng)
+		for vi, rung := range kernels.Names()[:4] {
+			t := kernels.RunDDnetImpl(cfg.Arch(), 48, kernels.MustSelect(rung), 0, rng)
 			b.ReportMetric(t.Total().Seconds(), names[vi])
 		}
 	}
@@ -184,17 +183,17 @@ func BenchmarkAblation_DeconvScatterVsGather(b *testing.B) {
 	out := make([]float32, s.OutLen())
 	b.Run("scatter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.Deconv(kernels.Baseline, x, w, out, s, 1)
+			kernels.MustSelect("naive").Deconv(x, w, out, s, 1)
 		}
 	})
 	b.Run("gather", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.Deconv(kernels.REF, x, w, out, s, 1)
+			kernels.MustSelect("ref").Deconv(x, w, out, s, 1)
 		}
 	})
 	b.Run("gather-unrolled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.Deconv(kernels.REFPFLU, x, w, out, s, 1)
+			kernels.MustSelect("ref+pf+lu").Deconv(x, w, out, s, 1)
 		}
 	})
 }

@@ -23,8 +23,8 @@ func main() {
 	fmt.Printf("%-30s %10s %10s %10s %10s\n", "platform", "Baseline", "+REF", "+PF", "+LU")
 	for _, p := range device.Catalog() {
 		fmt.Printf("%-30s", p.Name)
-		for _, v := range []kernels.Variant{kernels.Baseline, kernels.REF, kernels.REFPF, kernels.REFPFLU} {
-			fmt.Printf(" %10.2f", p.Project(cc, v, false).Total())
+		for _, name := range kernels.Names()[:4] { // the paper's Table 7 ladder
+			fmt.Printf(" %10.2f", p.Project(cc, kernels.MustSelect(name).Variant, false).Total())
 		}
 		fmt.Println()
 	}
@@ -36,10 +36,11 @@ func main() {
 	const size = 64
 	rng := rand.New(rand.NewSource(1))
 	fmt.Printf("measured on this machine (Go kernels, DDnet at %d²):\n", size)
-	for _, v := range []kernels.Variant{kernels.Baseline, kernels.REF, kernels.REFPF, kernels.REFPFLU} {
-		t := kernels.RunDDnetInference(ddnet.PaperConfig().Arch(), size, v, 0, rng)
+	for _, name := range kernels.Names()[:4] {
+		im := kernels.MustSelect(name)
+		t := kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, im, 0, rng)
 		fmt.Printf("  %-26s conv %7.3fs  deconv %7.3fs  other %6.3fs  total %7.3fs\n",
-			v, t.Conv.Seconds(), t.Deconv.Seconds(), t.Other.Seconds(), t.Total().Seconds())
+			im.Variant, t.Conv.Seconds(), t.Deconv.Seconds(), t.Other.Seconds(), t.Total().Seconds())
 	}
 	fmt.Println("\nthe scatter→gather deconvolution refactoring (REF) dominates, as in the paper's Table 7")
 }

@@ -43,9 +43,10 @@ func (g *Gateway) handleScan(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Traceparent", tp)
 	}
 
+	serve.LimitBody(w, r, g.maxVoxels)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		httpError(w, serve.BodyErrorStatus(err), "read body: %v", err)
 		return
 	}
 	var req serve.ScanRequest

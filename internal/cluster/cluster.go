@@ -130,6 +130,11 @@ type Gateway struct {
 	attemptLat *obs.Histogram
 	chunkLat   *obs.Histogram
 
+	// maxVoxels bounds how much request body the gateway buffers. It has
+	// no admission limit of its own, so it refuses what no replica with
+	// serve's default limit would admit.
+	maxVoxels int
+
 	gate     sync.RWMutex // guards draining flips vs. admission
 	draining bool
 	inflight sync.WaitGroup
@@ -188,6 +193,7 @@ func New(cfg Config) (*Gateway, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		attemptLat: obs.NewHistogram(nil),
 		chunkLat:   obs.NewHistogram(nil),
+		maxVoxels:  serve.DefaultMaxVoxels,
 		stopc:      make(chan struct{}),
 	}
 	if err := g.SetReplicas(cfg.Replicas); err != nil {

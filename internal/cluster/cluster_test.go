@@ -686,3 +686,50 @@ func TestHealthLoopEjectsAndReadmits(t *testing.T) {
 	ready.Store(true)
 	waitState("healthy")
 }
+
+// endlessScan streams a syntactically valid scan body whose data array
+// never ends, counting the bytes the gateway pulled from it.
+type endlessScan struct{ read int64 }
+
+func (e *endlessScan) Read(p []byte) (int, error) {
+	const head = `{"d":1,"h":1,"w":1,"data":[1`
+	for i := range p {
+		switch off := e.read + int64(i); {
+		case off < int64(len(head)):
+			p[i] = head[off]
+		case (off-int64(len(head)))%2 == 0:
+			p[i] = ','
+		default:
+			p[i] = '1'
+		}
+	}
+	e.read += int64(len(p))
+	return len(p), nil
+}
+
+func (e *endlessScan) Close() error { return nil }
+
+// TestGatewayOversizedBodyRejectedAtTheBound pins the gateway's body
+// bound: it buffers at most what a replica could admit (lowered here
+// from serve's default so the test body stays small), answers 413
+// itself, and never forwards the truncated body.
+func TestGatewayOversizedBodyRejectedAtTheBound(t *testing.T) {
+	rep := fakeReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		t.Error("an over-limit body must not reach a replica")
+	})
+	g, _ := startGateway(t, Config{Replicas: []string{rep.URL}})
+	if g.maxVoxels != serve.DefaultMaxVoxels {
+		t.Fatalf("gateway bounds bodies at %d voxels, want serve's default %d", g.maxVoxels, serve.DefaultMaxVoxels)
+	}
+	g.maxVoxels = 64
+	body := &endlessScan{}
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scan", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("endless body answered %d, want 413", rec.Code)
+	}
+	// MaxBytesReader reads one byte past the bound to detect the overrun.
+	if limit := serve.MaxBodyBytes(64) + 1; body.read > limit {
+		t.Fatalf("gateway read %d bytes of an endless body, bound is %d", body.read, limit)
+	}
+}

@@ -23,7 +23,6 @@ package ddnet
 import (
 	"context"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -64,8 +63,7 @@ type Config struct {
 }
 
 // Arch converts the configuration to the dependency-free shape mirror
-// the low-level kernel walkers (kernels.RunDDnetInference,
-// kernels.DDnetCounts) take.
+// kernels.Walk — the one place the topology is spelled — takes.
 func (c Config) Arch() kernels.Arch {
 	return kernels.Arch{
 		BaseChannels: c.BaseChannels,
@@ -95,71 +93,48 @@ func TinyConfig() Config {
 	}
 }
 
+// unit is the weights of one kernels.Layer: a (transposed) convolution
+// — nil for a standalone BatchNorm — plus the BatchNorm that follows it
+// when the layer has one.
+type unit struct {
+	conv *nn.Conv2D
+	bn   *nn.BatchNorm
+}
+
 // DDnet is the enhancement network.
 type DDnet struct {
 	Cfg Config
 
-	convIn *nn.Conv2D
-	bnIn   *nn.BatchNorm
+	// units holds every layer's weights in walk order
+	// (units[l.Index] belongs to kernels.Layer l), which is also the
+	// Params/StateTensors — and so the checkpoint — order.
+	units []unit
 
-	blocks []*nn.DenseBlock2D
-	transC []*nn.Conv2D // 1×1 transition after each dense block
-	transB []*nn.BatchNorm
+	// Un-pooling tables of the most recent eval input size (eval.go).
+	tabs atomic.Pointer[unpoolTabs]
 
-	// Decoder, one entry per stage (walked bottom-up).
-	deconvA  []*nn.ConvTranspose2D // k×k
-	deconvAB []*nn.BatchNorm
-	deconvB  []*nn.ConvTranspose2D // 1×1
-	deconvBB []*nn.BatchNorm       // nil for the final stage
-
-	// Cached bilinear un-pooling tables for the pooled eval path,
-	// keyed by input axis length (eval.go). Lazily built; the mutex
-	// makes concurrent serve workers safe.
-	evalMu   sync.Mutex
-	evalTabs map[int]*ag.BilinearTable
-
-	// Compiled fused execution plan (plan.go). Nil until Warm; dropped
-	// on SetTraining(true). planMu serializes compilation only — readers
-	// go through the atomic load.
+	// Compiled fused execution plan (plan.go), one entry per unit. Nil
+	// until Warm; dropped on SetTraining(true). planMu serializes
+	// compilation only — readers go through the atomic load.
 	planMu sync.Mutex
-	plan   atomic.Pointer[execPlan]
+	plan   atomic.Pointer[[]folded]
 }
 
 // New constructs a DDnet with Gaussian-initialized weights drawn from
-// rng.
+// rng, one unit per layer of the walk.
 func New(rng *rand.Rand, cfg Config) *DDnet {
-	f := cfg.BaseChannels
 	m := &DDnet{Cfg: cfg}
-	m.convIn = nn.NewConv2D(rng, 1, f, 7, 1, 3, false, cfg.InitStd)
-	m.bnIn = nn.NewBatchNorm(f)
-
-	blockOut := f + cfg.DenseLayers*cfg.Growth
-	for s := 0; s < cfg.Stages; s++ {
-		m.blocks = append(m.blocks, nn.NewDenseBlock2D(rng, f, cfg.Growth, cfg.DenseLayers, cfg.Kernel, cfg.InitStd))
-		m.transC = append(m.transC, nn.NewConv2D(rng, blockOut, f, 1, 1, 0, false, cfg.InitStd))
-		m.transB = append(m.transB, nn.NewBatchNorm(f))
-	}
-
-	// Decoder stage s (s = 0 is the deepest). Skip channels: dense-block
-	// outputs for all but the shallowest stage, which reuses the stem.
-	for s := 0; s < cfg.Stages; s++ {
-		skipCh := blockOut
-		if s == cfg.Stages-1 {
-			skipCh = f // stem features at full resolution
+	for _, l := range kernels.Layers(cfg.Arch()) {
+		var u unit
+		if l.Deconv {
+			u.conv = nn.NewConvTranspose2D(rng, l.InC, l.OutC, l.K, 1, l.K/2, false, cfg.InitStd)
+		} else if l.K > 0 {
+			u.conv = nn.NewConv2D(rng, l.InC, l.OutC, l.K, 1, l.K/2, false, cfg.InitStd)
 		}
-		inCh := f + skipCh
-		m.deconvA = append(m.deconvA, nn.NewConvTranspose2D(rng, inCh, 2*f, cfg.Kernel, 1, cfg.Kernel/2, false, cfg.InitStd))
-		m.deconvAB = append(m.deconvAB, nn.NewBatchNorm(2*f))
-		outCh := f
-		if s == cfg.Stages-1 {
-			outCh = 1
+		if l.BNAct {
+			u.bn = nn.NewBatchNorm(l.OutC)
 		}
-		m.deconvB = append(m.deconvB, nn.NewConvTranspose2D(rng, 2*f, outCh, 1, 1, 0, false, cfg.InitStd))
-		if s == cfg.Stages-1 {
-			m.deconvBB = append(m.deconvBB, nil)
-		} else {
-			m.deconvBB = append(m.deconvBB, nn.NewBatchNorm(outCh))
-		}
+		m.units = append(m.units, u)
 	}
 	return m
 }
@@ -174,6 +149,52 @@ func (m *DDnet) NumConvLayers() int {
 // configuration).
 func (m *DDnet) NumDeconvLayers() int { return 2 * m.Cfg.Stages }
 
+// startForward opens the "ddnet/forward → kernels/rung" span pair every
+// forward runs under; the walk hangs its per-stage spans beneath the
+// rung span, which pins which ladder point produced the timing.
+func startForward(ctx context.Context, fused bool) (sp, ksp *obs.Span) {
+	_, sp = obs.StartCtx(ctx, "ddnet/forward")
+	ksp = sp.Child("kernels/rung")
+	if ksp != nil {
+		ksp.SetAttr("rung", kernels.Default().Name)
+		if fused {
+			ksp.SetAttr("plan", "fused")
+		}
+	}
+	return sp, ksp
+}
+
+// graph is the autograd backend of kernels.Walk: training, and the
+// bit-exact reference the eval backend is tested against.
+type graph struct{ m *DDnet }
+
+func (g *graph) act(v *ag.Value) *ag.Value { return ag.LeakyReLU(v, g.m.Cfg.Slope) }
+
+func (g *graph) Conv(l kernels.Layer, x *ag.Value) *ag.Value {
+	u := &g.m.units[l.Index]
+	x = u.conv.Forward(x)
+	if l.BNAct {
+		x = g.act(u.bn.Forward(x))
+	}
+	return x
+}
+
+func (g *graph) BNAct(l kernels.Layer, x *ag.Value) *ag.Value {
+	return g.act(g.m.units[l.Index].bn.Forward(x))
+}
+
+func (g *graph) Pool(x *ag.Value) *ag.Value {
+	return ag.MaxPool2D(x, ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
+}
+
+func (g *graph) Unpool(x *ag.Value) *ag.Value { return ag.UpsampleBilinear2D(x, 2) }
+
+func (g *graph) Concat(vs [kernels.MaxFanIn]*ag.Value, n int) *ag.Value {
+	return ag.Concat(1, vs[:n]...)
+}
+
+func (g *graph) Free(*ag.Value) {} // the tape keeps every activation for backward
+
 // Forward enhances a batch of (N, 1, H, W) images in [0, 1]. H and W
 // must be divisible by 2^Stages.
 func (m *DDnet) Forward(x *ag.Value) *ag.Value {
@@ -184,82 +205,25 @@ func (m *DDnet) Forward(x *ag.Value) *ag.Value {
 // span nests under the caller's active span (the serving micro-batch,
 // a training step), so a request trace reaches layer depth.
 func (m *DDnet) ForwardCtx(ctx context.Context, x *ag.Value) *ag.Value {
-	_, sp := obs.StartCtx(ctx, "ddnet/forward")
+	sp, ksp := startForward(ctx, false)
 	defer sp.End()
-	// Every convolution and deconvolution below runs on the selected
-	// kernel rung; the rung span pins which ladder point produced the
-	// timing, parenting the per-stage spans.
-	ksp := sp.Child("kernels/rung")
-	if ksp != nil {
-		ksp.SetAttr("rung", kernels.Default().Name)
-	}
 	defer ksp.End()
-	act := func(v *ag.Value) *ag.Value { return ag.LeakyReLU(v, m.Cfg.Slope) }
-
-	stemSp := ksp.Child("ddnet/stem")
-	stem := act(m.bnIn.Forward(m.convIn.Forward(x)))
-	stemSp.End()
-
-	// Encoder: pool, dense block, transition — collecting skips. Each
-	// stage is a child span, so chrome://tracing shows the per-layer
-	// split that Table 5 aggregates into conv/deconv/other.
-	skips := make([]*ag.Value, 0, m.Cfg.Stages+1)
-	skips = append(skips, stem)
-	h := stem
-	// Stage names are built only when tracing, so the disabled path
-	// allocates nothing.
-	stageSpan := func(kind string, s int) *obs.Span {
-		if ksp == nil {
-			return nil
-		}
-		return ksp.Child("ddnet/" + kind + strconv.Itoa(s))
-	}
-	for s := 0; s < m.Cfg.Stages; s++ {
-		ssp := stageSpan("enc", s)
-		h = ag.MaxPool2D(h, ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
-		db := m.blocks[s].Forward(h)
-		if s < m.Cfg.Stages-1 {
-			skips = append(skips, db)
-		}
-		h = act(m.transB[s].Forward(m.transC[s].Forward(db)))
-		ssp.End()
-	}
-
-	// Decoder: un-pool, global shortcut concat, two deconvolutions.
-	for s := 0; s < m.Cfg.Stages; s++ {
-		ssp := stageSpan("dec", s)
-		h = ag.UpsampleBilinear2D(h, 2)
-		skip := skips[len(skips)-1-s]
-		h = ag.Concat(1, h, skip)
-		h = act(m.deconvAB[s].Forward(m.deconvA[s].Forward(h)))
-		h = m.deconvB[s].Forward(h)
-		if m.deconvBB[s] != nil {
-			h = act(m.deconvBB[s].Forward(h))
-		}
-		ssp.End()
-	}
-
+	h := kernels.Walk[*ag.Value](m.Cfg.Arch(), &graph{m}, x, ksp)
 	if m.Cfg.Residual {
 		h = ag.Add(h, x)
 	}
 	return h
 }
 
-// Params returns every trainable parameter.
+// Params returns every trainable parameter, in walk order.
 func (m *DDnet) Params() []*ag.Value {
-	ps := m.convIn.Params()
-	ps = append(ps, m.bnIn.Params()...)
-	for s := 0; s < m.Cfg.Stages; s++ {
-		ps = append(ps, m.blocks[s].Params()...)
-		ps = append(ps, m.transC[s].Params()...)
-		ps = append(ps, m.transB[s].Params()...)
-	}
-	for s := 0; s < m.Cfg.Stages; s++ {
-		ps = append(ps, m.deconvA[s].Params()...)
-		ps = append(ps, m.deconvAB[s].Params()...)
-		ps = append(ps, m.deconvB[s].Params()...)
-		if m.deconvBB[s] != nil {
-			ps = append(ps, m.deconvBB[s].Params()...)
+	var ps []*ag.Value
+	for _, u := range m.units {
+		if u.conv != nil {
+			ps = append(ps, u.conv.Params()...)
+		}
+		if u.bn != nil {
+			ps = append(ps, u.bn.Params()...)
 		}
 	}
 	return ps
@@ -274,13 +238,9 @@ func (m *DDnet) SetTraining(train bool) {
 	if train {
 		m.plan.Store(nil)
 	}
-	m.bnIn.SetTraining(train)
-	for s := 0; s < m.Cfg.Stages; s++ {
-		m.blocks[s].SetTraining(train)
-		m.transB[s].SetTraining(train)
-		m.deconvAB[s].SetTraining(train)
-		if m.deconvBB[s] != nil {
-			m.deconvBB[s].SetTraining(train)
+	for _, u := range m.units {
+		if u.bn != nil {
+			u.bn.SetTraining(train)
 		}
 	}
 }
@@ -288,21 +248,9 @@ func (m *DDnet) SetTraining(train bool) {
 // StateTensors exposes batch-norm running statistics for serialization.
 func (m *DDnet) StateTensors() []*tensor.Tensor {
 	var ts []*tensor.Tensor
-	add := func(b *nn.BatchNorm) {
-		ts = append(ts, b.RunningMean, b.RunningVar)
-	}
-	add(m.bnIn)
-	for s := 0; s < m.Cfg.Stages; s++ {
-		for _, l := range m.blocks[s].Layers {
-			add(l.BN1)
-			add(l.BN2)
-		}
-		add(m.transB[s])
-	}
-	for s := 0; s < m.Cfg.Stages; s++ {
-		add(m.deconvAB[s])
-		if m.deconvBB[s] != nil {
-			add(m.deconvBB[s])
+	for _, u := range m.units {
+		if u.bn != nil {
+			ts = append(ts, u.bn.RunningMean, u.bn.RunningVar)
 		}
 	}
 	return ts

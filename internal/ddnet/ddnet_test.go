@@ -192,30 +192,6 @@ func TestParamCountsDifferByConfig(t *testing.T) {
 	}
 }
 
-func TestEnhanceBatchBitIdenticalToSingle(t *testing.T) {
-	// internal/serve micro-batches slices from different scans into one
-	// forward pass; the results must not depend on batch composition.
-	rng := rand.New(rand.NewSource(11))
-	m := New(rng, TinyConfig())
-	imgs := make([]*tensor.Tensor, 5)
-	for i := range imgs {
-		imgs[i] = tensor.New(16, 16).RandU(rng, 0, 1)
-	}
-	single := make([]*tensor.Tensor, len(imgs))
-	for i, img := range imgs {
-		single[i] = m.Enhance(img)
-	}
-	batched := m.EnhanceBatch(imgs)
-	for i := range imgs {
-		for j := range single[i].Data {
-			if single[i].Data[j] != batched[i].Data[j] {
-				t.Fatalf("image %d pixel %d: single %v != batched %v",
-					i, j, single[i].Data[j], batched[i].Data[j])
-			}
-		}
-	}
-}
-
 func TestEnhanceBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := New(rng, TinyConfig())

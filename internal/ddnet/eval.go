@@ -2,128 +2,135 @@ package ddnet
 
 import (
 	"context"
-	"strconv"
+	"sync"
 
 	"computecovid19/internal/ag"
 	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
-	"computecovid19/internal/obs"
 	"computecovid19/internal/tensor"
 )
 
-// The pooled eval forward mirrors ForwardCtx op for op — same layer
-// order, same kernel dispatch, same span tree — but draws every
-// activation from a memplan.Scope and builds no autograd tape, so a
-// warm forward performs zero steady-state heap allocations. Bit
-// identity with the graph path is pinned by TestEnhancePooledBitIdentical.
+// The pooled eval forward is kernels.Walk driven by the eval backend:
+// the same layer order, kernel dispatch and span tree as the graph
+// backend, but every activation comes from a memplan.Scope and no
+// autograd tape is built, so a warm forward performs zero steady-state
+// heap allocations. Layer-wise it is bit-identical to the graph
+// forward; on a compiled plan each conv→BN→act position is one fused
+// kernel call, within the documented ULP budget. Both relations are
+// pinned by TestForwardOracle.
 
-// bilinearTab returns the cached ×2 un-pooling table for an axis of
-// length n, building it on first use. Safe for concurrent forwards.
-func (m *DDnet) bilinearTab(n int) *ag.BilinearTable {
-	m.evalMu.Lock()
-	t := m.evalTabs[n]
-	if t == nil {
-		if m.evalTabs == nil {
-			m.evalTabs = make(map[int]*ag.BilinearTable)
-		}
-		t = ag.NewBilinearTable(n, 2*n)
-		m.evalTabs[n] = t
+// unpoolTabs caches the ×2 bilinear un-pooling tables of one input
+// size, per decoder stage, so a forward resolves them with one atomic
+// load instead of a lock and a map lookup per stage.
+type unpoolTabs struct {
+	h, w   int
+	ty, tx []*ag.BilinearTable
+}
+
+// unpoolTables returns the tables for an h×w input, rebuilding them
+// only when the size differs from the previous forward's. Concurrent
+// forwards at different sizes each keep the tables they loaded.
+func (m *DDnet) unpoolTables(h, w int) *unpoolTabs {
+	if t := m.tabs.Load(); t != nil && t.h == h && t.w == w {
+		return t
 	}
-	m.evalMu.Unlock()
+	t := &unpoolTabs{h: h, w: w}
+	for s := m.Cfg.Stages; s > 0; s-- { // decoder stage 0 is the deepest
+		t.ty = append(t.ty, ag.NewBilinearTable(h>>s, 2*(h>>s)))
+		t.tx = append(t.tx, ag.NewBilinearTable(w>>s, 2*(w>>s)))
+	}
+	m.tabs.Store(t)
 	return t
 }
+
+// eval is the pooled inference backend of kernels.Walk. Walk reaches
+// its backend through an interface, so a per-forward value would
+// escape to the heap; evals are recycled through evalPool instead.
+type eval struct {
+	m    *DDnet
+	sc   *memplan.Scope
+	tabs *unpoolTabs
+	dec  int // decoder stages done so far, selecting the un-pooling tables
+	// plan and convEp are set together when the network is warm and the
+	// selected rung can run epilogues; nil means the layer-wise path.
+	plan   []folded
+	convEp convEpFunc
+}
+
+type convEpFunc = func(x, w, out []float32, s kernels.ConvShape, workers int, ep kernels.Epilogue)
+
+var evalPool = sync.Pool{New: func() any { return new(eval) }}
+
+// Conv runs one conv(→BN→act) position: a single ConvEp call on the
+// compiled plan, conv → BN → in-place activation passes otherwise.
+func (e *eval) Conv(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
+	if e.plan != nil {
+		return evalFolded(e.sc, x, e.plan[l.Index].conv, e.convEp)
+	}
+	u := &e.m.units[l.Index]
+	c := u.conv.Infer(e.sc, x)
+	if !l.BNAct {
+		return c
+	}
+	y := u.bn.Infer(e.sc, c)
+	e.sc.Free(c)
+	ag.EvalLeakyReLUInPlace(y, e.m.Cfg.Slope)
+	return y
+}
+
+// BNAct runs a standalone BatchNorm+LeakyReLU: the single-pass folded
+// form on the compiled plan, BN then in-place activation otherwise
+// (safe because the BN output is fresh and has no other reader).
+func (e *eval) BNAct(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
+	if e.plan != nil {
+		return evalBNAct(e.sc, x, e.plan[l.Index].bn)
+	}
+	y := e.m.units[l.Index].bn.Infer(e.sc, x)
+	ag.EvalLeakyReLUInPlace(y, e.m.Cfg.Slope)
+	return y
+}
+
+func (e *eval) Pool(x *tensor.Tensor) *tensor.Tensor {
+	return ag.EvalMaxPool2D(e.sc, x, ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
+}
+
+func (e *eval) Unpool(x *tensor.Tensor) *tensor.Tensor {
+	ty, tx := e.tabs.ty[e.dec], e.tabs.tx[e.dec]
+	e.dec++
+	return ag.EvalUpsampleBilinear2D(e.sc, x, 2, ty, tx)
+}
+
+func (e *eval) Concat(vs [kernels.MaxFanIn]*tensor.Tensor, n int) *tensor.Tensor {
+	return ag.EvalConcat(e.sc, 1, vs[:n])
+}
+
+// Free releases x as soon as its last consumer has run, so peak arena
+// footprint stays near the widest single stage.
+func (e *eval) Free(x *tensor.Tensor) { e.sc.Free(x) }
 
 // forwardEval runs the eval-mode forward on plain tensors from sc.
 // The input x is owned by the caller and is never freed here (the
 // residual head reads it last); the returned tensor is scope-owned.
-// Every intermediate is freed as soon as its last consumer has run,
-// so peak arena footprint stays near the widest single stage.
+// A warmed network with an epilogue-capable rung selected runs the
+// compiled fused plan (plan.go); everything else — unwarmed models,
+// training-adjacent callers, non-fused rungs — runs layer-wise.
 func (m *DDnet) forwardEval(ctx context.Context, sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	// A warmed network with an epilogue-capable rung selected runs the
-	// compiled fused plan (plan.go); everything else — unwarmed models,
-	// training-adjacent callers, non-fused rungs — keeps the layer-wise
-	// path below, which stays bit-identical to the graph forward.
+	e := evalPool.Get().(*eval)
+	*e = eval{m: m, sc: sc, tabs: m.unpoolTables(x.Shape[2], x.Shape[3])}
 	if pl := m.plan.Load(); pl != nil {
 		if convEp := kernels.Default().ConvEp; convEp != nil {
-			return m.forwardEvalFused(ctx, sc, x, pl, convEp)
+			e.plan, e.convEp = *pl, convEp
 		}
 	}
-	_, sp := obs.StartCtx(ctx, "ddnet/forward")
-	defer sp.End()
-	ksp := sp.Child("kernels/rung")
-	if ksp != nil {
-		ksp.SetAttr("rung", kernels.Default().Name)
-	}
-	defer ksp.End()
-
-	stemSp := ksp.Child("ddnet/stem")
-	c0 := m.convIn.Infer(sc, x)
-	stem := m.bnIn.Infer(sc, c0)
-	sc.Free(c0)
-	ag.EvalLeakyReLUInPlace(stem, m.Cfg.Slope)
-	stemSp.End()
-
-	var skipArr [8]*tensor.Tensor
-	skips := append(skipArr[:0], stem)
-	h := stem
-	for s := 0; s < m.Cfg.Stages; s++ {
-		var ssp *obs.Span
-		if ksp != nil {
-			ssp = ksp.Child("ddnet/enc" + strconv.Itoa(s))
-		}
-		hp := ag.EvalMaxPool2D(sc, h, ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
-		if s > 0 { // at s == 0, h is the stem — kept as a skip
-			sc.Free(h)
-		}
-		db := m.blocks[s].Infer(sc, hp)
-		sc.Free(hp)
-		keepDB := s < m.Cfg.Stages-1
-		if keepDB {
-			skips = append(skips, db)
-		}
-		tc := m.transC[s].Infer(sc, db)
-		if !keepDB {
-			sc.Free(db)
-		}
-		h = m.transB[s].Infer(sc, tc)
-		sc.Free(tc)
-		ag.EvalLeakyReLUInPlace(h, m.Cfg.Slope)
-		ssp.End()
-	}
-
-	for s := 0; s < m.Cfg.Stages; s++ {
-		var ssp *obs.Span
-		if ksp != nil {
-			ssp = ksp.Child("ddnet/dec" + strconv.Itoa(s))
-		}
-		ty := m.bilinearTab(h.Shape[2])
-		tx := m.bilinearTab(h.Shape[3])
-		up := ag.EvalUpsampleBilinear2D(sc, h, 2, ty, tx)
-		sc.Free(h)
-		skip := skips[len(skips)-1-s]
-		pair := [2]*tensor.Tensor{up, skip}
-		cat := ag.EvalConcat(sc, 1, pair[:])
-		sc.Free(up)
-		sc.Free(skip) // each skip has exactly one consumer
-		da := m.deconvA[s].Infer(sc, cat)
-		sc.Free(cat)
-		ab := m.deconvAB[s].Infer(sc, da)
-		sc.Free(da)
-		ag.EvalLeakyReLUInPlace(ab, m.Cfg.Slope)
-		h = m.deconvB[s].Infer(sc, ab)
-		sc.Free(ab)
-		if m.deconvBB[s] != nil {
-			bb := m.deconvBB[s].Infer(sc, h)
-			sc.Free(h)
-			ag.EvalLeakyReLUInPlace(bb, m.Cfg.Slope)
-			h = bb
-		}
-		ssp.End()
-	}
-
+	sp, ksp := startForward(ctx, e.plan != nil)
+	h := kernels.Walk[*tensor.Tensor](m.Cfg.Arch(), e, x, ksp)
 	if m.Cfg.Residual {
 		ag.EvalAddInPlace(h, x) // ag.Add with the fresh operand on the left
 	}
+	ksp.End()
+	sp.End()
+	*e = eval{}
+	evalPool.Put(e)
 	return h
 }
 

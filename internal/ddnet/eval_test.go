@@ -55,42 +55,6 @@ func requireSameBits(t *testing.T, want, got []*tensor.Tensor, label string) {
 	}
 }
 
-// TestEnhancePooledBitIdentical pins the tentpole correctness claim:
-// the pooled, tape-free eval forward produces byte-for-byte the same
-// enhanced images as the autograd graph forward — on a cold arena, a
-// warm arena, and with release poisoning enabled.
-func TestEnhancePooledBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := New(rng, TinyConfig())
-	imgs := evalTestImages(rng, 3, 32, 32)
-	want := graphEnhance(m, imgs)
-
-	mem := memplan.New()
-	outs := make([]*tensor.Tensor, len(imgs))
-	for i := range outs {
-		outs[i] = tensor.New(32, 32)
-	}
-	m.EnhanceBatchInto(context.Background(), mem, imgs, outs)
-	requireSameBits(t, want, outs, "cold arena")
-
-	for i := range outs {
-		outs[i].Fill(-1)
-	}
-	m.EnhanceBatchInto(context.Background(), mem, imgs, outs)
-	requireSameBits(t, want, outs, "warm arena")
-
-	prev := tensor.SetMemDebug(true)
-	defer tensor.SetMemDebug(prev)
-	for i := range outs {
-		outs[i].Fill(-1)
-	}
-	m.EnhanceBatchInto(context.Background(), memplan.New(), imgs, outs)
-	requireSameBits(t, want, outs, "memdebug arena")
-
-	got := m.EnhanceBatch(imgs) // global-arena convenience path
-	requireSameBits(t, want, got, "EnhanceBatch")
-}
-
 // TestAllocsWarmEnhance pins the tentpole performance claim at the
 // network level: a warm EnhanceBatchInto performs zero steady-state
 // heap allocations per call.

@@ -1,14 +1,9 @@
 package ddnet
 
 import (
-	"context"
-	"strconv"
-
-	"computecovid19/internal/ag"
 	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/nn"
-	"computecovid19/internal/obs"
 	"computecovid19/internal/tensor"
 )
 
@@ -36,22 +31,11 @@ import (
 // recycled so a forward racing the invalidation can never see a reused
 // buffer.
 
-// densePlan is one dense layer: BN1+act single pass, the folded 1×1
-// bottleneck (⊕BN2⊕act), and the raw k×k growth convolution.
-type densePlan struct {
-	bn1   *nn.FoldedBN
-	conv1 *nn.FoldedConv
-	conv2 *nn.FoldedConv
-}
-
-// execPlan is the whole network's compiled form, mirroring the field
-// layout of DDnet itself.
-type execPlan struct {
-	stem    *nn.FoldedConv   // convIn ⊕ bnIn ⊕ act
-	blocks  [][]densePlan    // per stage, per dense layer
-	trans   []*nn.FoldedConv // transC ⊕ transB ⊕ act
-	deconvA []*nn.FoldedConv // deconvA ⊕ deconvAB ⊕ act (pre-flipped)
-	deconvB []*nn.FoldedConv // deconvB (⊕ deconvBB ⊕ act); last stage unfolded
+// folded is one unit's compiled form: conv for convolution-bearing
+// layers, bn for standalone BatchNorms.
+type folded struct {
+	conv *nn.FoldedConv
+	bn   *nn.FoldedBN
 }
 
 // Warm switches the network to eval mode and compiles the fused
@@ -64,33 +48,23 @@ func (m *DDnet) Warm() {
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
 	if m.plan.Load() == nil {
-		m.plan.Store(m.compilePlan())
+		pl := m.compilePlan()
+		m.plan.Store(&pl)
 	}
 }
 
-func (m *DDnet) compilePlan() *execPlan {
-	slope := m.Cfg.Slope
-	pl := &execPlan{
-		stem: nn.FoldConvBN(m.convIn, m.bnIn, true, slope),
-	}
-	for s := 0; s < m.Cfg.Stages; s++ {
-		var layers []densePlan
-		for _, l := range m.blocks[s].Layers {
-			layers = append(layers, densePlan{
-				bn1:   nn.FoldBNAct(l.BN1, l.Slope),
-				conv1: nn.FoldConvBN(l.Conv1, l.BN2, true, l.Slope),
-				conv2: nn.FoldConvBN(l.Conv2, nil, false, 0),
-			})
+// compilePlan folds every unit: the BatchNorm (when the layer has one)
+// and its activation go into the convolution's epilogue; a layer
+// without one still gets its weights packed (and pre-flipped, for a
+// transposed convolution).
+func (m *DDnet) compilePlan() []folded {
+	pl := make([]folded, len(m.units))
+	for i, u := range m.units {
+		if u.conv != nil {
+			pl[i].conv = nn.FoldConvBN(u.conv, u.bn, u.bn != nil, m.Cfg.Slope)
+		} else {
+			pl[i].bn = nn.FoldBNAct(u.bn, m.Cfg.Slope)
 		}
-		pl.blocks = append(pl.blocks, layers)
-		pl.trans = append(pl.trans, nn.FoldConvBN(m.transC[s], m.transB[s], true, slope))
-	}
-	for s := 0; s < m.Cfg.Stages; s++ {
-		pl.deconvA = append(pl.deconvA, nn.FoldDeconvBN(m.deconvA[s], m.deconvAB[s], true, slope))
-		// The last stage has no BB BatchNorm and no activation; the fold
-		// still pre-flips the weights.
-		act := m.deconvBB[s] != nil
-		pl.deconvB = append(pl.deconvB, nn.FoldDeconvBN(m.deconvB[s], m.deconvBB[s], act, slope))
 	}
 	return pl
 }
@@ -98,8 +72,7 @@ func (m *DDnet) compilePlan() *execPlan {
 // evalFolded runs one packed convolution (or pre-flipped transposed
 // convolution) with its fused epilogue, batch elements in series like
 // ag.EvalConv2D.
-func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv,
-	convEp func(x, w, out []float32, s kernels.ConvShape, workers int, ep kernels.Epilogue)) *tensor.Tensor {
+func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv, convEp convEpFunc) *tensor.Tensor {
 	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
 	out := sc.Get(n, f.OutC, h, wd)
 	ks := kernels.ConvShape{InC: f.InC, H: h, W: wd, OutC: f.OutC, K: f.K}
@@ -124,104 +97,6 @@ func evalBNAct(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedBN) *tensor.Tens
 	for ni := 0; ni < n; ni++ {
 		kernels.BNActInfer(x.Data[ni*chw:(ni+1)*chw], out.Data[ni*chw:(ni+1)*chw],
 			c, hw, f.Scale, f.Shift, f.Slope, 0)
-	}
-	return out
-}
-
-// forwardEvalFused is forwardEval running the compiled plan: identical
-// dataflow and span tree, with each conv→BN→act triple fused into one
-// kernel call. Numerics agree with the unfused path within the
-// documented ULP budget (BN folding reassociates the per-channel
-// affine); bit-identity across worker counts still holds.
-func (m *DDnet) forwardEvalFused(ctx context.Context, sc *memplan.Scope, x *tensor.Tensor, pl *execPlan,
-	convEp func(x, w, out []float32, s kernels.ConvShape, workers int, ep kernels.Epilogue)) *tensor.Tensor {
-	_, sp := obs.StartCtx(ctx, "ddnet/forward")
-	defer sp.End()
-	ksp := sp.Child("kernels/rung")
-	if ksp != nil {
-		ksp.SetAttr("rung", kernels.Default().Name)
-		ksp.SetAttr("plan", "fused")
-	}
-	defer ksp.End()
-
-	stemSp := ksp.Child("ddnet/stem")
-	stem := evalFolded(sc, x, pl.stem, convEp)
-	stemSp.End()
-
-	var skipArr [8]*tensor.Tensor
-	skips := append(skipArr[:0], stem)
-	h := stem
-	for s := 0; s < m.Cfg.Stages; s++ {
-		var ssp *obs.Span
-		if ksp != nil {
-			ssp = ksp.Child("ddnet/enc" + strconv.Itoa(s))
-		}
-		hp := ag.EvalMaxPool2D(sc, h, ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
-		if s > 0 { // at s == 0, h is the stem — kept as a skip
-			sc.Free(h)
-		}
-		db := m.inferBlockFused(sc, hp, pl.blocks[s], convEp)
-		sc.Free(hp)
-		keepDB := s < m.Cfg.Stages-1
-		if keepDB {
-			skips = append(skips, db)
-		}
-		h = evalFolded(sc, db, pl.trans[s], convEp)
-		if !keepDB {
-			sc.Free(db)
-		}
-		ssp.End()
-	}
-
-	for s := 0; s < m.Cfg.Stages; s++ {
-		var ssp *obs.Span
-		if ksp != nil {
-			ssp = ksp.Child("ddnet/dec" + strconv.Itoa(s))
-		}
-		ty := m.bilinearTab(h.Shape[2])
-		tx := m.bilinearTab(h.Shape[3])
-		up := ag.EvalUpsampleBilinear2D(sc, h, 2, ty, tx)
-		sc.Free(h)
-		skip := skips[len(skips)-1-s]
-		pair := [2]*tensor.Tensor{up, skip}
-		cat := ag.EvalConcat(sc, 1, pair[:])
-		sc.Free(up)
-		sc.Free(skip) // each skip has exactly one consumer
-		da := evalFolded(sc, cat, pl.deconvA[s], convEp)
-		sc.Free(cat)
-		h = evalFolded(sc, da, pl.deconvB[s], convEp)
-		sc.Free(da)
-		ssp.End()
-	}
-
-	if m.Cfg.Residual {
-		ag.EvalAddInPlace(h, x)
-	}
-	return h
-}
-
-// inferBlockFused is DenseBlock2D.Infer on the plan: same dense
-// connectivity and free schedule, folded layers.
-func (m *DDnet) inferBlockFused(sc *memplan.Scope, x *tensor.Tensor, layers []densePlan,
-	convEp func(x, w, out []float32, s kernels.ConvShape, workers int, ep kernels.Epilogue)) *tensor.Tensor {
-	var featArr [8]*tensor.Tensor
-	features := append(featArr[:0], x)
-	for i := range layers {
-		l := &layers[i]
-		in := ag.EvalConcat(sc, 1, features)
-		h := evalBNAct(sc, in, l.bn1)
-		if in != x {
-			sc.Free(in)
-		}
-		h2 := evalFolded(sc, h, l.conv1, convEp)
-		sc.Free(h)
-		y := evalFolded(sc, h2, l.conv2, convEp)
-		sc.Free(h2)
-		features = append(features, y)
-	}
-	out := ag.EvalConcat(sc, 1, features)
-	for _, f := range features[1:] {
-		sc.Free(f)
 	}
 	return out
 }

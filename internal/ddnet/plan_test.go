@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"computecovid19/internal/kernels"
@@ -42,71 +41,6 @@ func enhanceInto(m *DDnet, mem *memplan.Arena, imgs []*tensor.Tensor) []*tensor.
 	}
 	m.EnhanceBatchInto(context.Background(), mem, imgs, outs)
 	return outs
-}
-
-// TestWarmFusedMatchesUnfused is the tentpole accuracy property: a
-// warmed network (BN-folded weights, fused epilogues, pre-flipped
-// deconv panels) enhances within the documented budget of the unwarmed
-// layer-wise forward on the same weights.
-func TestWarmFusedMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := New(rng, TinyConfig())
-	imgs := evalTestImages(rng, 2, 32, 32)
-
-	want := enhanceInto(m, memplan.New(), imgs) // plan not compiled yet
-	if m.plan.Load() != nil {
-		t.Fatal("plain inference must not compile a plan")
-	}
-	m.Warm()
-	if m.plan.Load() == nil {
-		t.Fatal("Warm must compile the fused plan")
-	}
-	got := enhanceInto(m, memplan.New(), imgs)
-	if d := maxAbsDiff(t, want, got); d > fusedBudget {
-		t.Fatalf("fused forward drifted %g from the layer-wise path (budget %g)", d, fusedBudget)
-	}
-}
-
-// TestWarmFusedDeterministicAcrossWorkers pins bit-determinism of the
-// warm path: changing the parallelism (GOMAXPROCS governs the default
-// worker count and hence the chunking of every fused kernel) must not
-// change a single output bit.
-func TestWarmFusedDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m := New(rng, TinyConfig())
-	m.Warm()
-	imgs := evalTestImages(rng, 2, 32, 32)
-
-	old := runtime.GOMAXPROCS(1)
-	want := enhanceInto(m, memplan.New(), imgs)
-	runtime.GOMAXPROCS(4)
-	got := enhanceInto(m, memplan.New(), imgs)
-	runtime.GOMAXPROCS(old)
-	requireSameBits(t, want, got, "fused workers=4 vs workers=1")
-}
-
-// TestWarmFallsBackOnNonEpilogueRung pins the rung-selection contract:
-// a compiled plan only runs when the selected rung can execute
-// epilogues; on any other rung the forward takes the layer-wise path
-// and stays bit-identical to the graph twin.
-func TestWarmFallsBackOnNonEpilogueRung(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := New(rng, TinyConfig())
-	imgs := evalTestImages(rng, 1, 32, 32)
-	want := graphEnhance(m, imgs)
-
-	m.Warm()
-	old := kernels.Default().Name
-	defer func() {
-		if err := kernels.SetDefault(old); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := kernels.SetDefault("gemm"); err != nil {
-		t.Fatal(err)
-	}
-	got := enhanceInto(m, memplan.New(), imgs)
-	requireSameBits(t, want, got, "warm model on non-epilogue rung")
 }
 
 // TestSetTrainingInvalidatesPlan pins the invalidation contract: going

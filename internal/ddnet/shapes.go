@@ -1,6 +1,10 @@
 package ddnet
 
-import "fmt"
+import (
+	"fmt"
+
+	"computecovid19/internal/kernels"
+)
 
 // LayerKind tags a row of the architecture table.
 type LayerKind int
@@ -58,43 +62,38 @@ func (l LayerShape) Details() string {
 	}
 }
 
-// LayerShapes traces the network layer by layer for a square input of
-// the given size, reproducing Table 2 for the paper configuration at
-// size 512.
+// LayerShapes renders the walk's trace for a square input of the given
+// size at Table 2's granularity — one row per pool, dense block,
+// un-pool and (de)convolution outside a dense block — reproducing
+// Table 2 for the paper configuration at size 512.
 func (m *DDnet) LayerShapes(size int) []LayerShape {
-	cfg := m.Cfg
-	f := cfg.BaseChannels
-	blockOut := f + cfg.DenseLayers*cfg.Growth
 	var rows []LayerShape
-	h := size
-
-	rows = append(rows, LayerShape{Kind: KindConv, Name: "Convolution 1",
-		OutC: f, OutH: h, OutW: h, Kernel: 7, Stride: 1, InC: 1})
-	for s := 0; s < cfg.Stages; s++ {
-		h /= 2
-		rows = append(rows, LayerShape{Kind: KindPool, Name: fmt.Sprintf("Pooling %d", s+1),
-			OutC: f, OutH: h, OutW: h, Kernel: 3, Stride: 2, InC: f})
-		rows = append(rows, LayerShape{Kind: KindDenseBlock, Name: fmt.Sprintf("Dense Block %d", s+1),
-			OutC: blockOut, OutH: h, OutW: h, Kernel: cfg.Kernel, Stride: 1, InC: f})
-		rows = append(rows, LayerShape{Kind: KindConv, Name: fmt.Sprintf("Convolution %d", s+2),
-			OutC: f, OutH: h, OutW: h, Kernel: 1, Stride: 1, InC: blockOut})
+	var count [KindDeconv + 1]int
+	add := func(kind LayerKind, out kernels.Dims, r LayerShape) {
+		count[kind]++
+		r.Kind, r.Name = kind, fmt.Sprintf("%s %d", kind, count[kind])
+		r.OutC, r.OutH, r.OutW = out.C, out.H, out.W
+		rows = append(rows, r)
 	}
-	for s := 0; s < cfg.Stages; s++ {
-		h *= 2
-		rows = append(rows, LayerShape{Kind: KindUnpool, Name: fmt.Sprintf("Un-pooling %d", s+1),
-			OutC: f, OutH: h, OutW: h, ScaleFac: 2, InC: f})
-		skipCh := blockOut
-		if s == cfg.Stages-1 {
-			skipCh = f
+	var blockIn kernels.Dims // input of the dense block being traced
+	for _, op := range kernels.Trace(m.Cfg.Arch(), size, size) {
+		switch {
+		case op.Kind == kernels.OpPool:
+			add(KindPool, op.Out, LayerShape{Kernel: 3, Stride: 2, InC: op.In.C})
+			blockIn = op.Out
+		case op.Kind == kernels.OpUnpool:
+			add(KindUnpool, op.Out, LayerShape{ScaleFac: 2, InC: op.In.C})
+		case op.Kind != kernels.OpConv || op.Layer.Dense:
+			// Dense layers fold into the block row emitted below.
+		case op.Layer.Deconv:
+			add(KindDeconv, op.Out, LayerShape{Kernel: op.Layer.K, Stride: 1, InC: op.In.C})
+		default:
+			if blockIn.C != 0 { // a transition: its input is the finished block
+				add(KindDenseBlock, op.In, LayerShape{Kernel: m.Cfg.Kernel, Stride: 1, InC: blockIn.C})
+				blockIn = kernels.Dims{}
+			}
+			add(KindConv, op.Out, LayerShape{Kernel: op.Layer.K, Stride: 1, InC: op.In.C})
 		}
-		rows = append(rows, LayerShape{Kind: KindDeconv, Name: fmt.Sprintf("Deconvolution %d", 2*s+1),
-			OutC: 2 * f, OutH: h, OutW: h, Kernel: cfg.Kernel, Stride: 1, InC: f + skipCh})
-		outCh := f
-		if s == cfg.Stages-1 {
-			outCh = 1
-		}
-		rows = append(rows, LayerShape{Kind: KindDeconv, Name: fmt.Sprintf("Deconvolution %d", 2*s+2),
-			OutC: outCh, OutH: h, OutW: h, Kernel: 1, Stride: 1, InC: 2 * f})
 	}
 	return rows
 }

@@ -235,7 +235,7 @@ func measuredInferenceNote(cfg Config) string {
 		size = 64
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tm := kernels.RunDDnetInference(ddnet.PaperConfig().Arch(), size, kernels.REFPFLU, 0, rng)
+	tm := kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, kernels.MustSelect("ref+pf+lu"), 0, rng)
 	return fmt.Sprintf("Measured on this machine (Go kernels, paper DDnet at %d×%d): conv %.3fs deconv %.3fs other %.3fs total %.3fs\n",
 		size, size, tm.Conv.Seconds(), tm.Deconv.Seconds(), tm.Other.Seconds(), tm.Total().Seconds())
 }
@@ -297,8 +297,8 @@ func Table7Data() map[string][4]float64 {
 	out := map[string][4]float64{}
 	for _, p := range device.Catalog() {
 		var row [4]float64
-		for i, v := range []kernels.Variant{kernels.Baseline, kernels.REF, kernels.REFPF, kernels.REFPFLU} {
-			row[i] = p.Project(cc, v, false).Total()
+		for i, name := range kernels.Names()[:4] { // the paper's ladder
+			row[i] = p.Project(cc, kernels.MustSelect(name).Variant, false).Total()
 		}
 		out[p.Name] = row
 	}
@@ -333,8 +333,8 @@ func Table7(cfg Config) string {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var measured [4]time.Duration
-	for i, v := range []kernels.Variant{kernels.Baseline, kernels.REF, kernels.REFPF, kernels.REFPFLU} {
-		measured[i] = kernels.RunDDnetInference(ddnet.PaperConfig().Arch(), size, v, 0, rng).Total()
+	for i, name := range kernels.Names()[:4] {
+		measured[i] = kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, kernels.MustSelect(name), 0, rng).Total()
 	}
 	note := fmt.Sprintf("Measured on this machine (Go kernels, %d×%d): Baseline %.3fs, +REF %.3fs, +PF %.3fs, +LU %.3fs\n",
 		size, size, measured[0].Seconds(), measured[1].Seconds(), measured[2].Seconds(), measured[3].Seconds())

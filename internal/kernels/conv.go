@@ -2,15 +2,11 @@ package kernels
 
 import "computecovid19/internal/parallel"
 
-// Conv computes a stride-1 "same" convolution out = w ⊛ x on CHW
-// buffers. Weights are laid out (OutC, InC, K, K). The work is
-// distributed across workers (<=0 means GOMAXPROCS), mirroring the
-// OpenCL NDRange mapping. The Variant selects a Table 7 ladder point;
-// rungs beyond the paper's ladder (the gemm path) are reachable via
-// Select.
-func Conv(v Variant, x, w, out []float32, s ConvShape, workers int) {
-	ByVariant(v).Conv(x, w, out, s, workers)
-}
+// The convolution rungs compute a stride-1 "same" convolution
+// out = w ⊛ x on CHW buffers. Weights are laid out (OutC, InC, K, K).
+// The work is distributed across workers (<=0 means GOMAXPROCS),
+// mirroring the OpenCL NDRange mapping. Rungs are selected through the
+// registry (Select).
 
 // convBaseline recomputes every offset in the innermost loops and reads
 // the shape struct each iteration — the straight port of the naive

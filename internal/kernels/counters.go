@@ -80,60 +80,34 @@ func (c ClassCounts) Total() Counters {
 	return t
 }
 
-// DDnetCounts walks a DDnet architecture at the given input size and
-// accumulates the analytic operation counts per kernel class. Every
-// convolution and deconvolution is followed by batch normalization and
-// leaky ReLU (counted under Other), matching the network definition.
+// DDnetCounts accumulates the analytic operation counts per kernel
+// class over the architecture's trace at the given input size. Every
+// BatchNorm + leaky ReLU is counted under Other, matching the network
+// definition.
 func DDnetCounts(cfg Arch, size int) ClassCounts {
 	var cc ClassCounts
-	addBNAct := func(c, h, w int) {
-		n := c * h * w
+	addBNAct := func(n int) {
 		cc.Other.Add(BatchNormCounters(n))
 		cc.Other.Add(LeakyReLUCounters(n))
 	}
-	f := cfg.BaseChannels
-	g := cfg.Growth
-	blockOut := f + cfg.DenseLayers*g
-	h := size
-
-	// Stem: 7×7 conv, BN, act.
-	cc.Conv.Add(ConvCounters(ConvShape{InC: 1, H: h, W: h, OutC: f, K: 7}))
-	addBNAct(f, h, h)
-
-	for s := 0; s < cfg.Stages; s++ {
-		// Pool halves the resolution.
-		cc.Other.Add(PoolCounters(f, h, h))
-		h /= 2
-		// Dense block: per layer, BN+act+1×1 bottleneck then BN+act+K×K.
-		ch := f
-		for l := 0; l < cfg.DenseLayers; l++ {
-			addBNAct(ch, h, h)
-			cc.Conv.Add(ConvCounters(ConvShape{InC: ch, H: h, W: h, OutC: 4 * g, K: 1}))
-			addBNAct(4*g, h, h)
-			cc.Conv.Add(ConvCounters(ConvShape{InC: 4 * g, H: h, W: h, OutC: g, K: cfg.Kernel}))
-			ch += g
-		}
-		// Transition 1×1 conv + BN + act.
-		cc.Conv.Add(ConvCounters(ConvShape{InC: blockOut, H: h, W: h, OutC: f, K: 1}))
-		addBNAct(f, h, h)
-	}
-
-	for s := 0; s < cfg.Stages; s++ {
-		cc.Other.Add(UnpoolCounters(f, h, h))
-		h *= 2
-		skipCh := blockOut
-		if s == cfg.Stages-1 {
-			skipCh = f
-		}
-		cc.Deconv.Add(DeconvCounters(ConvShape{InC: f + skipCh, H: h, W: h, OutC: 2 * f, K: cfg.Kernel}))
-		addBNAct(2*f, h, h)
-		outCh := f
-		if s == cfg.Stages-1 {
-			outCh = 1
-		}
-		cc.Deconv.Add(DeconvCounters(ConvShape{InC: 2 * f, H: h, W: h, OutC: outCh, K: 1}))
-		if s != cfg.Stages-1 {
-			addBNAct(outCh, h, h)
+	for _, op := range Trace(cfg, size, size) {
+		switch op.Kind {
+		case OpConv:
+			c := ConvCounters(ConvShape{InC: op.In.C, H: op.In.H, W: op.In.W, OutC: op.Out.C, K: op.Layer.K})
+			if op.Layer.Deconv {
+				cc.Deconv.Add(c)
+			} else {
+				cc.Conv.Add(c)
+			}
+			if op.Layer.BNAct {
+				addBNAct(op.Out.Len())
+			}
+		case OpBNAct:
+			addBNAct(op.Out.Len())
+		case OpPool:
+			cc.Other.Add(PoolCounters(op.In.C, op.In.H, op.In.W))
+		case OpUnpool:
+			cc.Other.Add(UnpoolCounters(op.In.C, op.In.H, op.In.W))
 		}
 	}
 	return cc

@@ -2,14 +2,11 @@ package kernels
 
 import "computecovid19/internal/parallel"
 
-// Deconv computes a stride-1 "same" deconvolution (transposed
-// convolution) on CHW buffers. Weights are laid out (InC, OutC, K, K).
-// The Baseline variant is the scatter formulation the paper profiles at
-// 299.86 s serial on the Xeon (§5.1.3); REF and above use the gather
-// refactoring of §4.2.1 (Figure 9).
-func Deconv(v Variant, x, w, out []float32, s ConvShape, workers int) {
-	ByVariant(v).Deconv(x, w, out, s, workers)
-}
+// The deconvolution rungs compute a stride-1 "same" deconvolution
+// (transposed convolution) on CHW buffers. Weights are laid out
+// (InC, OutC, K, K). The naive rung is the scatter formulation the
+// paper profiles at 299.86 s serial on the Xeon (§5.1.3); ref and above
+// use the gather refactoring of §4.2.1 (Figure 9).
 
 // deconvScatter is Figure 9(a): every input element multiplies the whole
 // filter and the partial sums are added into the output buffer — a

@@ -20,7 +20,10 @@
 // against instrumented kernels in the tests.
 package kernels
 
-// Variant is an optimization level from Table 7.
+// Variant is an optimization level from Table 7 — the column key of the
+// paper's projection model (device.Project). The kernels themselves are
+// selected by rung name through the registry; the first four rungs
+// (Names()[:4]) are the paper's ladder and each Impl names its Variant.
 type Variant int
 
 // Optimization ladder (cumulative, matching the Table 7 columns).
@@ -47,11 +50,11 @@ func (v Variant) String() string {
 	}
 }
 
-// Arch is the subset of the DDnet architecture the kernel-level
-// walkers (RunDDnetInference, DDnetCounts) need: a dependency-free
-// mirror of ddnet.Config's shape fields. Keeping it here lets the
-// autograd fast paths that feed nn/ddnet depend on kernels without an
-// import cycle; ddnet.Config.Arch converts.
+// Arch is the shape of a DDnet — what Walk needs to spell the topology:
+// a dependency-free mirror of ddnet.Config's shape fields. Keeping it
+// (and the walk) here lets the autograd fast paths that feed nn/ddnet
+// depend on kernels without an import cycle; ddnet.Config.Arch
+// converts.
 type Arch struct {
 	// BaseChannels is the trunk width F (paper: 16).
 	BaseChannels int

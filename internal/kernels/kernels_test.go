@@ -43,11 +43,11 @@ func TestConvMatchesAutogradReference(t *testing.T) {
 			ag.Const(tensor.FromSlice(x, 1, s.InC, s.H, s.W)),
 			ag.Const(tensor.FromSlice(w, s.OutC, s.InC, s.K, s.K)),
 			nil, ag.Conv2DConfig{Stride: 1, Padding: k / 2})
-		for _, v := range []Variant{Baseline, REF, REFPF, REFPFLU} {
+		for _, name := range Names()[:4] {
 			out := make([]float32, s.OutLen())
-			Conv(v, x, w, out, s, 1)
+			MustSelect(name).Conv(x, w, out, s, 1)
 			if d := maxDiff(out, ref.T.Data); d > 1e-4 {
-				t.Fatalf("k=%d variant %v differs from reference by %v", k, v, d)
+				t.Fatalf("k=%d rung %s differs from reference by %v", k, name, d)
 			}
 		}
 	}
@@ -60,12 +60,12 @@ func TestDeconvVariantsAgree(t *testing.T) {
 		x := randSlice(rng, s.InLen())
 		w := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 		base := make([]float32, s.OutLen())
-		Deconv(Baseline, x, w, base, s, 1)
-		for _, v := range []Variant{REF, REFPF, REFPFLU} {
+		MustSelect("naive").Deconv(x, w, base, s, 1)
+		for _, name := range Names()[1:4] {
 			out := make([]float32, s.OutLen())
-			Deconv(v, x, w, out, s, 1)
+			MustSelect(name).Deconv(x, w, out, s, 1)
 			if d := maxDiff(out, base); d > 1e-4 {
-				t.Fatalf("k=%d variant %v differs from scatter baseline by %v", k, v, d)
+				t.Fatalf("k=%d rung %s differs from scatter baseline by %v", k, name, d)
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func TestDeconvMatchesAutogradReference(t *testing.T) {
 		ag.Const(tensor.FromSlice(w, s.InC, s.OutC, s.K, s.K)),
 		nil, ag.Conv2DConfig{Stride: 1, Padding: 2})
 	out := make([]float32, s.OutLen())
-	Deconv(Baseline, x, w, out, s, 1)
+	MustSelect("naive").Deconv(x, w, out, s, 1)
 	if d := maxDiff(out, ref.T.Data); d > 1e-4 {
 		t.Fatalf("scatter deconv differs from autograd ConvTranspose2D by %v", d)
 	}
@@ -93,17 +93,17 @@ func TestKernelsParallelDeterminism(t *testing.T) {
 	x := randSlice(rng, s.InLen())
 	w := randSlice(rng, s.WeightLen())
 	serial := make([]float32, s.OutLen())
-	Conv(REFPFLU, x, w, serial, s, 1)
+	MustSelect("ref+pf+lu").Conv(x, w, serial, s, 1)
 	par := make([]float32, s.OutLen())
-	Conv(REFPFLU, x, w, par, s, 4)
+	MustSelect("ref+pf+lu").Conv(x, w, par, s, 4)
 	if d := maxDiff(serial, par); d != 0 {
 		t.Fatalf("parallel conv differs from serial by %v", d)
 	}
 	wd := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 	ds := make([]float32, s.OutLen())
-	Deconv(Baseline, x, wd, ds, s, 1)
+	MustSelect("naive").Deconv(x, wd, ds, s, 1)
 	dp := make([]float32, s.OutLen())
-	Deconv(Baseline, x, wd, dp, s, 4)
+	MustSelect("naive").Deconv(x, wd, dp, s, 4)
 	if d := maxDiff(ds, dp); d != 0 {
 		t.Fatalf("parallel scatter deconv differs from serial by %v", d)
 	}
@@ -271,15 +271,18 @@ func TestAnalyticCountsMatchInstrumentedConv(t *testing.T) {
 	}
 }
 
-func TestRunDDnetInferenceProducesTimings(t *testing.T) {
+// Every rung — the unfused passes and the epilogue-fused walk alike —
+// must time all three kernel classes.
+func TestRunDDnetImplProducesTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cfg := TinyArch()
-	tm := RunDDnetInference(cfg, 32, REFPFLU, 1, rng)
-	if tm.Conv <= 0 || tm.Deconv <= 0 || tm.Other <= 0 {
-		t.Fatalf("timings must be positive: %+v", tm)
-	}
-	if tm.Total() != tm.Conv+tm.Deconv+tm.Other {
-		t.Fatal("Total must be the sum of the classes")
+	for _, name := range Names() {
+		tm := RunDDnetImpl(TinyArch(), 32, MustSelect(name), 1, rng)
+		if tm.Conv <= 0 || tm.Deconv <= 0 || tm.Other <= 0 {
+			t.Fatalf("rung %s: timings must be positive: %+v", name, tm)
+		}
+		if tm.Total() != tm.Conv+tm.Deconv+tm.Other {
+			t.Fatal("Total must be the sum of the classes")
+		}
 	}
 }
 
@@ -291,9 +294,9 @@ func TestScatterSlowerThanGather(t *testing.T) {
 	cfg := TinyArch()
 	// One warmup, then compare. The scatter deconvolution's recurring
 	// global read-modify-writes must cost more than the gather version.
-	RunDDnetInference(cfg, 64, REF, 1, rng)
-	base := RunDDnetInference(cfg, 64, Baseline, 1, rng)
-	ref := RunDDnetInference(cfg, 64, REF, 1, rng)
+	RunDDnetImpl(cfg, 64, MustSelect("ref"), 1, rng)
+	base := RunDDnetImpl(cfg, 64, MustSelect("naive"), 1, rng)
+	ref := RunDDnetImpl(cfg, 64, MustSelect("ref"), 1, rng)
 	if base.Deconv <= ref.Deconv {
 		t.Logf("warning: scatter (%v) not slower than gather (%v) at this size",
 			base.Deconv, ref.Deconv)

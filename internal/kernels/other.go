@@ -107,10 +107,3 @@ func BatchNormInfer(x []float32, c, h, w int, gamma, beta, mean, variance []floa
 		}
 	})
 }
-
-// Concat copies a then b into out (channel concatenation of CHW
-// buffers).
-func Concat(a, b, out []float32) {
-	copy(out, a)
-	copy(out[len(a):], b)
-}

@@ -147,21 +147,6 @@ func SetDefault(name string) error {
 	return nil
 }
 
-// ByVariant maps a Table 7 ladder point to its registry rung. The gemm
-// rung sits beyond the paper's ladder and is reachable only by name.
-func ByVariant(v Variant) *Impl {
-	switch v {
-	case Baseline:
-		return MustSelect("naive")
-	case REF:
-		return MustSelect("ref")
-	case REFPF:
-		return MustSelect("ref+pf")
-	default:
-		return MustSelect("ref+pf+lu")
-	}
-}
-
 // BenchShape names one representative DDnet layer shape for the kernel
 // benchmarks.
 type BenchShape struct {

@@ -257,8 +257,11 @@ func TestRegistrySelection(t *testing.T) {
 	if err := SetDefault("no-such-rung"); err == nil {
 		t.Fatal("SetDefault must reject unknown rungs")
 	}
-	if ByVariant(Baseline).Name != "naive" || ByVariant(REFPFLU).Name != "ref+pf+lu" {
-		t.Fatal("ByVariant mapping wrong")
+	// The first four rungs are the paper's ladder, one per Table 7 column.
+	for i, name := range Names()[:4] {
+		if v := MustSelect(name).Variant; v != Variant(i) {
+			t.Fatalf("rung %s maps to Table 7 column %v, want %v", name, v, Variant(i))
+		}
 	}
 }
 

@@ -82,12 +82,6 @@ func rooflineGauges(class, rung string) (gflops, gbps *obs.Gauge) {
 	return gflops, gbps
 }
 
-// MeasureDDnet runs one full DDnet inference with the given Table 7
-// optimization variant; see MeasureDDnetImpl.
-func MeasureDDnet(cfg Arch, size int, v Variant, workers int, rng *rand.Rand) Measured {
-	return MeasureDDnetImpl(cfg, size, ByVariant(v), workers, rng)
-}
-
 // MeasureDDnetImpl runs one full DDnet inference with the given
 // registry rung, pairs the measured per-class wall time with the
 // static counter model, publishes the operating point to obs (span

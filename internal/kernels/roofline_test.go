@@ -10,11 +10,11 @@ import (
 	"computecovid19/internal/obs"
 )
 
-// TestMeasureDDnet checks the live-roofline wrapper: achieved rates
+// TestMeasureDDnetImpl checks the live-roofline wrapper: achieved rates
 // must be finite and positive, consistent with Counters/wall-time
 // division, and published as gauges in the default registry.
-func TestMeasureDDnet(t *testing.T) {
-	m := MeasureDDnet(TinyArch(), 32, REFPFLU, 1, rand.New(rand.NewSource(1)))
+func TestMeasureDDnetImpl(t *testing.T) {
+	m := MeasureDDnetImpl(TinyArch(), 32, MustSelect("ref+pf+lu"), 1, rand.New(rand.NewSource(1)))
 
 	tot := m.Total()
 	if tot.Seconds <= 0 {

@@ -21,195 +21,135 @@ func (t *Timing) Add(o Timing) {
 	t.Other += o.Other
 }
 
-// Scale multiplies every component by f.
-func (t Timing) Scale(f float64) Timing {
-	return Timing{
-		Conv:   time.Duration(float64(t.Conv) * f),
-		Deconv: time.Duration(float64(t.Deconv) * f),
-		Other:  time.Duration(float64(t.Other) * f),
-	}
-}
-
-// RunDDnetInference executes the full DDnet inference kernel sequence
-// on a size×size image using the given Table 7 optimization variant.
-// Rungs beyond the paper's ladder run through RunDDnetImpl.
-func RunDDnetInference(cfg Arch, size int, v Variant, workers int, rng *rand.Rand) Timing {
-	return RunDDnetImpl(cfg, size, ByVariant(v), workers, rng)
-}
-
-// RunDDnetImpl executes the full DDnet inference kernel sequence
-// (stem, dense blocks with transitions and pools, un-pooling decoder
-// with global shortcuts) on a size×size image using the given registry
-// rung, and returns the measured per-class wall time. This is the CPU
-// "OpenCL runtime" measurement feeding Tables 4, 5 and 7; weights are
-// random, as only the data movement and arithmetic are being measured.
+// RunDDnetImpl executes the full DDnet inference kernel sequence (Walk
+// driven by the timing backend) on a size×size image using the given
+// registry rung, and returns the measured per-class wall time. This is
+// the CPU "OpenCL runtime" measurement feeding Tables 4, 5 and 7;
+// weights are random, as only the data movement and arithmetic are
+// being measured.
 //
 // Epilogue-capable rungs (im.ConvEp != nil) are measured the way the
 // fused execution plan actually runs them: each conv/deconv→BN→act
-// triple becomes one ConvEp call (the BN fold and the deconv weight
+// position becomes one ConvEp call (the BN fold and the deconv weight
 // flip happen at plan-compile time, i.e. outside the timed region —
-// random weights stand in for folded ones since only data movement and
-// arithmetic are measured), and the unfoldable dense-layer BN1
-// positions run the single-pass BNActInfer instead of BatchNorm +
-// activation passes.
+// random weights stand in for folded ones), and the unfoldable
+// dense-layer BN1 positions run the single-pass BNActInfer instead of
+// BatchNorm + activation passes.
 func RunDDnetImpl(cfg Arch, size int, im *Impl, workers int, rng *rand.Rand) Timing {
-	var t Timing
-	f := cfg.BaseChannels
-	g := cfg.Growth
-	blockOut := f + cfg.DenseLayers*g
-	h := size
-	fused := im.ConvEp != nil
+	r := &timer{im: im, workers: workers, rng: rng}
+	Walk[timedBuf](cfg, r, timedBuf{r.rand(size * size), Dims{1, size, size}}, nil)
+	return r.t
+}
 
-	randBuf := func(n int) []float32 {
-		b := make([]float32, n)
-		for i := range b {
-			b[i] = rng.Float32() - 0.5
-		}
-		return b
+// timedBuf is a CHW activation of the timing backend.
+type timedBuf struct {
+	d []float32
+	Dims
+}
+
+// timer is the timing backend: it allocates random-weight buffers per
+// layer and charges each kernel call to its Table 5 class.
+type timer struct {
+	im      *Impl
+	workers int
+	rng     *rand.Rand
+	t       Timing
+}
+
+func (r *timer) rand(n int) []float32 {
+	b := make([]float32, n)
+	for i := range b {
+		b[i] = r.rng.Float32() - 0.5
 	}
-	timeIt := func(class *time.Duration, fn func()) {
-		start := time.Now()
-		fn()
-		*class += time.Since(start)
+	return b
+}
+
+func (r *timer) buf(d Dims) timedBuf { return timedBuf{make([]float32, d.Len()), d} }
+
+func (r *timer) time(class *time.Duration, fn func()) {
+	start := time.Now()
+	fn()
+	*class += time.Since(start)
+}
+
+func (r *timer) Free(timedBuf) {}
+
+// bnAct is the unfused rungs' two full passes over x, in place.
+func (r *timer) bnAct(x timedBuf) {
+	gamma, beta, mean := r.rand(x.C), r.rand(x.C), r.rand(x.C)
+	variance := make([]float32, x.C)
+	for i := range variance {
+		variance[i] = 1 + r.rng.Float32()
 	}
-	bnAct := func(x []float32, c, hh int) {
-		if fused {
-			// The fused plan folds this BatchNorm into the preceding
-			// convolution's epilogue; conv/deconvEp below timed it.
-			panic("kernels: bnAct reached on the fused path")
-		}
-		gamma := randBuf(c)
-		beta := randBuf(c)
-		mean := randBuf(c)
-		variance := make([]float32, c)
-		for i := range variance {
-			variance[i] = 1 + rng.Float32()
-		}
-		timeIt(&t.Other, func() {
-			BatchNormInfer(x, c, hh, hh, gamma, beta, mean, variance, 1e-5, workers)
-			LeakyReLU(x, 0.01, workers)
-		})
+	r.time(&r.t.Other, func() {
+		BatchNormInfer(x.d, x.C, x.H, x.W, gamma, beta, mean, variance, 1e-5, r.workers)
+		LeakyReLU(x.d, 0.01, r.workers)
+	})
+}
+
+func (r *timer) Conv(l Layer, x timedBuf) timedBuf {
+	s := ConvShape{InC: l.InC, H: x.H, W: x.W, OutC: l.OutC, K: l.K}
+	w := r.rand(s.WeightLen())
+	out := r.buf(Dims{l.OutC, x.H, x.W})
+	class, kernel := &r.t.Conv, r.im.Conv
+	if l.Deconv {
+		class, kernel = &r.t.Deconv, r.im.Deconv
 	}
-	// convBN is one conv→BN→act position: one epilogue call on the
-	// fused path, conv plus two separate full passes otherwise.
-	convBN := func(x, w, out []float32, s ConvShape, hh int) {
-		if fused {
-			b := randBuf(s.OutC) // stands in for the plan's folded bias
-			timeIt(&t.Conv, func() {
-				im.ConvEp(x, w, out, s, workers, Epilogue{Bias: b, Act: true, Slope: 0.01})
-			})
-			return
+	if r.im.ConvEp == nil {
+		r.time(class, func() { kernel(x.d, w, out.d, s, r.workers) })
+		if l.BNAct {
+			r.bnAct(out)
 		}
-		timeIt(&t.Conv, func() { im.Conv(x, w, out, s, workers) })
-		bnAct(out, s.OutC, hh)
+		return out
 	}
-	// deconvBN is one deconv(→BN→act) position. The fused path consumes
-	// the plan's pre-flipped weight panel (flip outside the timed
-	// region), the unfused path pays the rung's own per-call handling.
-	deconvBN := func(x, w, out []float32, s ConvShape, hh int, withBN bool) {
-		if fused {
-			wf := make([]float32, len(w))
-			FlipDeconvWeights(w, wf, s)
-			ep := Epilogue{}
-			if withBN {
-				ep = Epilogue{Bias: randBuf(s.OutC), Act: true, Slope: 0.01}
-			}
-			timeIt(&t.Deconv, func() { im.ConvEp(x, wf, out, s, workers, ep) })
-			return
-		}
-		timeIt(&t.Deconv, func() { im.Deconv(x, w, out, s, workers) })
-		if withBN {
-			bnAct(out, s.OutC, hh)
-		}
+	var ep Epilogue
+	if l.BNAct {
+		ep = Epilogue{Bias: r.rand(l.OutC), Act: true, Slope: 0.01}
 	}
-
-	// Stem.
-	x := randBuf(size * size)
-	cur := make([]float32, f*h*h)
-	{
-		s := ConvShape{InC: 1, H: h, W: h, OutC: f, K: 7}
-		w := randBuf(s.WeightLen())
-		convBN(x, w, cur, s, h)
+	if l.Deconv {
+		flipped := make([]float32, len(w))
+		FlipDeconvWeights(w, flipped, s)
+		w = flipped
 	}
+	r.time(class, func() { r.im.ConvEp(x.d, w, out.d, s, r.workers, ep) })
+	return out
+}
 
-	skips := [][]float32{append([]float32(nil), cur...)} // stem skip
-	skipCh := []int{f}
-	skipH := []int{h}
-
-	for st := 0; st < cfg.Stages; st++ {
-		pooled := make([]float32, f*(h/2)*(h/2))
-		timeIt(&t.Other, func() { MaxPool(cur, pooled, f, h, h, workers) })
-		h /= 2
-
-		// Dense block: features grow from f to blockOut channels.
-		features := make([]float32, blockOut*h*h)
-		copy(features, pooled)
-		ch := f
-		for l := 0; l < cfg.DenseLayers; l++ {
-			in := append([]float32(nil), features[:ch*h*h]...)
-			if fused {
-				// BN1 cannot fold into a neighbouring convolution (its
-				// input is the concat, read by other consumers): the
-				// plan runs the single-pass folded BN + activation.
-				scale := randBuf(ch)
-				shift := randBuf(ch)
-				timeIt(&t.Other, func() {
-					BNActInfer(in, in, ch, h*h, scale, shift, 0.01, workers)
-				})
-			} else {
-				bnAct(in, ch, h)
-			}
-			s1 := ConvShape{InC: ch, H: h, W: h, OutC: 4 * g, K: 1}
-			mid := make([]float32, s1.OutLen())
-			w1 := randBuf(s1.WeightLen())
-			convBN(in, w1, mid, s1, h)
-			s2 := ConvShape{InC: 4 * g, H: h, W: h, OutC: g, K: cfg.Kernel}
-			grow := features[ch*h*h : (ch+g)*h*h]
-			w2 := randBuf(s2.WeightLen())
-			// The growth conv has no BN/act of its own (its output joins
-			// the dense concat raw) — plain conv on every rung.
-			timeIt(&t.Conv, func() { im.Conv(mid, w2, grow, s2, workers) })
-			ch += g
-		}
-		if st < cfg.Stages-1 {
-			skips = append(skips, append([]float32(nil), features...))
-			skipCh = append(skipCh, blockOut)
-			skipH = append(skipH, h)
-		}
-
-		// Transition 1×1.
-		s := ConvShape{InC: blockOut, H: h, W: h, OutC: f, K: 1}
-		cur = make([]float32, s.OutLen())
-		w := randBuf(s.WeightLen())
-		convBN(features, w, cur, s, h)
+func (r *timer) BNAct(_ Layer, x timedBuf) timedBuf {
+	out := timedBuf{append([]float32(nil), x.d...), x.Dims}
+	if r.im.ConvEp == nil {
+		r.bnAct(out)
+		return out
 	}
+	scale, shift := r.rand(x.C), r.rand(x.C)
+	r.time(&r.t.Other, func() {
+		BNActInfer(out.d, out.d, x.C, x.H*x.W, scale, shift, 0.01, r.workers)
+	})
+	return out
+}
 
-	for st := 0; st < cfg.Stages; st++ {
-		up := make([]float32, f*(2*h)*(2*h))
-		timeIt(&t.Other, func() { Unpool(cur, up, f, h, h, workers) })
-		h *= 2
+func (r *timer) Pool(x timedBuf) timedBuf {
+	out := r.buf(Dims{x.C, x.H / 2, x.W / 2})
+	r.time(&r.t.Other, func() { MaxPool(x.d, out.d, x.C, x.H, x.W, r.workers) })
+	return out
+}
 
-		skip := skips[len(skips)-1-st]
-		sc := skipCh[len(skipCh)-1-st]
-		if skipH[len(skipH)-1-st] != h {
-			panic("kernels: decoder/skip resolution mismatch")
-		}
-		cat := make([]float32, (f+sc)*h*h)
-		timeIt(&t.Other, func() { Concat(up, skip, cat) })
+func (r *timer) Unpool(x timedBuf) timedBuf {
+	out := r.buf(Dims{x.C, 2 * x.H, 2 * x.W})
+	r.time(&r.t.Other, func() { Unpool(x.d, out.d, x.C, x.H, x.W, r.workers) })
+	return out
+}
 
-		sA := ConvShape{InC: f + sc, H: h, W: h, OutC: 2 * f, K: cfg.Kernel}
-		bufA := make([]float32, sA.OutLen())
-		wA := randBuf(sA.WeightLen())
-		deconvBN(cat, wA, bufA, sA, h, true)
-
-		outCh := f
-		if st == cfg.Stages-1 {
-			outCh = 1
-		}
-		sB := ConvShape{InC: 2 * f, H: h, W: h, OutC: outCh, K: 1}
-		cur = make([]float32, sB.OutLen())
-		wB := randBuf(sB.WeightLen())
-		deconvBN(bufA, wB, cur, sB, h, st != cfg.Stages-1)
+func (r *timer) Concat(vs [MaxFanIn]timedBuf, n int) timedBuf {
+	out := timedBuf{Dims: vs[0].Dims}
+	for _, v := range vs[1:n] {
+		out.C += v.C
 	}
-	return t
+	out.d = make([]float32, 0, out.Len())
+	r.time(&r.t.Other, func() {
+		for _, v := range vs[:n] {
+			out.d = append(out.d, v.d...)
+		}
+	})
+	return out
 }

@@ -7,128 +7,11 @@ import (
 	"computecovid19/internal/tensor"
 )
 
-// DenseLayer2D is one densely connected layer of a DDnet dense block:
-// BN → LeakyReLU → 1×1 conv (bottleneck) → BN → LeakyReLU → k×k conv
+// DenseLayer3D is one densely connected layer of the 3D DenseNet
+// classifier (§2.3.2): BN → ReLU → 1³ bottleneck → BN → ReLU → k³ conv
 // producing `growth` feature maps. Its input is the channel-concatenation
-// of the block input and every previous layer's output (the paper's
-// "local shortcut connections", §2.2.1).
-type DenseLayer2D struct {
-	BN1   *BatchNorm
-	Conv1 *Conv2D // 1x1 bottleneck
-	BN2   *BatchNorm
-	Conv2 *Conv2D // kxk growth conv
-	Slope float32
-}
-
-// NewDenseLayer2D builds one dense layer taking inCh channels and
-// emitting growth channels through a bottleneck of width bottleneck.
-func NewDenseLayer2D(rng *rand.Rand, inCh, bottleneck, growth, kernel int, std float64) *DenseLayer2D {
-	return &DenseLayer2D{
-		BN1:   NewBatchNorm(inCh),
-		Conv1: NewConv2D(rng, inCh, bottleneck, 1, 1, 0, false, std),
-		BN2:   NewBatchNorm(bottleneck),
-		Conv2: NewConv2D(rng, bottleneck, growth, kernel, 1, kernel/2, false, std),
-		Slope: 0.01,
-	}
-}
-
-// Forward applies BN→act→1×1→BN→act→k×k.
-func (l *DenseLayer2D) Forward(x *ag.Value) *ag.Value {
-	h := ag.LeakyReLU(l.BN1.Forward(x), l.Slope)
-	h = l.Conv1.Forward(h)
-	h = ag.LeakyReLU(l.BN2.Forward(h), l.Slope)
-	return l.Conv2.Forward(h)
-}
-
-// Params returns the trainable parameters of all sublayers.
-func (l *DenseLayer2D) Params() []*ag.Value {
-	ps := l.BN1.Params()
-	ps = append(ps, l.Conv1.Params()...)
-	ps = append(ps, l.BN2.Params()...)
-	ps = append(ps, l.Conv2.Params()...)
-	return ps
-}
-
-// SetTraining propagates the mode to the batch norms.
-func (l *DenseLayer2D) SetTraining(train bool) {
-	l.BN1.SetTraining(train)
-	l.BN2.SetTraining(train)
-}
-
-func (l *DenseLayer2D) stateTensors() []*tensor.Tensor {
-	return append(l.BN1.stateTensors(), l.BN2.stateTensors()...)
-}
-
-// DenseBlock2D is the paper's dense block (Figure 7): `layers` densely
-// connected DenseLayer2Ds. The output concatenates the block input with
-// every layer output, so the channel count grows from inCh to
-// inCh + layers·growth (16 → 80 in Table 2).
-type DenseBlock2D struct {
-	Layers []*DenseLayer2D
-}
-
-// NewDenseBlock2D builds a dense block. DDnet uses layers=4, growth=16,
-// kernel=5 and a bottleneck equal to 4·growth.
-func NewDenseBlock2D(rng *rand.Rand, inCh, growth, layers, kernel int, std float64) *DenseBlock2D {
-	b := &DenseBlock2D{}
-	ch := inCh
-	for i := 0; i < layers; i++ {
-		b.Layers = append(b.Layers, NewDenseLayer2D(rng, ch, 4*growth, growth, kernel, std))
-		ch += growth
-	}
-	return b
-}
-
-// OutChannels reports the channel count of the block output given inCh
-// input channels.
-func (b *DenseBlock2D) OutChannels(inCh int) int {
-	return inCh + len(b.Layers)*growthOf2D(b)
-}
-
-func growthOf2D(b *DenseBlock2D) int {
-	if len(b.Layers) == 0 {
-		return 0
-	}
-	return b.Layers[0].Conv2.W.T.Shape[0]
-}
-
-// Forward runs the dense connectivity pattern: each layer sees the
-// concatenation of everything before it.
-func (b *DenseBlock2D) Forward(x *ag.Value) *ag.Value {
-	features := []*ag.Value{x}
-	for _, l := range b.Layers {
-		in := ag.Concat(1, features...)
-		features = append(features, l.Forward(in))
-	}
-	return ag.Concat(1, features...)
-}
-
-// Params returns the parameters of every dense layer.
-func (b *DenseBlock2D) Params() []*ag.Value {
-	var ps []*ag.Value
-	for _, l := range b.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// SetTraining propagates the mode to every dense layer.
-func (b *DenseBlock2D) SetTraining(train bool) {
-	for _, l := range b.Layers {
-		l.SetTraining(train)
-	}
-}
-
-func (b *DenseBlock2D) stateTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
-	for _, l := range b.Layers {
-		ts = append(ts, l.stateTensors()...)
-	}
-	return ts
-}
-
-// DenseLayer3D is the volumetric analogue of DenseLayer2D, used by the
-// 3D DenseNet classifier (§2.3.2).
+// of the block input and every previous layer's output. (DDnet's 2D
+// dense blocks are spelled by kernels.Walk, not here.)
 type DenseLayer3D struct {
 	BN1   *BatchNorm
 	Conv1 *Conv3D

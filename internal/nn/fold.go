@@ -65,67 +65,42 @@ func requireEval(bn *BatchNorm) {
 
 // FoldConvBN compiles conv(→bn)(→LeakyReLU) into one FoldedConv.
 // bn may be nil (no fold: the epilogue carries just the layer bias, if
-// any, and the activation). When nothing needs rewriting the packed
-// weights alias the layer's own, so unfolded layers cost no copy.
+// any, and the activation). Transposed-convolution weights are spatially
+// flipped into the convolution layout once here (the per-call flip
+// deconvGEMM pays is the cold-path fallback). When nothing needs
+// rewriting the packed weights alias the layer's own, so such layers
+// cost no copy.
 func FoldConvBN(conv *Conv2D, bn *BatchNorm, act bool, slope float32) *FoldedConv {
 	requireEval(bn)
 	outC, inC, k := conv.W.T.Shape[0], conv.W.T.Shape[1], conv.W.T.Shape[2]
-	f := &FoldedConv{Act: act, Slope: slope, InC: inC, OutC: outC, K: k}
-	src := conv.W.T.Data
-	if bn == nil {
-		f.W = src // nothing to rewrite; share the layer's weights
-		if conv.B != nil {
-			f.Bias = memplan.GetFloats(outC)
-			copy(f.Bias, conv.B.T.Data)
-		}
+	if conv.Transposed {
+		outC, inC = inC, outC
+	}
+	f := &FoldedConv{Act: act, Slope: slope, InC: inC, OutC: outC, K: k, W: conv.W.T.Data}
+	if conv.Transposed {
+		f.W = memplan.GetFloats(len(conv.W.T.Data))
+		kernels.FlipDeconvWeights(conv.W.T.Data, f.W, kernels.ConvShape{InC: inC, OutC: outC, K: k})
+	} else if bn != nil {
+		f.W = memplan.GetFloats(len(conv.W.T.Data))
+		copy(f.W, conv.W.T.Data)
+	}
+	if bn == nil && conv.B == nil {
 		return f
 	}
-	f.W = memplan.GetFloats(len(src))
 	f.Bias = memplan.GetFloats(outC)
-	row := inC * k * k
-	for co := 0; co < outC; co++ {
-		scale, shift := bnAffine(bn, co)
-		if conv.B != nil {
-			shift += float64(conv.B.T.Data[co]) * scale
-		}
-		f.Bias[co] = float32(shift)
-		for i := co * row; i < (co+1)*row; i++ {
-			f.W[i] = float32(float64(src[i]) * scale)
-		}
-	}
-	return f
-}
-
-// FoldDeconvBN compiles deconv(→bn)(→LeakyReLU) into one FoldedConv:
-// the (InC, OutC, K, K) weights are spatially flipped into the
-// convolution layout once (the per-call flip deconvGEMM pays is the
-// cold-path fallback) and then BN-rescaled like FoldConvBN.
-func FoldDeconvBN(deconv *ConvTranspose2D, bn *BatchNorm, act bool, slope float32) *FoldedConv {
-	requireEval(bn)
-	inC, outC, k := deconv.W.T.Shape[0], deconv.W.T.Shape[1], deconv.W.T.Shape[2]
-	f := &FoldedConv{Act: act, Slope: slope, InC: inC, OutC: outC, K: k}
-	f.W = memplan.GetFloats(len(deconv.W.T.Data))
-	kernels.FlipDeconvWeights(deconv.W.T.Data, f.W, kernels.ConvShape{InC: inC, OutC: outC, K: k})
 	row := inC * k * k
 	for co := 0; co < outC; co++ {
 		var scale, shift float64 = 1, 0
 		if bn != nil {
 			scale, shift = bnAffine(bn, co)
-		}
-		if deconv.B != nil {
-			shift += float64(deconv.B.T.Data[co]) * scale
-		}
-		if bn != nil {
 			for i := co * row; i < (co+1)*row; i++ {
 				f.W[i] = float32(float64(f.W[i]) * scale)
 			}
 		}
-		if bn != nil || deconv.B != nil {
-			if f.Bias == nil {
-				f.Bias = memplan.GetFloats(outC)
-			}
-			f.Bias[co] = float32(shift)
+		if conv.B != nil {
+			shift += float64(conv.B.T.Data[co]) * scale
 		}
+		f.Bias[co] = float32(shift)
 	}
 	return f
 }

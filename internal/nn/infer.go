@@ -16,14 +16,12 @@ import (
 // ddnet and classify. Callers own their input tensor: a layer never
 // frees x, only the intermediates it creates.
 
-// Infer applies the convolution on the pooled eval path.
+// Infer applies the (transposed) convolution on the pooled eval path.
 func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
+	if l.Transposed {
+		return ag.EvalConvTranspose2D(sc, x, l.W.T, biasTensor(l.B), l.Cfg)
+	}
 	return ag.EvalConv2D(sc, x, l.W.T, biasTensor(l.B), l.Cfg)
-}
-
-// Infer applies the transposed convolution on the pooled eval path.
-func (l *ConvTranspose2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	return ag.EvalConvTranspose2D(sc, x, l.W.T, biasTensor(l.B), l.Cfg)
 }
 
 // Infer applies the 3D convolution on the pooled eval path.
@@ -76,25 +74,11 @@ func (l *Linear) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	return ag.EvalLinear(sc, x, l.W.T, l.B.T)
 }
 
-// Infer runs BN→act→1×1→BN→act→k×k, freeing every intermediate as soon
-// as its consumer has run. The activations mutate fresh BN outputs in
+// Infer runs BN→ReLU→1³→BN→ReLU→k³, freeing every intermediate as soon
+// as its consumer has run (ReLU is LeakyReLU with slope 0, matching
+// ag.ReLU bit for bit). The activations mutate fresh BN outputs in
 // place, which is safe because the graph twin is out-of-place and the
 // BN output has no other reader.
-func (l *DenseLayer2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	h := l.BN1.Infer(sc, x)
-	ag.EvalLeakyReLUInPlace(h, l.Slope)
-	h2 := l.Conv1.Infer(sc, h)
-	sc.Free(h)
-	h3 := l.BN2.Infer(sc, h2)
-	sc.Free(h2)
-	ag.EvalLeakyReLUInPlace(h3, l.Slope)
-	out := l.Conv2.Infer(sc, h3)
-	sc.Free(h3)
-	return out
-}
-
-// Infer runs BN→ReLU→1³→BN→ReLU→k³ with eager frees (ReLU is
-// LeakyReLU with slope 0, matching ag.ReLU bit for bit).
 func (l *DenseLayer3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	h := l.BN1.Infer(sc, x)
 	ag.EvalLeakyReLUInPlace(h, 0)
@@ -108,28 +92,9 @@ func (l *DenseLayer3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor
 	return out
 }
 
-// Infer runs the dense connectivity pattern on the pooled eval path.
-// The feature list lives in a stack array for DDnet-sized blocks
-// (≤ 7 layers); intermediate concats are freed once consumed.
-func (b *DenseBlock2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	var featArr [8]*tensor.Tensor
-	features := append(featArr[:0], x)
-	for _, l := range b.Layers {
-		in := ag.EvalConcat(sc, 1, features)
-		y := l.Infer(sc, in)
-		if in != x {
-			sc.Free(in)
-		}
-		features = append(features, y)
-	}
-	out := ag.EvalConcat(sc, 1, features)
-	for _, f := range features[1:] {
-		sc.Free(f)
-	}
-	return out
-}
-
 // Infer runs the 3D dense connectivity pattern on the pooled eval path.
+// The feature list lives in a stack array for classifier-sized blocks
+// (≤ 7 layers); intermediate concats are freed once consumed.
 func (b *DenseBlock3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	var featArr [8]*tensor.Tensor
 	features := append(featArr[:0], x)

@@ -7,19 +7,34 @@ import (
 	"computecovid19/internal/tensor"
 )
 
-// Conv2D is a trainable 2D convolution layer.
+// Conv2D is a trainable 2D convolution layer — or, with Transposed set,
+// a transposed convolution (deconvolution), the reconstruction operator
+// of DDnet. The two differ only in weight layout, (outCh, inCh, k, k)
+// against (inCh, outCh, k, k), and in the kernel they dispatch to.
 type Conv2D struct {
-	W, B *ag.Value
-	Cfg  ag.Conv2DConfig
+	W, B       *ag.Value
+	Cfg        ag.Conv2DConfig
+	Transposed bool
 }
 
 // NewConv2D builds a conv layer with weights drawn from N(0, std²); bias
 // (if used) starts at zero. Pass std <= 0 for the paper's default 0.01.
 func NewConv2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *Conv2D {
+	return newConv2D(rng, tensor.New(outCh, inCh, kernel, kernel), outCh, stride, padding, bias, std)
+}
+
+// NewConvTranspose2D builds a deconv layer with Gaussian-initialized
+// weights of shape (inCh, outCh, k, k).
+func NewConvTranspose2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *Conv2D {
+	l := newConv2D(rng, tensor.New(inCh, outCh, kernel, kernel), outCh, stride, padding, bias, std)
+	l.Transposed = true
+	return l
+}
+
+func newConv2D(rng *rand.Rand, w *tensor.Tensor, outCh, stride, padding int, bias bool, std float64) *Conv2D {
 	if std <= 0 {
 		std = 0.01
 	}
-	w := tensor.New(outCh, inCh, kernel, kernel)
 	GaussianInit(w, rng, 0, std)
 	l := &Conv2D{
 		W:   ag.Param(w),
@@ -31,9 +46,15 @@ func NewConv2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bo
 	return l
 }
 
-// Forward applies the convolution via the im2col fast path (which
-// falls back to the direct kernels for shapes it does not cover).
-func (l *Conv2D) Forward(x *ag.Value) *ag.Value { return ag.Conv2DFast(x, l.W, l.B, l.Cfg) }
+// Forward applies the (transposed) convolution via the kernel-registry
+// fast path (which falls back to the direct kernels for shapes the
+// registry rungs do not cover).
+func (l *Conv2D) Forward(x *ag.Value) *ag.Value {
+	if l.Transposed {
+		return ag.ConvTranspose2DFast(x, l.W, l.B, l.Cfg)
+	}
+	return ag.Conv2DFast(x, l.W, l.B, l.Cfg)
+}
 
 // Params returns the weight (and bias, when present).
 func (l *Conv2D) Params() []*ag.Value {
@@ -45,49 +66,6 @@ func (l *Conv2D) Params() []*ag.Value {
 
 // SetTraining is a no-op for convolutions.
 func (l *Conv2D) SetTraining(bool) {}
-
-// ConvTranspose2D is a trainable 2D transposed-convolution
-// (deconvolution) layer, the reconstruction operator of DDnet.
-type ConvTranspose2D struct {
-	W, B *ag.Value
-	Cfg  ag.Conv2DConfig
-}
-
-// NewConvTranspose2D builds a deconv layer with Gaussian-initialized
-// weights of shape (inCh, outCh, k, k).
-func NewConvTranspose2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *ConvTranspose2D {
-	if std <= 0 {
-		std = 0.01
-	}
-	w := tensor.New(inCh, outCh, kernel, kernel)
-	GaussianInit(w, rng, 0, std)
-	l := &ConvTranspose2D{
-		W:   ag.Param(w),
-		Cfg: ag.Conv2DConfig{Stride: stride, Padding: padding},
-	}
-	if bias {
-		l.B = ag.Param(tensor.New(outCh))
-	}
-	return l
-}
-
-// Forward applies the transposed convolution via the kernel-registry
-// fast path (which falls back to the direct gather loops for shapes
-// the registry rungs do not cover).
-func (l *ConvTranspose2D) Forward(x *ag.Value) *ag.Value {
-	return ag.ConvTranspose2DFast(x, l.W, l.B, l.Cfg)
-}
-
-// Params returns the weight (and bias, when present).
-func (l *ConvTranspose2D) Params() []*ag.Value {
-	if l.B != nil {
-		return []*ag.Value{l.W, l.B}
-	}
-	return []*ag.Value{l.W}
-}
-
-// SetTraining is a no-op for convolutions.
-func (l *ConvTranspose2D) SetTraining(bool) {}
 
 // Conv3D is a trainable 3D convolution layer for volumetric networks.
 type Conv3D struct {

@@ -47,23 +47,6 @@ func TestSequentialComposes(t *testing.T) {
 	}
 }
 
-func TestDenseBlock2DChannelGrowth(t *testing.T) {
-	// Table 2: dense block maps 16 channels to 80 (4 layers × growth 16).
-	rng := rand.New(rand.NewSource(3))
-	b := NewDenseBlock2D(rng, 16, 16, 4, 5, 0.1)
-	x := ag.Const(tensor.New(1, 16, 8, 8).RandN(rng, 0, 1))
-	y := b.Forward(x)
-	if y.T.Shape[1] != 80 {
-		t.Fatalf("dense block output channels = %d, want 80", y.T.Shape[1])
-	}
-	if y.T.Shape[2] != 8 || y.T.Shape[3] != 8 {
-		t.Fatalf("dense block must preserve spatial dims, got %v", y.T.Shape)
-	}
-	if b.OutChannels(16) != 80 {
-		t.Fatalf("OutChannels(16) = %d, want 80", b.OutChannels(16))
-	}
-}
-
 func TestDenseBlock3DChannelGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewDenseBlock3D(rng, 4, 2, 3, 3, 0.1)

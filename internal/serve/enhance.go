@@ -49,8 +49,9 @@ func (s *Server) handleEnhance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ScanRequest
+	LimitBody(w, r, s.cfg.MaxVoxels)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+		httpError(w, BodyErrorStatus(err), "bad json: %v", err)
 		return
 	}
 	if req.D <= 0 || req.H <= 0 || req.W <= 0 {

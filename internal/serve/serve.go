@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -152,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.ModelVersion = "v0"
 	}
 	if cfg.MaxVoxels <= 0 {
-		cfg.MaxVoxels = 1 << 26
+		cfg.MaxVoxels = DefaultMaxVoxels
 	}
 	if cfg.EnhanceConcurrency <= 0 {
 		cfg.EnhanceConcurrency = 4 * cfg.Workers
@@ -307,9 +308,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ScanRequest
+	LimitBody(w, r, s.cfg.MaxVoxels)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
-		endHere(http.StatusBadRequest)
+		code := BodyErrorStatus(err)
+		httpError(w, code, "bad json: %v", err)
+		endHere(code)
 		return
 	}
 	if req.D <= 0 || req.H <= 0 || req.W <= 0 {
@@ -431,6 +434,44 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// DefaultMaxVoxels is the admission limit when Config.MaxVoxels is unset.
+const DefaultMaxVoxels = 1 << 26
+
+// A volume crosses the wire as a JSON array of floats. One voxel costs
+// at most bodyBytesPerVoxel bytes — a float64-precision literal with
+// sign and exponent is 24 ("-1.2345678901234567e-100"), plus its comma
+// and room for whitespace — and the rest of a ScanRequest (field names,
+// dimensions, deadline) fits in bodyEnvelopeBytes.
+const (
+	bodyBytesPerVoxel = 32
+	bodyEnvelopeBytes = 4096
+)
+
+// MaxBodyBytes is the largest request body a volume of maxVoxels voxels
+// can need.
+func MaxBodyBytes(maxVoxels int) int64 {
+	return bodyEnvelopeBytes + int64(maxVoxels)*bodyBytesPerVoxel
+}
+
+// LimitBody caps how much of the request body a handler will read at
+// MaxBodyBytes(maxVoxels), so an oversized or endless body is cut off
+// at the bound instead of being buffered whole before the MaxVoxels
+// check can reject it. Reads past the bound fail with an error
+// BodyErrorStatus maps to 413.
+func LimitBody(w http.ResponseWriter, r *http.Request, maxVoxels int) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes(maxVoxels))
+}
+
+// BodyErrorStatus is the status for a failed read or decode of a
+// LimitBody-bounded body: 413 when the bound was hit, 400 otherwise.
+func BodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -501,3 +501,56 @@ func uniqueVolumes(n int) []*volume.Volume {
 	}
 	return out
 }
+
+// endlessScan streams a syntactically valid ScanRequest whose data
+// array never ends, counting the bytes the server pulled from it.
+type endlessScan struct{ read int64 }
+
+func (e *endlessScan) Read(p []byte) (int, error) {
+	const head = `{"d":1,"h":1,"w":1,"data":[1`
+	for i := range p {
+		switch off := e.read + int64(i); {
+		case off < int64(len(head)):
+			p[i] = head[off]
+		case (off-int64(len(head)))%2 == 0:
+			p[i] = ','
+		default:
+			p[i] = '1'
+		}
+	}
+	e.read += int64(len(p))
+	return len(p), nil
+}
+
+func (e *endlessScan) Close() error { return nil }
+
+// TestOversizedBodyRejectedAtTheBound pins the request-size bound on
+// both body-reading endpoints: a body larger than any admissible volume
+// could need is answered 413, and the server stops reading it at
+// MaxBodyBytes instead of buffering it to find out how many voxels it
+// holds.
+func TestOversizedBodyRejectedAtTheBound(t *testing.T) {
+	const maxVoxels = 64
+	s, _ := startServer(t, Config{
+		Workers: 1, QueueDepth: 2, MaxVoxels: maxVoxels, CacheSize: -1,
+		Process: func(v *volume.Volume) core.Result { return core.Result{} },
+		Enhance: func(v *volume.Volume) *volume.Volume { return v },
+	})
+	for _, path := range []string{"/v1/scan", "/v1/enhance"} {
+		body := &endlessScan{}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: endless body answered %d, want 413", path, rec.Code)
+		}
+		// MaxBytesReader reads one byte past the bound to tell "exactly
+		// at the limit" from "over it".
+		if limit := MaxBodyBytes(maxVoxels) + 1; body.read > limit {
+			t.Fatalf("%s: server read %d bytes of an endless body, bound is %d", path, body.read, limit)
+		}
+	}
+	if err := s.Drain(drainCtx(t, 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
