@@ -5,7 +5,7 @@ GO ?= go
 BENCHTIME ?=
 BENCHFLAGS = -bench . -benchmem -run '^$$' $(if $(BENCHTIME),-benchtime=$(BENCHTIME))
 
-.PHONY: build test race vet fmt lint lint-tools chaos cluster-chaos cover alloc bench benchcheck loc ci clean
+.PHONY: build test race vet fmt lint lint-tools chaos cluster-chaos cover alloc bench-smoke bench benchcheck loc ci clean
 
 # Pinned static-analysis tool versions; `make lint-tools` installs them
 # (CI does this — it needs network, so it is not part of `make lint`).
@@ -26,13 +26,16 @@ test:
 # and span buffer, the parallel-for pool, the kernel-registry tiling,
 # the memplan arena, the DDP trainer, the pooled pipeline, the
 # inference server (worker pool + micro-batcher + admission control),
-# the cluster gateway (router, hedges, prober), and DDnet's eval
-# forward (the differential oracle, the fused plan, and concurrent
-# warm forwards sharing the table cache and recycled backends).
+# the cluster gateway (router, hedges, prober), DDnet's eval forward
+# (the differential oracle, the fused plan, and concurrent warm
+# forwards sharing the table cache and recycled backends), and the
+# classifier's pooled backend (its oracle over arenas and worker
+# counts).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -run 'Pooled|Concurrent|Allocs' ./internal/core/
 	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
+	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
 
 vet:
 	$(GO) vet ./...
@@ -96,10 +99,19 @@ cover:
 alloc:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/memplan/ ./internal/ddnet/ ./internal/classify/ ./internal/core/
 
+# bench/ is its own module (the BENCHMARK.json yardstick), so neither
+# `go build ./...` nor `go test ./...` compiles it and a signature it
+# relies on can break unnoticed until the benchmark driver runs. This
+# vets it and runs its smoke test (~12 s) against this tree; it edits
+# nothing under bench/.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The full gate CI runs: build, lint, the whole test suite, the
 # race-detector pass over the concurrent packages, both chaos suites,
-# the allocation gate, and the distrib coverage gate.
-ci: build lint test race chaos cluster-chaos alloc cover
+# the allocation gate, the bench-module smoke test, and the distrib
+# coverage gate.
+ci: build lint test race chaos cluster-chaos alloc bench-smoke cover
 
 # Disabled-telemetry overhead (must stay in the single-digit ns/op
 # range), the parallel-for overhead benchmark, the kernel

@@ -88,35 +88,31 @@ func BatchNorm(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor,
 		invStd[ci] = float32(1.0 / math.Sqrt(varr[ci]+float64(eps)))
 	}
 
-	out := tensor.New(x.T.Shape...)
 	// xhat is retained for the backward pass, but only the training
 	// branch needs it materialized: in eval mode the statistics are
 	// constants, so the gamma gradient can recompute x̂ on the fly and
-	// the forward stays allocation-lean (it runs on every serving scan).
+	// the forward stays allocation-lean.
+	var out *tensor.Tensor
 	var xhat []float32
 	if training {
+		out = tensor.New(x.T.Shape...)
 		xhat = make([]float32, len(x.T.Data))
-	}
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * spatial
-			g := gamma.T.Data[ci]
-			b := beta.T.Data[ci]
-			mu := float32(mean[ci])
-			is := invStd[ci]
-			if xhat != nil {
+		for ni := 0; ni < n; ni++ {
+			for ci := 0; ci < c; ci++ {
+				base := (ni*c + ci) * spatial
+				g := gamma.T.Data[ci]
+				b := beta.T.Data[ci]
+				mu := float32(mean[ci])
+				is := invStd[ci]
 				for i := 0; i < spatial; i++ {
 					xh := (x.T.Data[base+i] - mu) * is
 					xhat[base+i] = xh
 					out.Data[base+i] = g*xh + b
 				}
-			} else {
-				for i := 0; i < spatial; i++ {
-					xh := (x.T.Data[base+i] - mu) * is
-					out.Data[base+i] = g*xh + b
-				}
 			}
 		}
+	} else {
+		out = EvalBatchNorm(nil, x.T, gamma.T, beta.T, runningMean, runningVar, eps)
 	}
 
 	var node *Value

@@ -2,10 +2,8 @@ package ag
 
 import (
 	"fmt"
-	"math"
 
 	"computecovid19/internal/parallel"
-	"computecovid19/internal/tensor"
 )
 
 // Conv3DConfig holds the hyper-parameters of a 3D convolution or pool.
@@ -28,61 +26,11 @@ func Conv3D(x, w, b *Value, cfg Conv3DConfig) *Value {
 		panic(fmt.Sprintf("ag: Conv3D channel mismatch: x has %d, w expects %d", cin, wcin))
 	}
 	s, p := cfg.Stride, cfg.Padding
-	od0 := convOutDim(dd, kd, s, p)
-	oh := convOutDim(h, kh, s, p)
-	ow := convOutDim(wd, kw, s, p)
-	if od0 <= 0 || oh <= 0 || ow <= 0 {
-		panic("ag: Conv3D output would be empty")
-	}
-	out := tensor.New(n, cout, od0, oh, ow)
-
-	xd, wdta, odt := x.T.Data, w.T.Data, out.Data
+	out := EvalConv3D(nil, x.T, w.T, b.Tensor(), cfg)
+	od0, oh, ow := out.Shape[2], out.Shape[3], out.Shape[4]
+	xd, wdta := x.T.Data, w.T.Data
 	planeIn := dd * h * wd
 	planeOut := od0 * oh * ow
-	parallel.ForEach(n*cout, 0, func(idx int) {
-		ni, co := idx/cout, idx%cout
-		var bias float32
-		if b != nil {
-			bias = b.T.Data[co]
-		}
-		obase := (ni*cout + co) * planeOut
-		for oz := 0; oz < od0; oz++ {
-			iz0 := oz*s - p
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*s - p
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*s - p
-					acc := bias
-					for ci := 0; ci < cin; ci++ {
-						xbase := (ni*cin + ci) * planeIn
-						wbase := (co*cin + ci) * kd * kh * kw
-						for kz := 0; kz < kd; kz++ {
-							iz := iz0 + kz
-							if iz < 0 || iz >= dd {
-								continue
-							}
-							for ky := 0; ky < kh; ky++ {
-								iy := iy0 + ky
-								if iy < 0 || iy >= h {
-									continue
-								}
-								xrow := xbase + (iz*h+iy)*wd
-								wrow := wbase + (kz*kh+ky)*kw
-								for kx := 0; kx < kw; kx++ {
-									ix := ix0 + kx
-									if ix < 0 || ix >= wd {
-										continue
-									}
-									acc += xd[xrow+ix] * wdta[wrow+kx]
-								}
-							}
-						}
-					}
-					odt[obase+(oz*oh+oy)*ow+ox] = acc
-				}
-			}
-		}
-	})
 
 	parents := []*Value{x, w}
 	if b != nil {
@@ -201,74 +149,8 @@ func MaxPool3D(x *Value, cfg Pool2DConfig) *Value {
 	if x.T.Rank() != 5 {
 		panic(fmt.Sprintf("ag: MaxPool3D wants rank-5 input, got %v", x.T.Shape))
 	}
-	n, c, dd, h, w := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3], x.T.Shape[4]
-	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
-	od0 := convOutDim(dd, k, s, p)
-	oh := convOutDim(h, k, s, p)
-	ow := convOutDim(w, k, s, p)
-	if od0 <= 0 || oh <= 0 || ow <= 0 {
-		panic("ag: MaxPool3D output would be empty")
-	}
-	out := tensor.New(n, c, od0, oh, ow)
-	planeIn := dd * h * w
-	planeOut := od0 * oh * ow
-	argmax := make([]int32, n*c*planeOut)
-
-	xd, odt := x.T.Data, out.Data
-	parallel.ForEach(n*c, 0, func(plane int) {
-		xbase := plane * planeIn
-		obase := plane * planeOut
-		for oz := 0; oz < od0; oz++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(math.Inf(-1))
-					bi := int32(-1)
-					for kz := 0; kz < k; kz++ {
-						iz := oz*s - p + kz
-						if iz < 0 || iz >= dd {
-							continue
-						}
-						for ky := 0; ky < k; ky++ {
-							iy := oy*s - p + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < k; kx++ {
-								ix := ox*s - p + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								v := xd[xbase+(iz*h+iy)*w+ix]
-								if v > best {
-									best = v
-									bi = int32(xbase + (iz*h+iy)*w + ix)
-								}
-							}
-						}
-					}
-					odt[obase+(oz*oh+oy)*ow+ox] = best
-					argmax[obase+(oz*oh+oy)*ow+ox] = bi
-				}
-			}
-		}
-	})
-
-	var node *Value
-	node = newNode("maxpool3d", out, func() {
-		if x.needGrad {
-			gx := x.ensureGrad().Data
-			gy := node.Grad.Data
-			parallel.ForEach(n*c, 0, func(plane int) {
-				obase := plane * planeOut
-				for i := 0; i < planeOut; i++ {
-					if idx := argmax[obase+i]; idx >= 0 {
-						gx[idx] += gy[obase+i]
-					}
-				}
-			})
-		}
-	}, x)
-	return node
+	out, argmax := maxPool3D(nil, x.T, cfg, true)
+	return maxPoolNode("maxpool3d", x, out, argmax)
 }
 
 // GlobalAvgPool3D averages each channel's (D, H, W) volume down to a
@@ -280,15 +162,7 @@ func GlobalAvgPool3D(x *Value) *Value {
 	}
 	n, c := x.T.Shape[0], x.T.Shape[1]
 	spatial := x.T.Shape[2] * x.T.Shape[3] * x.T.Shape[4]
-	out := tensor.New(n, c)
-	for plane := 0; plane < n*c; plane++ {
-		var acc float64
-		base := plane * spatial
-		for i := 0; i < spatial; i++ {
-			acc += float64(x.T.Data[base+i])
-		}
-		out.Data[plane] = float32(acc / float64(spatial))
-	}
+	out := EvalGlobalAvgPool3D(nil, x.T)
 	var node *Value
 	node = newNode("gap3d", out, func() {
 		if x.needGrad {

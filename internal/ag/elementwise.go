@@ -236,12 +236,8 @@ func Abs(a *Value) *Value {
 
 // LeakyReLU applies max(x, slope*x) elementwise. DDnet uses slope 0.01.
 func LeakyReLU(a *Value, slope float32) *Value {
-	out := a.T.Clone().Apply(func(v float32) float32 {
-		if v < 0 {
-			return slope * v
-		}
-		return v
-	})
+	out := a.T.Clone()
+	EvalLeakyReLUInPlace(out, slope)
 	var node *Value
 	node = newNode("leakyrelu", out, func() {
 		if a.needGrad {
@@ -263,9 +259,7 @@ func ReLU(a *Value) *Value { return LeakyReLU(a, 0) }
 
 // Sigmoid applies the logistic function elementwise.
 func Sigmoid(a *Value) *Value {
-	out := a.T.Clone().Apply(func(v float32) float32 {
-		return float32(1.0 / (1.0 + math.Exp(-float64(v))))
-	})
+	out := a.T.Clone().Apply(EvalSigmoid)
 	var node *Value
 	node = newNode("sigmoid", out, func() {
 		if a.needGrad {

@@ -9,18 +9,31 @@ import (
 	"computecovid19/internal/tensor"
 )
 
-// Raw eval-mode ops for the pooled inference hot path. Each Eval*
-// function computes exactly the forward arithmetic of its autograd
-// twin — same loop nesting, same accumulation order, same float32/64
-// conversions — on plain tensors drawn from a memplan.Scope, building
-// no tape. Bit-identity with the graph ops is pinned by tests in ddnet
-// and classify.
+// Forward kernels. Each op that runs on both the autograd tape and the
+// pooled inference path has its forward arithmetic written exactly
+// once, here, as an Eval* function over plain tensors. There are two
+// callers. The eval path passes a memplan.Scope: the output is drawn
+// from it, no tape is built, and a warm arena makes the call
+// allocation-free. The graph op of the same name passes a nil scope —
+// the output is then a fresh heap tensor the tape owns — checks its
+// operands' ranks first, and attaches the backward pass. Both therefore
+// produce the same bits by construction; TestGraphAndEvalShareOneKernel
+// pins it.
 //
 // Parallel ops go through forPlanes: the closure handed to
 // parallel.ForEach is only created on the multi-worker branch, so a
 // single-proc run (testing.AllocsPerRun pins GOMAXPROCS=1) takes the
 // serial branch and allocates nothing. Per-plane work is independent,
 // so both branches produce identical bits.
+
+// output returns the tensor a forward kernel writes into: pooled from
+// sc on the eval path, fresh from the heap when sc is nil.
+func output(sc *memplan.Scope, shape ...int) *tensor.Tensor {
+	if sc == nil {
+		return tensor.New(shape...)
+	}
+	return sc.Get(shape...)
+}
 
 // forPlanes runs f(arg, plane) for plane in [0, n), in parallel when
 // more than one worker is available.
@@ -46,51 +59,37 @@ func forPlanesParallel[T any](n int, arg T, f func(T, int)) {
 	parallel.ForEach(n, 0, func(i int) { f(arg, i) })
 }
 
-// EvalConv2D is the eval twin of Conv2DFast's kernel-registry path:
-// stride-1 "same" odd-square-kernel convolutions (all of DDnet)
-// dispatched to the default rung, batch elements in series.
-// Weights (OutC, InC, K, K); b may be nil.
-func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig) *tensor.Tensor {
+// EvalConv2D runs a stride-1 "same" odd-square-kernel convolution — or,
+// with transposed set, transposed convolution — on the selected
+// internal/kernels ladder rung (kernels.Default), batch elements in
+// series. Every DDnet layer has this shape. Weights are (OutC, InC, K,
+// K), or (InC, OutC, K, K) when transposed; b may be nil.
+func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, transposed bool) *tensor.Tensor {
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cout, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	if !sameConvShape(kh, kw, cfg.Stride, cfg.Padding) {
-		panic("ag: EvalConv2D requires a stride-1 same-shape convolution")
-	}
 	im := kernels.Default()
-	out := sc.Get(n, cout, h, wd)
+	run := im.Conv
+	if transposed {
+		cout, run = w.Shape[1], im.Deconv
+	}
+	if !sameConvShape(kh, kw, cfg.Stride, cfg.Padding) {
+		panic("ag: EvalConv2D requires a stride-1 same-shape (de)convolution")
+	}
+	out := output(sc, n, cout, h, wd)
 	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: kh}
 	plane := cin * h * wd
 	oplane := cout * h * wd
 	for ni := 0; ni < n; ni++ {
-		im.Conv(x.Data[ni*plane:(ni+1)*plane], w.Data,
+		run(x.Data[ni*plane:(ni+1)*plane], w.Data,
 			out.Data[ni*oplane:(ni+1)*oplane], ks, 0)
 	}
-	evalAddBias(out.Data, b, n, cout, h*wd)
+	addBias(out.Data, b, n, cout, h*wd)
 	return out
 }
 
-// EvalConvTranspose2D is the eval twin of ConvTranspose2DFast.
-// Weights (InC, OutC, K, K); b may be nil.
-func EvalConvTranspose2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig) *tensor.Tensor {
-	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout, kh, kw := w.Shape[1], w.Shape[2], w.Shape[3]
-	if !sameConvShape(kh, kw, cfg.Stride, cfg.Padding) {
-		panic("ag: EvalConvTranspose2D requires a stride-1 same-shape deconvolution")
-	}
-	im := kernels.Default()
-	out := sc.Get(n, cout, h, wd)
-	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: kh}
-	plane := cin * h * wd
-	oplane := cout * h * wd
-	for ni := 0; ni < n; ni++ {
-		im.Deconv(x.Data[ni*plane:(ni+1)*plane], w.Data,
-			out.Data[ni*oplane:(ni+1)*oplane], ks, 0)
-	}
-	evalAddBias(out.Data, b, n, cout, h*wd)
-	return out
-}
-
-func evalAddBias(out []float32, b *tensor.Tensor, n, cout, cols int) {
+// addBias adds the per-channel bias to an (N, C, spatial) buffer (a
+// no-op for nil bias).
+func addBias(out []float32, b *tensor.Tensor, n, cout, cols int) {
 	if b == nil {
 		return
 	}
@@ -117,32 +116,9 @@ func EvalLeakyReLUInPlace(t *tensor.Tensor, slope float32) {
 	}
 }
 
-// EvalAddInPlace accumulates b into a (the eval twin of Add where the
-// left operand is a fresh tensor).
-func EvalAddInPlace(a, b *tensor.Tensor) {
-	ad, bd := a.Data, b.Data
-	if len(ad) != len(bd) {
-		panic("ag: EvalAddInPlace shape mismatch")
-	}
-	for i := range ad {
-		ad[i] += bd[i]
-	}
-}
-
-// EvalClampInPlace applies tensor.Clamp's elementwise map in place.
-func EvalClampInPlace(t *tensor.Tensor, lo, hi float32) {
-	d := t.Data
-	for i, v := range d {
-		if v < lo {
-			d[i] = lo
-		} else if v > hi {
-			d[i] = hi
-		}
-	}
-}
-
 type maxPool2DArgs struct {
 	xd, od       []float32
+	argmax       []int32 // flat input index of each output's maximum; nil when no backward will run
 	h, w, oh, ow int
 	k, s, p      int
 }
@@ -153,6 +129,7 @@ func maxPool2DPlane(a maxPool2DArgs, plane int) {
 	for oy := 0; oy < a.oh; oy++ {
 		for ox := 0; ox < a.ow; ox++ {
 			best := float32(math.Inf(-1))
+			bi := int32(-1)
 			for ky := 0; ky < a.k; ky++ {
 				iy := oy*a.s - a.p + ky
 				if iy < 0 || iy >= a.h {
@@ -165,43 +142,79 @@ func maxPool2DPlane(a maxPool2DArgs, plane int) {
 					}
 					if v := a.xd[xbase+iy*a.w+ix]; v > best {
 						best = v
+						bi = int32(xbase + iy*a.w + ix)
 					}
 				}
 			}
 			a.od[obase+oy*a.ow+ox] = best
+			if a.argmax != nil {
+				a.argmax[obase+oy*a.ow+ox] = bi
+			}
 		}
 	}
 }
 
-// EvalMaxPool2D is the eval twin of MaxPool2D (no argmax bookkeeping).
+// EvalMaxPool2D max-pools each (H, W) plane of a (N, C, H, W) tensor;
+// padded cells act as -inf.
 func EvalMaxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig) *tensor.Tensor {
+	out, _ := maxPool2D(sc, x, cfg, false)
+	return out
+}
+
+// maxPool2D is the pooling forward; with record set it also returns
+// each output's argmax for the graph op's backward scatter.
+func maxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record bool) (*tensor.Tensor, []int32) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
 	oh, ow := convOutDim(h, k, s, p), convOutDim(w, k, s, p)
 	if oh <= 0 || ow <= 0 {
-		panic("ag: EvalMaxPool2D output would be empty")
+		panic("ag: MaxPool2D output would be empty")
 	}
-	out := sc.Get(n, c, oh, ow)
+	out := output(sc, n, c, oh, ow)
+	var argmax []int32
+	if record {
+		argmax = make([]int32, len(out.Data))
+	}
 	forPlanes(n*c, maxPool2DArgs{
-		xd: x.Data, od: out.Data,
+		xd: x.Data, od: out.Data, argmax: argmax,
 		h: h, w: w, oh: oh, ow: ow, k: k, s: s, p: p,
 	}, maxPool2DPlane)
-	return out
+	return out, argmax
 }
 
-// BilinearTable caches UpsampleBilinear2D's per-axis source indices and
-// weights for one (in, out) axis pair, so a warm decoder recomputes
-// nothing per forward.
+// BilinearTable holds UpsampleBilinear2D's per-axis source indices and
+// weights for one (in, out) axis pair; a warm decoder caches it and
+// recomputes nothing per forward.
 type BilinearTable struct {
 	Lo, Hi []int
 	Frac   []float32
 }
 
-// NewBilinearTable precomputes the table with bilinearAxis's exact
-// half-pixel arithmetic.
+// NewBilinearTable precomputes, for each destination index along one
+// axis, the two source indices and the fractional weight of the second
+// one, with the half-pixel (align_corners=false) convention: the source
+// coordinate of destination d is (d+0.5)·in/out − 0.5. Lo == Hi at the
+// clamped borders, where the two weights collapse onto one source cell.
 func NewBilinearTable(in, out int) *BilinearTable {
-	lo, hi, frac := bilinearAxis(in, out)
-	return &BilinearTable{Lo: lo, Hi: hi, Frac: frac}
+	t := &BilinearTable{Lo: make([]int, out), Hi: make([]int, out), Frac: make([]float32, out)}
+	scale := float64(in) / float64(out)
+	for d := 0; d < out; d++ {
+		src := (float64(d)+0.5)*scale - 0.5
+		if src < 0 {
+			src = 0
+		}
+		i0 := int(math.Floor(src))
+		if i0 > in-1 {
+			i0 = in - 1
+		}
+		i1 := i0 + 1
+		if i1 > in-1 {
+			i1 = in - 1
+		}
+		t.Lo[d], t.Hi[d] = i0, i1
+		t.Frac[d] = float32(src - float64(i0))
+	}
+	return t
 }
 
 type upsampleArgs struct {
@@ -228,15 +241,13 @@ func upsamplePlane(a upsampleArgs, plane int) {
 	}
 }
 
-// EvalUpsampleBilinear2D is the eval twin of UpsampleBilinear2D, with
-// the axis tables supplied by the caller (cached per shape).
-func EvalUpsampleBilinear2D(sc *memplan.Scope, x *tensor.Tensor, scale int, ty, tx *BilinearTable) *tensor.Tensor {
+// EvalUpsampleBilinear2D resamples each (H, W) plane with bilinear
+// interpolation to the size the caller's axis tables (cached per shape
+// on the serving path) were built for.
+func EvalUpsampleBilinear2D(sc *memplan.Scope, x *tensor.Tensor, ty, tx *BilinearTable) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := h*scale, w*scale
-	if len(ty.Lo) != oh || len(tx.Lo) != ow {
-		panic("ag: EvalUpsampleBilinear2D table size mismatch")
-	}
-	out := sc.Get(n, c, oh, ow)
+	oh, ow := len(ty.Lo), len(tx.Lo)
+	out := output(sc, n, c, oh, ow)
 	forPlanes(n*c, upsampleArgs{
 		xd: x.Data, od: out.Data,
 		h: h, w: w, oh: oh, ow: ow, ty: ty, tx: tx,
@@ -244,12 +255,12 @@ func EvalUpsampleBilinear2D(sc *memplan.Scope, x *tensor.Tensor, scale int, ty, 
 	return out
 }
 
-// EvalConcat is the eval twin of Concat. Like the graph op it returns
-// the input itself (not a copy) when vs has one element; the result is
-// scope-owned only when it is fresh.
+// EvalConcat joins vs along axis; all other dimensions must match. It
+// returns the input itself (not a copy) when vs has one element, so
+// the result is scope-owned only when it is fresh.
 func EvalConcat(sc *memplan.Scope, axis int, vs []*tensor.Tensor) *tensor.Tensor {
 	if len(vs) == 0 {
-		panic("ag: EvalConcat of zero tensors")
+		panic("ag: Concat of zero tensors")
 	}
 	if len(vs) == 1 {
 		return vs[0]
@@ -261,23 +272,18 @@ func EvalConcat(sc *memplan.Scope, axis int, vs []*tensor.Tensor) *tensor.Tensor
 	outShape[axis] = 0
 	for _, v := range vs {
 		if v.Rank() != rank {
-			panic("ag: EvalConcat rank mismatch")
+			panic("ag: Concat rank mismatch")
 		}
 		for d := 0; d < rank; d++ {
 			if d != axis && v.Shape[d] != vs[0].Shape[d] {
-				panic("ag: EvalConcat non-axis dimension mismatch")
+				panic("ag: Concat non-axis dimension mismatch")
 			}
 		}
 		outShape[axis] += v.Shape[axis]
 	}
-	out := sc.Get(outShape...)
-	outer, inner := 1, 1
-	for d := 0; d < axis; d++ {
-		outer *= outShape[d]
-	}
-	for d := axis + 1; d < rank; d++ {
-		inner *= outShape[d]
-	}
+	out := output(sc, outShape...)
+	// Copy each input block into its slot along the axis.
+	outer, inner := concatExtents(outShape, axis)
 	outAxis := outShape[axis]
 	offset := 0
 	for _, v := range vs {
@@ -290,6 +296,19 @@ func EvalConcat(sc *memplan.Scope, axis int, vs []*tensor.Tensor) *tensor.Tensor
 		offset += ax
 	}
 	return out
+}
+
+// concatExtents splits a concat output shape around the axis: outer is
+// the product of the dimensions before it, inner of those after.
+func concatExtents(shape []int, axis int) (outer, inner int) {
+	outer, inner = 1, 1
+	for _, d := range shape[:axis] {
+		outer *= d
+	}
+	for _, d := range shape[axis+1:] {
+		inner *= d
+	}
+	return outer, inner
 }
 
 type conv3DArgs struct {
@@ -347,8 +366,8 @@ func conv3DPlane(a conv3DArgs, idx int) {
 	}
 }
 
-// EvalConv3D is the eval twin of Conv3D. Weights (Cout, Cin, KD, KH,
-// KW); b may be nil.
+// EvalConv3D cross-correlates (N, Cin, D, H, W) volumes with weights
+// (Cout, Cin, KD, KH, KW); b may be nil.
 func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *tensor.Tensor {
 	n, cin, dd, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
 	cout, kd, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3], w.Shape[4]
@@ -357,9 +376,9 @@ func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *te
 	oh := convOutDim(h, kh, s, p)
 	ow := convOutDim(wd, kw, s, p)
 	if od0 <= 0 || oh <= 0 || ow <= 0 {
-		panic("ag: EvalConv3D output would be empty")
+		panic("ag: Conv3D output would be empty")
 	}
-	out := sc.Get(n, cout, od0, oh, ow)
+	out := output(sc, n, cout, od0, oh, ow)
 	var bd []float32
 	if b != nil {
 		bd = b.Data
@@ -375,6 +394,7 @@ func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *te
 
 type maxPool3DArgs struct {
 	xd, od            []float32
+	argmax            []int32 // as maxPool2DArgs.argmax
 	dd, h, w          int
 	od0, oh, ow       int
 	k, s, p           int
@@ -388,6 +408,7 @@ func maxPool3DPlane(a maxPool3DArgs, plane int) {
 		for oy := 0; oy < a.oh; oy++ {
 			for ox := 0; ox < a.ow; ox++ {
 				best := float32(math.Inf(-1))
+				bi := int32(-1)
 				for kz := 0; kz < a.k; kz++ {
 					iz := oz*a.s - a.p + kz
 					if iz < 0 || iz >= a.dd {
@@ -405,40 +426,55 @@ func maxPool3DPlane(a maxPool3DArgs, plane int) {
 							}
 							if v := a.xd[xbase+(iz*a.h+iy)*a.w+ix]; v > best {
 								best = v
+								bi = int32(xbase + (iz*a.h+iy)*a.w + ix)
 							}
 						}
 					}
 				}
 				a.od[obase+(oz*a.oh+oy)*a.ow+ox] = best
+				if a.argmax != nil {
+					a.argmax[obase+(oz*a.oh+oy)*a.ow+ox] = bi
+				}
 			}
 		}
 	}
 }
 
-// EvalMaxPool3D is the eval twin of MaxPool3D (no argmax bookkeeping).
+// EvalMaxPool3D max-pools (N, C, D, H, W) volumes with a cubic kernel.
 func EvalMaxPool3D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig) *tensor.Tensor {
+	out, _ := maxPool3D(sc, x, cfg, false)
+	return out
+}
+
+// maxPool3D is maxPool2D's volumetric counterpart.
+func maxPool3D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record bool) (*tensor.Tensor, []int32) {
 	n, c, dd, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
 	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
 	od0 := convOutDim(dd, k, s, p)
 	oh := convOutDim(h, k, s, p)
 	ow := convOutDim(w, k, s, p)
 	if od0 <= 0 || oh <= 0 || ow <= 0 {
-		panic("ag: EvalMaxPool3D output would be empty")
+		panic("ag: MaxPool3D output would be empty")
 	}
-	out := sc.Get(n, c, od0, oh, ow)
+	out := output(sc, n, c, od0, oh, ow)
+	var argmax []int32
+	if record {
+		argmax = make([]int32, len(out.Data))
+	}
 	forPlanes(n*c, maxPool3DArgs{
-		xd: x.Data, od: out.Data,
+		xd: x.Data, od: out.Data, argmax: argmax,
 		dd: dd, h: h, w: w, od0: od0, oh: oh, ow: ow, k: k, s: s, p: p,
 		planeIn: dd * h * w, planeOut: od0 * oh * ow,
 	}, maxPool3DPlane)
-	return out
+	return out, argmax
 }
 
-// EvalGlobalAvgPool3D is the eval twin of GlobalAvgPool3D.
+// EvalGlobalAvgPool3D averages each channel's (D, H, W) volume down to
+// a single value, producing (N, C).
 func EvalGlobalAvgPool3D(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	n, c := x.Shape[0], x.Shape[1]
 	spatial := x.Shape[2] * x.Shape[3] * x.Shape[4]
-	out := sc.Get(n, c)
+	out := output(sc, n, c)
 	for plane := 0; plane < n*c; plane++ {
 		var acc float64
 		base := plane * spatial
@@ -450,11 +486,39 @@ func EvalGlobalAvgPool3D(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// EvalLinear is the eval twin of Linear. b may be nil.
+// EvalBatchNorm normalizes x (N, C, spatial...) per channel with fixed
+// statistics — batch norm in eval mode, where the op reduces to one
+// affine map per channel. The inverse standard deviation is computed in
+// float64 before narrowing.
+func EvalBatchNorm(sc *memplan.Scope, x, gamma, beta, mean, variance *tensor.Tensor, eps float32) *tensor.Tensor {
+	n, c := x.Shape[0], x.Shape[1]
+	spatial := 1
+	for _, d := range x.Shape[2:] {
+		spatial *= d
+	}
+	out := output(sc, x.Shape...)
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			base := (ni*c + ci) * spatial
+			g := gamma.Data[ci]
+			b := beta.Data[ci]
+			mu := mean.Data[ci]
+			is := float32(1.0 / math.Sqrt(float64(variance.Data[ci])+float64(eps)))
+			for i := 0; i < spatial; i++ {
+				xh := (x.Data[base+i] - mu) * is
+				out.Data[base+i] = g*xh + b
+			}
+		}
+	}
+	return out
+}
+
+// EvalLinear computes x·wᵀ + b for x (N, In) and w (Out, In); b may be
+// nil.
 func EvalLinear(sc *memplan.Scope, x, w, b *tensor.Tensor) *tensor.Tensor {
 	n, in := x.Shape[0], x.Shape[1]
 	outF := w.Shape[0]
-	out := sc.Get(n, outF)
+	out := output(sc, n, outF)
 	xd, wd, od := x.Data, w.Data, out.Data
 	for ni := 0; ni < n; ni++ {
 		for o := 0; o < outF; o++ {

@@ -1,7 +1,6 @@
 package ag
 
 import (
-	"computecovid19/internal/kernels"
 	"computecovid19/internal/parallel"
 	"computecovid19/internal/tensor"
 )
@@ -101,17 +100,7 @@ func Conv2DFast(x, w, b *Value, cfg Conv2DConfig) *Value {
 	}
 
 	if sameConvShape(kh, kw, s, p) {
-		im := kernels.Default()
-		out := tensor.New(n, cout, oh, ow)
-		ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: kh}
-		plane := cin * h * wd
-		oplane := cout * oh * ow
-		for ni := 0; ni < n; ni++ {
-			im.Conv(x.T.Data[ni*plane:(ni+1)*plane], w.T.Data,
-				out.Data[ni*oplane:(ni+1)*oplane], ks, 0)
-		}
-		addBias(out.Data, b, n, cout, oh*ow)
-		return newConv2DNode(x, w, b, cfg, out)
+		return newConv2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, false))
 	}
 
 	out := tensor.New(n, cout, oh, ow)
@@ -124,26 +113,9 @@ func Conv2DFast(x, w, b *Value, cfg Conv2DConfig) *Value {
 		matmulNT(w.T.Data, patch, out.Data[ni*cout*cols:(ni+1)*cout*cols],
 			cout, patchRows, cols, 0)
 	}
-	addBias(out.Data, b, n, cout, cols)
+	addBias(out.Data, b.Tensor(), n, cout, cols)
 
 	return newConv2DNode(x, w, b, cfg, out)
-}
-
-// addBias adds the per-channel bias to an (N, C, spatial) buffer after
-// the matrix multiply (a no-op for nil bias).
-func addBias(out []float32, b *Value, n, cout, cols int) {
-	if b == nil {
-		return
-	}
-	for ni := 0; ni < n; ni++ {
-		for co := 0; co < cout; co++ {
-			base := (ni*cout + co) * cols
-			bias := b.T.Data[co]
-			for i := 0; i < cols; i++ {
-				out[base+i] += bias
-			}
-		}
-	}
 }
 
 // ConvTranspose2DFast is a drop-in replacement for ConvTranspose2D
@@ -154,22 +126,8 @@ func addBias(out []float32, b *Value, n, cout, cols int) {
 // parallelizes over output tiles). Other shapes fall back to the
 // direct gather loops. Gradients are identical to ConvTranspose2D's.
 func ConvTranspose2DFast(x, w, b *Value, cfg Conv2DConfig) *Value {
-	n, cin, h, wd := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3]
-	cout, kh, kw := w.T.Shape[1], w.T.Shape[2], w.T.Shape[3]
-	s, p := cfg.Stride, cfg.Padding
-	if !sameConvShape(kh, kw, s, p) {
+	if !sameConvShape(w.T.Shape[2], w.T.Shape[3], cfg.Stride, cfg.Padding) {
 		return ConvTranspose2D(x, w, b, cfg)
 	}
-	// Stride-1 "same" transposed convolution preserves the spatial size.
-	out := tensor.New(n, cout, h, wd)
-	im := kernels.Default()
-	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: kh}
-	plane := cin * h * wd
-	oplane := cout * h * wd
-	for ni := 0; ni < n; ni++ {
-		im.Deconv(x.T.Data[ni*plane:(ni+1)*plane], w.T.Data,
-			out.Data[ni*oplane:(ni+1)*oplane], ks, 0)
-	}
-	addBias(out.Data, b, n, cout, h*wd)
-	return newConvTranspose2DNode(x, w, b, cfg, out)
+	return newConvTranspose2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, true))
 }

@@ -22,22 +22,8 @@ func Linear(x, w, b *Value) *Value {
 	if b != nil && b.T.Numel() != outF {
 		panic(fmt.Sprintf("ag: Linear bias shape %v, want (%d)", b.T.Shape, outF))
 	}
-	out := tensor.New(n, outF)
-	xd, wd, od := x.T.Data, w.T.Data, out.Data
-	parallel.ForEach(n, 0, func(ni int) {
-		for o := 0; o < outF; o++ {
-			var acc float32
-			if b != nil {
-				acc = b.T.Data[o]
-			}
-			xrow := ni * in
-			wrow := o * in
-			for i := 0; i < in; i++ {
-				acc += xd[xrow+i] * wd[wrow+i]
-			}
-			od[ni*outF+o] = acc
-		}
-	})
+	out := EvalLinear(nil, x.T, w.T, b.Tensor())
+	xd, wd := x.T.Data, w.T.Data
 
 	parents := []*Value{x, w}
 	if b != nil {

@@ -2,7 +2,6 @@ package ag
 
 import (
 	"fmt"
-	"math"
 
 	"computecovid19/internal/parallel"
 	"computecovid19/internal/tensor"
@@ -23,56 +22,26 @@ func MaxPool2D(x *Value, cfg Pool2DConfig) *Value {
 	if x.T.Rank() != 4 {
 		panic(fmt.Sprintf("ag: MaxPool2D wants rank-4 input, got %v", x.T.Shape))
 	}
-	n, c, h, w := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3]
-	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
-	oh, ow := convOutDim(h, k, s, p), convOutDim(w, k, s, p)
-	if oh <= 0 || ow <= 0 {
-		panic("ag: MaxPool2D output would be empty")
-	}
-	out := tensor.New(n, c, oh, ow)
-	argmax := make([]int32, n*c*oh*ow)
+	out, argmax := maxPool2D(nil, x.T, cfg, true)
+	return maxPoolNode("maxpool2d", x, out, argmax)
+}
 
-	xd, od := x.T.Data, out.Data
-	parallel.ForEach(n*c, 0, func(plane int) {
-		xbase := plane * h * w
-		obase := plane * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(math.Inf(-1))
-				bi := int32(-1)
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s - p + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*s - p + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						v := xd[xbase+iy*w+ix]
-						if v > best {
-							best = v
-							bi = int32(xbase + iy*w + ix)
-						}
-					}
-				}
-				od[obase+oy*ow+ox] = best
-				argmax[obase+oy*ow+ox] = bi
-			}
-		}
-	})
-
+// maxPoolNode puts a max pool's forward result on the tape: backward
+// routes each output gradient to the input its kernel recorded in
+// argmax.
+func maxPoolNode(op string, x *Value, out *tensor.Tensor, argmax []int32) *Value {
+	planes := x.T.Shape[0] * x.T.Shape[1]
+	planeOut := len(out.Data) / planes
 	var node *Value
-	node = newNode("maxpool2d", out, func() {
+	node = newNode(op, out, func() {
 		if x.needGrad {
 			gx := x.ensureGrad().Data
 			gy := node.Grad.Data
 			// Scatter by argmax; parallel over planes keeps writers on
 			// disjoint regions because argmax indices stay in-plane.
-			parallel.ForEach(n*c, 0, func(plane int) {
-				obase := plane * oh * ow
-				for i := 0; i < oh*ow; i++ {
+			parallel.ForEach(planes, 0, func(plane int) {
+				obase := plane * planeOut
+				for i := 0; i < planeOut; i++ {
 					if idx := argmax[obase+i]; idx >= 0 {
 						gx[idx] += gy[obase+i]
 					}
@@ -186,30 +155,8 @@ func UpsampleBilinear2D(x *Value, scale int) *Value {
 	}
 	n, c, h, w := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3]
 	oh, ow := h*scale, w*scale
-	out := tensor.New(n, c, oh, ow)
-
-	// Precompute per-axis source indices and interpolation weights.
-	iy0s, iy1s, wys := bilinearAxis(h, oh)
-	ix0s, ix1s, wxs := bilinearAxis(w, ow)
-
-	xd, od := x.T.Data, out.Data
-	parallel.ForEach(n*c, 0, func(plane int) {
-		xbase := plane * h * w
-		obase := plane * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			y0, y1, wy := iy0s[oy], iy1s[oy], wys[oy]
-			for ox := 0; ox < ow; ox++ {
-				x0, x1, wx := ix0s[ox], ix1s[ox], wxs[ox]
-				v00 := xd[xbase+y0*w+x0]
-				v01 := xd[xbase+y0*w+x1]
-				v10 := xd[xbase+y1*w+x0]
-				v11 := xd[xbase+y1*w+x1]
-				top := v00 + wx*(v01-v00)
-				bot := v10 + wx*(v11-v10)
-				od[obase+oy*ow+ox] = top + wy*(bot-top)
-			}
-		}
-	})
+	ty, tx := NewBilinearTable(h, oh), NewBilinearTable(w, ow)
+	out := EvalUpsampleBilinear2D(nil, x.T, ty, tx)
 
 	var node *Value
 	node = newNode("upsample2d", out, func() {
@@ -220,9 +167,9 @@ func UpsampleBilinear2D(x *Value, scale int) *Value {
 				xbase := plane * h * w
 				obase := plane * oh * ow
 				for oy := 0; oy < oh; oy++ {
-					y0, y1, wy := iy0s[oy], iy1s[oy], wys[oy]
+					y0, y1, wy := ty.Lo[oy], ty.Hi[oy], ty.Frac[oy]
 					for ox := 0; ox < ow; ox++ {
-						x0, x1, wx := ix0s[ox], ix1s[ox], wxs[ox]
+						x0, x1, wx := tx.Lo[ox], tx.Hi[ox], tx.Frac[ox]
 						d := gy[obase+oy*ow+ox]
 						gx[xbase+y0*w+x0] += d * (1 - wy) * (1 - wx)
 						gx[xbase+y0*w+x1] += d * (1 - wy) * wx
@@ -234,32 +181,4 @@ func UpsampleBilinear2D(x *Value, scale int) *Value {
 		}
 	}, x)
 	return node
-}
-
-// bilinearAxis precomputes, for each destination index along one axis,
-// the two source indices and the fractional weight of the second one.
-// Note x0 == x1 at the clamped borders, where the two weights collapse
-// onto the same source cell.
-func bilinearAxis(in, out int) (lo, hi []int, frac []float32) {
-	lo = make([]int, out)
-	hi = make([]int, out)
-	frac = make([]float32, out)
-	scale := float64(in) / float64(out)
-	for d := 0; d < out; d++ {
-		src := (float64(d)+0.5)*scale - 0.5
-		if src < 0 {
-			src = 0
-		}
-		i0 := int(math.Floor(src))
-		if i0 > in-1 {
-			i0 = in - 1
-		}
-		i1 := i0 + 1
-		if i1 > in-1 {
-			i1 = in - 1
-		}
-		lo[d], hi[d] = i0, i1
-		frac[d] = float32(src - float64(i0))
-	}
-	return lo, hi, frac
 }

@@ -53,50 +53,16 @@ func Reshape(a *Value, shape ...int) *Value {
 // must match. This is the op behind DenseNet's dense connections and
 // DDnet's global shortcuts.
 func Concat(axis int, vs ...*Value) *Value {
-	if len(vs) == 0 {
-		panic("ag: Concat of zero tensors")
-	}
 	if len(vs) == 1 {
 		return vs[0]
 	}
-	rank := vs[0].T.Rank()
-	outShape := make([]int, rank)
-	copy(outShape, vs[0].T.Shape)
-	outShape[axis] = 0
-	for _, v := range vs {
-		if v.T.Rank() != rank {
-			panic("ag: Concat rank mismatch")
-		}
-		for d := 0; d < rank; d++ {
-			if d != axis && v.T.Shape[d] != vs[0].T.Shape[d] {
-				panic("ag: Concat non-axis dimension mismatch")
-			}
-		}
-		outShape[axis] += v.T.Shape[axis]
+	ts := make([]*tensor.Tensor, len(vs))
+	for i, v := range vs {
+		ts[i] = v.T
 	}
-	out := tensor.New(outShape...)
-
-	// outer: product of dims before axis; inner: product of dims after.
-	outer, inner := 1, 1
-	for d := 0; d < axis; d++ {
-		outer *= outShape[d]
-	}
-	for d := axis + 1; d < rank; d++ {
-		inner *= outShape[d]
-	}
-	outAxis := outShape[axis]
-
-	// Copy each input block into its slot along the axis.
-	offset := 0
-	for _, v := range vs {
-		ax := v.T.Shape[axis]
-		for o := 0; o < outer; o++ {
-			src := v.T.Data[o*ax*inner : (o+1)*ax*inner]
-			dst := out.Data[(o*outAxis+offset)*inner : (o*outAxis+offset)*inner+ax*inner]
-			copy(dst, src)
-		}
-		offset += ax
-	}
+	out := EvalConcat(nil, axis, ts)
+	outer, inner := concatExtents(out.Shape, axis)
+	outAxis := out.Shape[axis]
 
 	parents := make([]*Value, len(vs))
 	copy(parents, vs)

@@ -57,6 +57,15 @@ func (v *Value) Op() string { return v.op }
 // Shape returns the shape of the forward tensor.
 func (v *Value) Shape() []int { return v.T.Shape }
 
+// Tensor returns v.T, or nil for a nil v — an absent optional operand
+// such as a layer without bias.
+func (v *Value) Tensor() *tensor.Tensor {
+	if v == nil {
+		return nil
+	}
+	return v.T
+}
+
 // Detach returns a constant leaf sharing v's data, cutting the tape.
 func (v *Value) Detach() *Value { return Const(v.T) }
 

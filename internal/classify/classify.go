@@ -50,102 +50,65 @@ func SmallConfig() Config {
 type Classifier struct {
 	Cfg Config
 
-	stem   *nn.Conv3D
-	stemBN *nn.BatchNorm
-
-	blocks []*nn.DenseBlock3D
-	transC []*nn.Conv3D
-	transB []*nn.BatchNorm
-
-	headBN *nn.BatchNorm
-	fc     *nn.Linear
+	// units holds the trunk's weights in walk order (units[l.index]
+	// belongs to layer l), which is also the Params/StateTensors — and
+	// so the checkpoint — order; the linear head follows them.
+	units []unit
+	fc    *nn.Linear
 }
 
-// New constructs a classifier with Gaussian-initialized weights.
+// New constructs a classifier with Gaussian-initialized weights drawn
+// from rng in walk order.
 func New(rng *rand.Rand, cfg Config) *Classifier {
-	c := &Classifier{Cfg: cfg}
-	ch := cfg.InitChannels
-	c.stem = nn.NewConv3D(rng, 1, ch, 3, 1, 1, false, cfg.InitStd)
-	c.stemBN = nn.NewBatchNorm(ch)
+	b := &builder{rng: rng, std: cfg.InitStd}
+	width := walk[int](cfg, b, 1)
+	return &Classifier{Cfg: cfg, units: b.units, fc: nn.NewLinear(rng, width, 1, cfg.InitStd)}
+}
 
-	for bi, layers := range cfg.BlockLayers {
-		c.blocks = append(c.blocks, nn.NewDenseBlock3D(rng, ch, cfg.Growth, layers, cfg.Kernel, cfg.InitStd))
-		out := ch + layers*cfg.Growth
-		if bi < len(cfg.BlockLayers)-1 {
-			// Transition halves the channels (DenseNet compression 0.5).
-			next := out / 2
-			c.transC = append(c.transC, nn.NewConv3D(rng, out, next, 1, 1, 0, false, cfg.InitStd))
-			c.transB = append(c.transB, nn.NewBatchNorm(next))
-			ch = next
-		} else {
-			ch = out
-		}
-	}
-	c.headBN = nn.NewBatchNorm(ch)
-	c.fc = nn.NewLinear(rng, ch, 1, cfg.InitStd)
-	return c
+// features maps (N, 1, D, H, W) volumes to the pooled (N, C) feature
+// vector the head reads, on the autograd tape.
+func (c *Classifier) features(x *ag.Value) *ag.Value {
+	return ag.GlobalAvgPool3D(walk[*ag.Value](c.Cfg, graph(c.units), x))
 }
 
 // Forward maps (N, 1, D, H, W) volumes to (N, 1) logits. D, H, W must be
 // divisible by 2^(len(BlockLayers)-1) plus the stem pool (2× more).
-func (c *Classifier) Forward(x *ag.Value) *ag.Value {
-	h := ag.ReLU(c.stemBN.Forward(c.stem.Forward(x)))
-	h = ag.MaxPool3D(h, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-	for bi := range c.blocks {
-		h = c.blocks[bi].Forward(h)
-		if bi < len(c.transC) {
-			h = ag.ReLU(c.transB[bi].Forward(c.transC[bi].Forward(h)))
-			h = ag.MaxPool3D(h, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-		}
-	}
-	h = ag.ReLU(c.headBN.Forward(h))
-	h = ag.GlobalAvgPool3D(h)
-	return c.fc.Forward(h)
-}
+func (c *Classifier) Forward(x *ag.Value) *ag.Value { return c.fc.Forward(c.features(x)) }
 
-// Params returns every trainable parameter.
-func (c *Classifier) Params() []*ag.Value {
-	ps := c.stem.Params()
-	ps = append(ps, c.stemBN.Params()...)
-	for bi := range c.blocks {
-		ps = append(ps, c.blocks[bi].Params()...)
-		if bi < len(c.transC) {
-			ps = append(ps, c.transC[bi].Params()...)
-			ps = append(ps, c.transB[bi].Params()...)
+// trunkParams returns the parameters below the linear head.
+func (c *Classifier) trunkParams() []*ag.Value {
+	var ps []*ag.Value
+	for _, u := range c.units {
+		if u.conv != nil {
+			ps = append(ps, u.conv.Params()...)
+		}
+		if u.bn != nil {
+			ps = append(ps, u.bn.Params()...)
 		}
 	}
-	ps = append(ps, c.headBN.Params()...)
-	ps = append(ps, c.fc.Params()...)
 	return ps
 }
 
+// Params returns every trainable parameter, in walk order.
+func (c *Classifier) Params() []*ag.Value { return append(c.trunkParams(), c.fc.Params()...) }
+
 // SetTraining toggles batch-norm behaviour network-wide.
 func (c *Classifier) SetTraining(train bool) {
-	c.stemBN.SetTraining(train)
-	for bi := range c.blocks {
-		c.blocks[bi].SetTraining(train)
-		if bi < len(c.transB) {
-			c.transB[bi].SetTraining(train)
+	for _, u := range c.units {
+		if u.bn != nil {
+			u.bn.SetTraining(train)
 		}
 	}
-	c.headBN.SetTraining(train)
 }
 
 // StateTensors exposes batch-norm running statistics for serialization.
 func (c *Classifier) StateTensors() []*tensor.Tensor {
 	var ts []*tensor.Tensor
-	add := func(b *nn.BatchNorm) { ts = append(ts, b.RunningMean, b.RunningVar) }
-	add(c.stemBN)
-	for bi := range c.blocks {
-		for _, l := range c.blocks[bi].Layers {
-			add(l.BN1)
-			add(l.BN2)
-		}
-		if bi < len(c.transB) {
-			add(c.transB[bi])
+	for _, u := range c.units {
+		if u.bn != nil {
+			ts = append(ts, u.bn.RunningMean, u.bn.RunningVar)
 		}
 	}
-	add(c.headBN)
 	return ts
 }
 

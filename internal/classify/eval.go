@@ -1,50 +1,72 @@
 package classify
 
 import (
+	"sync"
+
 	"computecovid19/internal/ag"
 	"computecovid19/internal/memplan"
+	"computecovid19/internal/tensor"
 	"computecovid19/internal/volume"
 )
 
-// PredictPooled is Predict on the pooled, tape-free eval path: every
-// activation comes from mem, so a warm arena makes classification a
+// pooled is the tape-free inference backend of walk: every activation
+// comes from a memplan.Scope and goes back the moment its last reader
+// has run. walk reaches its backend through an interface, so a
+// per-forward value would escape to the heap; pooleds are recycled
+// through pooledPool instead.
+type pooled struct {
+	units []unit
+	sc    *memplan.Scope
+}
+
+var pooledPool = sync.Pool{New: func() any { return new(pooled) }}
+
+// apply runs the convolution, then BN and ReLU — in place on the fresh
+// BN output, which has no other reader (ReLU is LeakyReLU with slope 0,
+// matching ag.ReLU bit for bit).
+func (p *pooled) apply(l layer, x *tensor.Tensor) *tensor.Tensor {
+	u := p.units[l.index]
+	if l.k > 0 {
+		x = u.conv.Infer(p.sc, x)
+	}
+	if !l.bnAct {
+		return x
+	}
+	y := u.bn.Infer(p.sc, x)
+	if l.k > 0 {
+		p.sc.Free(x)
+	}
+	ag.EvalLeakyReLUInPlace(y, 0)
+	return y
+}
+
+func (p *pooled) pool(x *tensor.Tensor) *tensor.Tensor {
+	return ag.EvalMaxPool3D(p.sc, x, ag.Pool2DConfig{Kernel: 2, Stride: 2})
+}
+
+func (p *pooled) concat(vs [maxFanIn]*tensor.Tensor, n int) *tensor.Tensor {
+	return ag.EvalConcat(p.sc, 1, vs[:n])
+}
+
+func (p *pooled) free(x *tensor.Tensor) { p.sc.Free(x) }
+
+// PredictPooled is Predict on the pooled backend: every activation
+// comes from mem, so a warm arena makes classification a
 // zero-steady-state-allocation operation. The volume's storage is
 // aliased read-only (never pooled). Bit identity with Predict is
 // pinned by TestPredictPooledBitIdentical.
 func (c *Classifier) PredictPooled(mem *memplan.Arena, v *volume.Volume) float64 {
 	c.SetTraining(false)
 	sc := mem.NewScope()
-	x := sc.View(v.Data, 1, 1, v.D, v.H, v.W)
-
-	s1 := c.stem.Infer(sc, x)
-	s2 := c.stemBN.Infer(sc, s1)
-	sc.Free(s1)
-	ag.EvalLeakyReLUInPlace(s2, 0) // ReLU, matching ag.ReLU bit for bit
-	h := ag.EvalMaxPool3D(sc, s2, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-	sc.Free(s2)
-
-	for bi := range c.blocks {
-		hb := c.blocks[bi].Infer(sc, h)
-		sc.Free(h)
-		h = hb
-		if bi < len(c.transC) {
-			tc := c.transC[bi].Infer(sc, h)
-			sc.Free(h)
-			tb := c.transB[bi].Infer(sc, tc)
-			sc.Free(tc)
-			ag.EvalLeakyReLUInPlace(tb, 0)
-			h = ag.EvalMaxPool3D(sc, tb, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-			sc.Free(tb)
-		}
-	}
-
-	hb := c.headBN.Infer(sc, h)
+	p := pooledPool.Get().(*pooled)
+	*p = pooled{units: c.units, sc: sc}
+	h := walk[*tensor.Tensor](c.Cfg, p, sc.View(v.Data, 1, 1, v.D, v.H, v.W))
+	*p = pooled{}
+	pooledPool.Put(p)
+	feats := ag.EvalGlobalAvgPool3D(sc, h)
 	sc.Free(h)
-	ag.EvalLeakyReLUInPlace(hb, 0)
-	gap := ag.EvalGlobalAvgPool3D(sc, hb)
-	sc.Free(hb)
-	logit := c.fc.Infer(sc, gap)
-	p := float64(ag.EvalSigmoid(logit.Data[0]))
+	logit := c.fc.Infer(sc, feats)
+	prob := float64(ag.EvalSigmoid(logit.Data[0]))
 	sc.Close()
-	return p
+	return prob
 }

@@ -112,34 +112,3 @@ func (s *SeverityGrader) PredictGrade(v *volume.Volume) (Grade, []float64) {
 	}
 	return Grade(bi), probs
 }
-
-// features runs the classifier trunk up to (but not including) the
-// binary head, returning the pooled (N, C) feature vector.
-func (c *Classifier) features(x *ag.Value) *ag.Value {
-	h := ag.ReLU(c.stemBN.Forward(c.stem.Forward(x)))
-	h = ag.MaxPool3D(h, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-	for bi := range c.blocks {
-		h = c.blocks[bi].Forward(h)
-		if bi < len(c.transC) {
-			h = ag.ReLU(c.transB[bi].Forward(c.transC[bi].Forward(h)))
-			h = ag.MaxPool3D(h, ag.Pool2DConfig{Kernel: 2, Stride: 2})
-		}
-	}
-	h = ag.ReLU(c.headBN.Forward(h))
-	return ag.GlobalAvgPool3D(h)
-}
-
-// trunkParams returns the classifier's parameters without the binary fc
-// head.
-func (c *Classifier) trunkParams() []*ag.Value {
-	ps := c.stem.Params()
-	ps = append(ps, c.stemBN.Params()...)
-	for bi := range c.blocks {
-		ps = append(ps, c.blocks[bi].Params()...)
-		if bi < len(c.transC) {
-			ps = append(ps, c.transC[bi].Params()...)
-			ps = append(ps, c.transB[bi].Params()...)
-		}
-	}
-	return append(ps, c.headBN.Params()...)
-}

@@ -54,9 +54,8 @@ func (g *Gateway) handleScan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}
-	if req.D <= 0 || req.H <= 0 || req.W <= 0 || len(req.Data) != req.D*req.H*req.W {
-		httpError(w, http.StatusBadRequest, "dimensions %dx%dx%d do not match %d data values",
-			req.D, req.H, req.W, len(req.Data))
+	if code, err := req.CheckDims(g.maxVoxels); err != nil {
+		httpError(w, code, "%v", err)
 		return
 	}
 	key := contentKey(&req)

@@ -130,9 +130,10 @@ type Gateway struct {
 	attemptLat *obs.Histogram
 	chunkLat   *obs.Histogram
 
-	// maxVoxels bounds how much request body the gateway buffers. It has
-	// no admission limit of its own, so it refuses what no replica with
-	// serve's default limit would admit.
+	// maxVoxels bounds how much request body the gateway buffers and
+	// the volume dimensions it accepts. It has no admission limit of its
+	// own, so it refuses what no replica with serve's default limit
+	// would admit.
 	maxVoxels int
 
 	gate     sync.RWMutex // guards draining flips vs. admission

@@ -733,3 +733,28 @@ func TestGatewayOversizedBodyRejectedAtTheBound(t *testing.T) {
 		t.Fatalf("gateway read %d bytes of an endless body, bound is %d", body.read, limit)
 	}
 }
+
+// TestGatewayWrappingDimensionsRejected: bodies whose declared
+// dimensions multiply past the word size (the product wraps to 0, to
+// len(data), or negative) are refused by the gateway itself with a 4xx
+// — they never reach a replica, and never reach planChunks, which
+// sizes its work by req.D.
+func TestGatewayWrappingDimensionsRejected(t *testing.T) {
+	rep := fakeReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		t.Error("a request with wrapping dimensions must not reach a replica")
+	})
+	g, _ := startGateway(t, Config{Replicas: []string{rep.URL}, ShardSlices: 2})
+	for name, body := range map[string]string{
+		"wraps to 0, no data": `{"d":4294967296,"h":4294967296,"w":1,"data":[]}`,
+		"wraps to len(data)":  `{"d":4611686018427387905,"h":4,"w":1,"data":[0,0,0,0]}`,
+		"wraps negative":      `{"d":3037000500,"h":3037000500,"w":1,"data":[]}`,
+		"one huge dimension":  `{"d":9223372036854775807,"h":1,"w":1,"data":[0]}`,
+		"negative pair":       `{"d":-2,"h":-2,"w":1,"data":[0,0,0,0]}`,
+	} {
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scan", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: gateway answered %d, want 400 or 413", name, rec.Code)
+		}
+	}
+}

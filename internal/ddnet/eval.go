@@ -97,7 +97,7 @@ func (e *eval) Pool(x *tensor.Tensor) *tensor.Tensor {
 func (e *eval) Unpool(x *tensor.Tensor) *tensor.Tensor {
 	ty, tx := e.tabs.ty[e.dec], e.tabs.tx[e.dec]
 	e.dec++
-	return ag.EvalUpsampleBilinear2D(e.sc, x, 2, ty, tx)
+	return ag.EvalUpsampleBilinear2D(e.sc, x, ty, tx)
 }
 
 func (e *eval) Concat(vs [kernels.MaxFanIn]*tensor.Tensor, n int) *tensor.Tensor {
@@ -125,7 +125,7 @@ func (m *DDnet) forwardEval(ctx context.Context, sc *memplan.Scope, x *tensor.Te
 	sp, ksp := startForward(ctx, e.plan != nil)
 	h := kernels.Walk[*tensor.Tensor](m.Cfg.Arch(), e, x, ksp)
 	if m.Cfg.Residual {
-		ag.EvalAddInPlace(h, x) // ag.Add with the fresh operand on the left
+		h.AddInPlace(x) // ag.Add with the fresh operand on the left
 	}
 	ksp.End()
 	sp.End()
@@ -167,7 +167,7 @@ func (m *DDnet) EnhanceBatchInto(ctx context.Context, mem *memplan.Arena, imgs, 
 	y := m.forwardEval(ctx, sc, x)
 	for i := range imgs {
 		copy(outs[i].Data, y.Data[i*h*w:(i+1)*h*w])
-		ag.EvalClampInPlace(outs[i], 0, 1)
+		outs[i].Clamp(0, 1)
 	}
 	sc.Close()
 }

@@ -4,8 +4,14 @@ import (
 	"math/rand"
 
 	"computecovid19/internal/ag"
+	"computecovid19/internal/memplan"
 	"computecovid19/internal/tensor"
 )
+
+// Each layer has two forwards over the same ag kernel: Forward on the
+// autograd tape, and Infer on plain tensors drawn from a memplan.Scope
+// — no tape, nothing allocated on a warm arena, bit-identical to
+// Forward in eval mode. Infer never frees its input.
 
 // Conv2D is a trainable 2D convolution layer — or, with Transposed set,
 // a transposed convolution (deconvolution), the reconstruction operator
@@ -56,6 +62,12 @@ func (l *Conv2D) Forward(x *ag.Value) *ag.Value {
 	return ag.Conv2DFast(x, l.W, l.B, l.Cfg)
 }
 
+// Infer applies the (transposed) convolution on the pooled eval path;
+// the layer must be a stride-1 "same" one.
+func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
+	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Cfg, l.Transposed)
+}
+
 // Params returns the weight (and bias, when present).
 func (l *Conv2D) Params() []*ag.Value {
 	if l.B != nil {
@@ -92,6 +104,11 @@ func NewConv3D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bo
 
 // Forward applies the 3D convolution.
 func (l *Conv3D) Forward(x *ag.Value) *ag.Value { return ag.Conv3D(x, l.W, l.B, l.Cfg) }
+
+// Infer applies the 3D convolution on the pooled eval path.
+func (l *Conv3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
+	return ag.EvalConv3D(sc, x, l.W.T, l.B.Tensor(), l.Cfg)
+}
 
 // Params returns the weight (and bias, when present).
 func (l *Conv3D) Params() []*ag.Value {
@@ -134,6 +151,16 @@ func (l *BatchNorm) Forward(x *ag.Value) *ag.Value {
 		l.training, l.Momentum, l.Eps)
 }
 
+// Infer normalizes x with the running statistics. The layer must be in
+// eval mode: batch statistics would mutate the running buffers, which
+// is never wanted on a serving path.
+func (l *BatchNorm) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
+	if l.training {
+		panic("nn: BatchNorm.Infer requires eval mode (call SetTraining(false))")
+	}
+	return ag.EvalBatchNorm(sc, x, l.Gamma.T, l.Beta.T, l.RunningMean, l.RunningVar, l.Eps)
+}
+
 // Params returns γ and β.
 func (l *BatchNorm) Params() []*ag.Value { return []*ag.Value{l.Gamma, l.Beta} }
 
@@ -169,6 +196,11 @@ func NewLinear(rng *rand.Rand, in, out int, std float64) *Linear {
 
 // Forward applies x·Wᵀ + b.
 func (l *Linear) Forward(x *ag.Value) *ag.Value { return ag.Linear(x, l.W, l.B) }
+
+// Infer applies x·Wᵀ + b on the pooled eval path.
+func (l *Linear) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
+	return ag.EvalLinear(sc, x, l.W.T, l.B.T)
+}
 
 // Params returns the weight and bias.
 func (l *Linear) Params() []*ag.Value { return []*ag.Value{l.W, l.B} }

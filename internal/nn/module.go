@@ -1,8 +1,7 @@
 // Package nn builds the neural-network module layer on top of the
 // autograd engine: parameterized layers (convolutions, batch norm,
-// linear), container modules (Sequential, the 3D DenseBlock used by
-// the DenseNet classifier), optimizers (SGD, Adam) and learning-rate schedules, plus
-// binary model serialization.
+// linear), the Sequential container, optimizers (SGD, Adam) and
+// learning-rate schedules, plus binary model serialization.
 //
 // It plays the role of torch.nn / torch.optim in the paper's stack.
 package nn

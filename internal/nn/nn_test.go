@@ -47,16 +47,6 @@ func TestSequentialComposes(t *testing.T) {
 	}
 }
 
-func TestDenseBlock3DChannelGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	b := NewDenseBlock3D(rng, 4, 2, 3, 3, 0.1)
-	x := ag.Const(tensor.New(1, 4, 4, 4, 4).RandN(rng, 0, 1))
-	y := b.Forward(x)
-	if y.T.Shape[1] != 10 {
-		t.Fatalf("3D dense block output channels = %d, want 10", y.T.Shape[1])
-	}
-}
-
 func TestSGDReducesLoss(t *testing.T) {
 	// Fit y = 2x with a single linear layer.
 	rng := rand.New(rand.NewSource(5))

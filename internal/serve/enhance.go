@@ -54,17 +54,8 @@ func (s *Server) handleEnhance(w http.ResponseWriter, r *http.Request) {
 		httpError(w, BodyErrorStatus(err), "bad json: %v", err)
 		return
 	}
-	if req.D <= 0 || req.H <= 0 || req.W <= 0 {
-		httpError(w, http.StatusBadRequest, "dimensions must be positive, got %dx%dx%d", req.D, req.H, req.W)
-		return
-	}
-	voxels := req.D * req.H * req.W
-	if voxels > s.cfg.MaxVoxels {
-		httpError(w, http.StatusRequestEntityTooLarge, "chunk has %d voxels, limit %d", voxels, s.cfg.MaxVoxels)
-		return
-	}
-	if len(req.Data) != voxels {
-		httpError(w, http.StatusBadRequest, "data has %d values, want %d", len(req.Data), voxels)
+	if code, err := req.CheckDims(s.cfg.MaxVoxels); err != nil {
+		httpError(w, code, "%v", err)
 		return
 	}
 

@@ -28,7 +28,9 @@ const (
 // detaches the request's trace from the HTTP request context (so
 // processing survives client disconnects), span is the request root
 // (ended last, completing the trace in the flight recorder), qspan
-// covers the admission-queue wait.
+// covers the admission-queue wait. A job that reaches a terminal state
+// keeps only what a poll reports: its volume and trace references are
+// dropped there (the worker works from its own copies).
 type job struct {
 	id        string
 	vol       *volume.Volume
@@ -61,11 +63,23 @@ type JobView struct {
 	ElapsedMS float64     `json:"elapsed_ms"`
 }
 
-// store tracks every job the server has accepted, by id.
+// retainedJobs is how many finished (done or failed) jobs stay
+// pollable. Past it the oldest-finished is forgotten and its id polls
+// as 404, exactly like an id that never existed — so a client must
+// fetch its result before retainedJobs later scans complete, which at
+// a poll interval of milliseconds is hours of slack, while a replica
+// that runs for months holds a bounded number of job records.
+const retainedJobs = 1024
+
+// store tracks the jobs the server has accepted, by id: every job in
+// flight, plus the retainedJobs most recently finished.
 type store struct {
 	mu   sync.Mutex
 	seq  uint64
 	jobs map[string]*job
+	// finished holds the ids of terminal jobs still in jobs, oldest
+	// first.
+	finished []string
 }
 
 func newStore() *store {
@@ -106,7 +120,7 @@ func (st *store) finish(j *job, res ScanResult) {
 	defer st.mu.Unlock()
 	j.state = StateDone
 	j.result = &res
-	j.finished = time.Now()
+	st.retireLocked(j)
 }
 
 // finishCached completes a job from a cache hit, before it ever queued.
@@ -116,7 +130,7 @@ func (st *store) finishCached(j *job, res ScanResult) {
 	j.state = StateDone
 	j.cached = true
 	j.result = &res
-	j.finished = time.Now()
+	st.retireLocked(j)
 }
 
 func (st *store) fail(j *job, msg string) {
@@ -124,7 +138,20 @@ func (st *store) fail(j *job, msg string) {
 	defer st.mu.Unlock()
 	j.state = StateFailed
 	j.err = msg
+	st.retireLocked(j)
+}
+
+// retireLocked is the terminal transition's bookkeeping: stamp the
+// finish time, release the input volume and the trace, and forget the
+// oldest-finished job once more than retainedJobs are kept.
+func (st *store) retireLocked(j *job) {
 	j.finished = time.Now()
+	j.vol, j.ctx, j.span, j.qspan = nil, nil, nil, nil
+	st.finished = append(st.finished, j.id)
+	if len(st.finished) > retainedJobs {
+		delete(st.jobs, st.finished[0])
+		st.finished = st.finished[1:]
+	}
 }
 
 func (st *store) view(j *job) JobView {

@@ -315,20 +315,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		endHere(code)
 		return
 	}
-	if req.D <= 0 || req.H <= 0 || req.W <= 0 {
-		httpError(w, http.StatusBadRequest, "dimensions must be positive, got %dx%dx%d", req.D, req.H, req.W)
-		endHere(http.StatusBadRequest)
-		return
-	}
-	voxels := req.D * req.H * req.W
-	if voxels > s.cfg.MaxVoxels {
-		httpError(w, http.StatusRequestEntityTooLarge, "volume has %d voxels, limit %d", voxels, s.cfg.MaxVoxels)
-		endHere(http.StatusRequestEntityTooLarge)
-		return
-	}
-	if len(req.Data) != voxels {
-		httpError(w, http.StatusBadRequest, "data has %d values, want %d", len(req.Data), voxels)
-		endHere(http.StatusBadRequest)
+	if code, err := req.CheckDims(s.cfg.MaxVoxels); err != nil {
+		httpError(w, code, "%v", err)
+		endHere(code)
 		return
 	}
 
@@ -462,6 +451,30 @@ func MaxBodyBytes(maxVoxels int) int64 {
 // BodyErrorStatus maps to 413.
 func LimitBody(w http.ResponseWriter, r *http.Request, maxVoxels int) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes(maxVoxels))
+}
+
+// CheckDims validates the volume a request declares — every dimension
+// positive, at most maxVoxels voxels, exactly one data value per voxel
+// — and returns the HTTP status to refuse it with (400, or 413 over
+// the limit). The voxel count is bounded before each multiplication:
+// a product of attacker-chosen dimensions can wrap to any value,
+// including len(Data), and the dimensions then size allocations.
+func (r *ScanRequest) CheckDims(maxVoxels int) (status int, err error) {
+	if r.D <= 0 || r.H <= 0 || r.W <= 0 {
+		return http.StatusBadRequest, fmt.Errorf("dimensions must be positive, got %dx%dx%d", r.D, r.H, r.W)
+	}
+	voxels := 1
+	for _, n := range [...]int{r.D, r.H, r.W} {
+		if n > maxVoxels/voxels {
+			return http.StatusRequestEntityTooLarge,
+				fmt.Errorf("volume %dx%dx%d exceeds the limit of %d voxels", r.D, r.H, r.W, maxVoxels)
+		}
+		voxels *= n
+	}
+	if len(r.Data) != voxels {
+		return http.StatusBadRequest, fmt.Errorf("data has %d values, want %d", len(r.Data), voxels)
+	}
+	return 0, nil
 }
 
 // BodyErrorStatus is the status for a failed read or decode of a

@@ -554,3 +554,115 @@ func TestOversizedBodyRejectedAtTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wrappingDims are request bodies whose declared dimensions multiply
+// past the word size: the products wrap to 0, to len(data), or
+// negative, so a check on the product alone admits them and the
+// dimensions then size allocations.
+var wrappingDims = map[string]string{
+	"wraps to 0, no data":   `{"d":4294967296,"h":4294967296,"w":1,"data":[]}`,
+	"wraps to 0 in w":       `{"d":65536,"h":65536,"w":4294967296,"data":[]}`,
+	"wraps to len(data)":    `{"d":4611686018427387905,"h":4,"w":1,"data":[0,0,0,0]}`,
+	"wraps negative":        `{"d":3037000500,"h":3037000500,"w":1,"data":[]}`,
+	"one huge dimension":    `{"d":9223372036854775807,"h":1,"w":1,"data":[0]}`,
+	"negative pair":         `{"d":-2,"h":-2,"w":1,"data":[0,0,0,0]}`,
+	"over the limit, plain": `{"d":1,"h":1,"w":1000000,"data":[0]}`,
+}
+
+// TestWrappingDimensionsRejected: every wrapping body is refused with a
+// 4xx on both volume-carrying endpoints before anything is sized by the
+// declared dimensions (pre-fix, the first one killed the process with
+// an unrecoverable out-of-memory in enhanceVolume), and the server
+// still answers afterwards.
+func TestWrappingDimensionsRejected(t *testing.T) {
+	s, _ := startServer(t, Config{
+		Workers: 1, QueueDepth: 2, CacheSize: -1,
+		Pipeline: testPipeline(t, true, 3),
+	})
+	for _, path := range []string{"/v1/scan", "/v1/enhance"} {
+		for name, body := range wrappingDims {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s: answered %d, want 400 or 413", path, name, rec.Code)
+			}
+		}
+	}
+	if n := len(s.store.jobs); n != 0 {
+		t.Errorf("%d jobs were created from refused requests", n)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("server unhealthy after the wrapping requests: %d", rec.Code)
+	}
+	if err := s.Drain(drainCtx(t, 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreRetentionIsBounded submits three times retainedJobs scans —
+// cache misses, cache hits and failures interleaved, so all three
+// terminal transitions run — and checks the store afterwards: at most
+// retainedJobs records, none holding its input volume or trace, the
+// most recent id still pollable and the oldest forgotten like an id that
+// never existed.
+func TestStoreRetentionIsBounded(t *testing.T) {
+	const total = 3 * retainedJobs
+	s, ts := startServer(t, Config{
+		Workers: 2, QueueDepth: total,
+		Process: func(v *volume.Volume) core.Result {
+			if v.Data[0] < 0 {
+				panic("unreadable scan")
+			}
+			return core.Result{Probability: 0.5}
+		},
+	})
+	var last string
+	for i := 0; i < total; i++ {
+		v := volume.New(1, 2, 2)
+		switch {
+		case i%256 == 0: // the stub panics: failed by a worker
+			v.Data[0], v.Data[1] = -1, float32(i)
+		case i%2 == 0: // unique content: a miss, finished by a worker
+			v.Data[0], v.Data[1] = 1, float32(i)
+		default: // repeated content: a hit once the first has finished
+			v.Data[0] = 2
+		}
+		resp, view := submit(t, ts, v, 0)
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		last = view.ID
+	}
+	if err := s.Drain(drainCtx(t, 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	s.store.mu.Lock()
+	if n := len(s.store.jobs); n > retainedJobs {
+		t.Errorf("store holds %d jobs after %d scans, want at most %d", n, total, retainedJobs)
+	}
+	states := map[State]int{}
+	for id, j := range s.store.jobs {
+		states[j.state]++
+		if j.vol != nil || j.ctx != nil || j.span != nil || j.qspan != nil {
+			t.Errorf("finished job %s (%s) still holds its volume or trace", id, j.state)
+		}
+	}
+	s.store.mu.Unlock()
+	if states[StateDone] == 0 || states[StateFailed] == 0 || states[StateQueued]+states[StateRunning] != 0 {
+		t.Errorf("retained job states %v, want only done and failed, both present", states)
+	}
+
+	for id, want := range map[string]int{last: http.StatusOK, "scan-000001": http.StatusNotFound} {
+		resp, err := http.Get(ts.URL + "/v1/scan/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("poll %s: status %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+}

@@ -34,7 +34,9 @@ func (s *Server) process(j *job, mem *memplan.Arena) {
 	// The queue span ends at dequeue: its duration is the admission
 	// wait. The process span covers this worker's share of the request.
 	j.qspan.End()
-	ctx := j.ctx
+	// The store drops the job's volume and trace references when it
+	// turns terminal; the worker keeps its own for the steps after that.
+	vol, root, ctx := j.vol, j.span, j.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -43,65 +45,65 @@ func (s *Server) process(j *job, mem *memplan.Arena) {
 
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		deadlinesTotal.Inc()
-		s.failJob(ctx, j, sp, "deadline exceeded before processing began", "deadline")
+		s.failJob(ctx, j, root, sp, "deadline exceeded before processing began", "deadline")
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.failJob(ctx, j, sp, fmt.Sprintf("pipeline panic: %v", r), "panic")
+			s.failJob(ctx, j, root, sp, fmt.Sprintf("pipeline panic: %v", r), "panic")
 		}
 	}()
 
 	var res ScanResult
 	if s.cfg.Process != nil {
-		r := s.cfg.Process(j.vol)
+		r := s.cfg.Process(vol)
 		res = ScanResult{Probability: r.Probability, Positive: r.Positive}
 	} else {
-		enhanced := j.vol
+		enhanced := vol
 		if !j.preEnhanced {
-			enhanced = s.enhanceVolume(ctx, mem, j.vol)
+			enhanced = s.enhanceVolume(ctx, mem, vol)
 		}
 		r := s.cfg.Pipeline.ClassifyCtx(ctx, enhanced)
 		res = ScanResult{Probability: r.Probability, Positive: r.Positive}
 		// The lung mask and (when enhancement ran) the enhanced volume
-		// are this worker's to recycle. j.vol is the client's payload —
+		// are this worker's to recycle. vol is the client's payload —
 		// never pooled — so the no-enhancer and cache-hit paths stay
 		// copy-safe.
 		s.cfg.Pipeline.RecycleResult(r)
-		if enhanced != j.vol {
+		if enhanced != vol {
 			s.cfg.Pipeline.RecycleVolume(enhanced)
 		}
 	}
 
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		deadlinesTotal.Inc()
-		s.failJob(ctx, j, sp, "deadline exceeded during processing", "deadline")
+		s.failJob(ctx, j, root, sp, "deadline exceeded during processing", "deadline")
 		return
 	}
 	s.cache.put(j.key, res)
 	s.store.finish(j, res)
 	requestSeconds.Observe(time.Since(j.submitted).Seconds())
-	s.endJobTrace(j, sp, false, "")
+	s.endJobTrace(j, root, sp, false, "")
 }
 
 // failJob records a terminal failure: store state, a trace-correlated
 // log line, the SLO error, and (for deadline/panic failures) a
 // flight-recorder dump of the just-completed trace.
-func (s *Server) failJob(ctx context.Context, j *job, sp *obs.Span, msg, reason string) {
+func (s *Server) failJob(ctx context.Context, j *job, root, sp *obs.Span, msg, reason string) {
 	s.store.fail(j, msg)
 	obs.Logger(ctx).Error("scan failed", "job", j.id, "reason", reason, "err", msg)
-	s.endJobTrace(j, sp, true, reason)
+	s.endJobTrace(j, root, sp, true, reason)
 }
 
 // endJobTrace closes the request's remaining spans — the process span,
 // then the request root LAST, so the flight recorder sees the trace
 // complete exactly once — and feeds the SLO tracker.
-func (s *Server) endJobTrace(j *job, sp *obs.Span, failed bool, reason string) {
+func (s *Server) endJobTrace(j *job, root, sp *obs.Span, failed bool, reason string) {
 	sp.End()
-	j.span.End()
+	root.End()
 	s.slo.Observe(time.Since(j.submitted), failed)
 	if failed && s.cfg.FlightDir != "" {
-		obs.DumpFlightTrace(s.cfg.FlightDir, j.span.TraceID(), reason)
+		obs.DumpFlightTrace(s.cfg.FlightDir, root.TraceID(), reason)
 	}
 }
 
