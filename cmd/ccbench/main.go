@@ -7,11 +7,13 @@
 //	ccbench [-quick] [-only table3] [-seed 1]
 //
 // The full run trains the demo-scale networks and takes a few minutes on
-// one CPU; -quick halves the training budgets.
+// one CPU; -quick halves the training budgets. An -only name that is not
+// one of the items below exits 2 with the list of valid names. Serving,
+// cluster, sharding and memory measurements live in bench/ (run
+// `bash bench/run.sh`), not here.
 //
 // Telemetry: -trace writes a Chrome trace_event JSON of the whole
-// benchmark run, -metrics a Prometheus text (or .json) dump — the
-// machine-readable source for BENCH_*.json trajectories — and -pprof
+// benchmark run, -metrics a Prometheus text (or .json) dump, and -pprof
 // serves net/http/pprof for live profiling.
 package main
 
@@ -33,25 +35,8 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file on exit")
 	metricsPath := flag.String("metrics", "", "write metrics on exit (.json = JSON dump, else Prometheus text)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	serveOut := flag.String("serveout", "", "write the serving benchmark's machine-readable report here (BENCH_serve.json)")
 	kernelsOut := flag.String("kernelsout", "", "write the kernel ladder benchmark's machine-readable report here (BENCH_kernels.json)")
-	clusterOut := flag.String("clusterout", "", "write the cluster benchmark's machine-readable report here (BENCH_cluster.json)")
-	shardOut := flag.String("shardout", "", "write the sharding benchmark's machine-readable report here (BENCH_shard.json)")
-	memOut := flag.String("memout", "", "write the memory benchmark's machine-readable report here (BENCH_mem.json)")
 	flag.Parse()
-
-	log := obs.Log()
-	flush, err := obs.Setup(*tracePath, *metricsPath, *pprofAddr)
-	if err != nil {
-		log.Error("telemetry setup failed", "err", err)
-		os.Exit(1)
-	}
-	// flush errors (an unwritable trace/metrics file) must fail the run.
-	defer func() {
-		if err := flush(); err != nil {
-			os.Exit(1)
-		}
-	}()
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
@@ -59,24 +44,8 @@ func main() {
 	}
 	cfg.Seed = *seed
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.ToLower(strings.TrimSpace(name))] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-
 	// The accuracy bundle is shared by table8/table9/figure11/12/13.
 	var acc *experiments.AccuracyResult
-	needAcc := sel("table8") || sel("table9") || sel("figure11") || sel("figure12") || sel("figure13")
-	if needAcc {
-		log.Info("running the accuracy experiment (trains DDnet + classifier)")
-		start := time.Now()
-		acc = experiments.RunAccuracy(cfg)
-		log.Info("accuracy experiment done", "elapsed", time.Since(start).Round(time.Second))
-	}
-
 	type item struct {
 		name string
 		run  func() string
@@ -101,12 +70,39 @@ func main() {
 		{"turnaround", func() string { return experiments.Turnaround(cfg) }},
 		{"ablation", func() string { return experiments.Ablation(cfg) }},
 		{"dimensionality", func() string { return experiments.Dimensionality(cfg) }},
-		{"serve", func() string { return experiments.ServeBench(cfg, *serveOut) }},
 		{"kernels", func() string { return experiments.KernelsBench(cfg, *kernelsOut) }},
-		{"cluster", func() string { return experiments.ClusterBench(cfg, *clusterOut) }},
-		{"shard", func() string { return experiments.ShardBench(cfg, *shardOut) }},
-		{"mem", func() string { return experiments.MemBench(cfg, *memOut) }},
 	}
+	names := make([]string, len(items))
+	for i, it := range items {
+		names[i] = it.name
+	}
+	want, err := selection(*only, names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccbench:", err)
+		os.Exit(2)
+	}
+	sel := func(name string) bool { return len(want) == 0 || want[name] }
+
+	log := obs.Log()
+	flush, err := obs.Setup(*tracePath, *metricsPath, *pprofAddr)
+	if err != nil {
+		log.Error("telemetry setup failed", "err", err)
+		os.Exit(1)
+	}
+	// flush errors (an unwritable trace/metrics file) must fail the run.
+	defer func() {
+		if err := flush(); err != nil {
+			os.Exit(1)
+		}
+	}()
+
+	if sel("table8") || sel("table9") || sel("figure11") || sel("figure12") || sel("figure13") {
+		log.Info("running the accuracy experiment (trains DDnet + classifier)")
+		start := time.Now()
+		acc = experiments.RunAccuracy(cfg)
+		log.Info("accuracy experiment done", "elapsed", time.Since(start).Round(time.Second))
+	}
+
 	for _, it := range items {
 		if !sel(it.name) {
 			continue
@@ -114,4 +110,26 @@ func main() {
 		fmt.Println(it.run())
 		fmt.Println()
 	}
+}
+
+// selection parses -only into the set of requested item names (empty:
+// run everything). Every name must be one of names, so a typo or a
+// retired item fails loudly instead of silently selecting nothing.
+func selection(only string, names []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	known := make(map[string]bool, len(names))
+	for _, n := range names {
+		known[n] = true
+	}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.ToLower(strings.TrimSpace(name))
+		if !known[name] {
+			return nil, fmt.Errorf("unknown -only name %q; valid names: %s", name, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
 }

@@ -16,8 +16,9 @@
 // across healthy replicas and reassembled in slice order (bit-identical
 // to single-replica output), so single-scan latency scales with the
 // replica count. -shard-chunk fixes the chunk size; with
-// -shard-enhance-slice set, the chunk size comes from the workflow
-// latency model instead.
+// -shard-enhance-slice set, the chunk size is the one minimizing the
+// predicted enhancement makespan (per-slice time plus
+// -shard-chunk-overhead per chunk) instead.
 //
 // API:
 //
@@ -40,7 +41,6 @@ import (
 
 	"computecovid19/internal/cluster"
 	"computecovid19/internal/obs"
-	"computecovid19/internal/workflow"
 )
 
 func main() {
@@ -77,20 +77,18 @@ func main() {
 	}
 
 	g, err := cluster.New(cluster.Config{
-		Replicas:         urls,
-		HealthInterval:   *healthInterval,
-		EjectAfter:       *ejectAfter,
-		ReadmitAfter:     *readmitAfter,
-		MaxRetries:       *maxRetries,
-		DisableHedging:   *noHedge,
-		HedgeDelayMax:    *hedgeMax,
-		DefaultDeadline:  *deadline,
-		ShardSlices:      *shardSlices,
-		ShardChunkSlices: *shardChunk,
-		ShardModel: workflow.ClusterModel{
-			Replica:       workflow.ServeModel{EnhanceSlice: *shardEnhanceSlice},
-			ChunkOverhead: *shardChunkOverhead,
-		},
+		Replicas:           urls,
+		HealthInterval:     *healthInterval,
+		EjectAfter:         *ejectAfter,
+		ReadmitAfter:       *readmitAfter,
+		MaxRetries:         *maxRetries,
+		DisableHedging:     *noHedge,
+		HedgeDelayMax:      *hedgeMax,
+		DefaultDeadline:    *deadline,
+		ShardSlices:        *shardSlices,
+		ShardChunkSlices:   *shardChunk,
+		ShardEnhanceSlice:  *shardEnhanceSlice,
+		ShardChunkOverhead: *shardChunkOverhead,
 	})
 	if err != nil {
 		log.Error("gateway construction failed", "err", err)

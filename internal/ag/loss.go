@@ -7,11 +7,6 @@ func MSELoss(pred, target *Value) *Value {
 	return Mean(Square(d))
 }
 
-// L1Loss returns mean(|pred - target|).
-func L1Loss(pred, target *Value) *Value {
-	return Mean(Abs(Sub(pred, target)))
-}
-
 // BCELoss returns the binary cross-entropy between predicted
 // probabilities p ∈ (0,1) and targets y ∈ {0,1} (Equation 2 of the
 // paper). Probabilities are clamped to [eps, 1-eps] for numerical

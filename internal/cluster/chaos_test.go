@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math/rand"
 	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,20 +161,8 @@ func TestChaosReplicaKillMidLoad(t *testing.T) {
 	}
 
 	const requests = 400
-	loadDone := make(chan serve.LoadReport, 1)
-	go func() {
-		rep, err := serve.RunLoadURLs([]string{gwSrv}, serve.LoadOptions{
-			Requests:    requests,
-			Concurrency: 8,
-			Volumes:     chaosVolumes(4),
-			Perturb:     true,
-			Seed:        7,
-		})
-		if err != nil {
-			t.Errorf("load: %v", err)
-		}
-		loadDone <- rep
-	}()
+	loadDone := make(chan chaosReport, 1)
+	go func() { loadDone <- chaosLoad(gwSrv, requests, chaosVolumes(4), 7) }()
 
 	// Let traffic reach steady state, then yank a replica out.
 	waitServed(50)
@@ -186,11 +178,11 @@ func TestChaosReplicaKillMidLoad(t *testing.T) {
 	waitVictimState("healthy")
 
 	rep := <-loadDone
-	if rep.Failed != 0 {
-		t.Fatalf("client saw %d failed scans through the crash, want 0 (report %+v)", rep.Failed, rep)
+	if rep.failed != 0 {
+		t.Fatalf("client saw %d failed scans through the crash, want 0 (report %+v)", rep.failed, rep)
 	}
-	if rep.Completed != requests {
-		t.Fatalf("completed %d of %d scans", rep.Completed, requests)
+	if rep.completed != requests {
+		t.Fatalf("completed %d of %d scans", rep.completed, requests)
 	}
 	if got := ejectionsTotal.Value() - ejectionsBefore; got == 0 {
 		t.Fatal("the crash never ejected the replica")
@@ -228,6 +220,72 @@ func startChaosGateway(t *testing.T, g *Gateway) string {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return "http://" + ln.Addr().String()
+}
+
+// chaosReport counts the outcomes of a chaosLoad run.
+type chaosReport struct{ completed, failed int }
+
+// chaosLoad is the chaos tests' closed-loop client: n scans over 8
+// clients POSTed through the synchronous gateway, each a volume from
+// vols (cycled) with one voxel nudged by up to ±1 HU from a per-client
+// RNG, so every submission is unique and none is a cache hit. 429 and
+// 503 + Retry-After are backpressure and are retried after 2 ms; any
+// other answer that is not 200 with a done scan counts as failed.
+func chaosLoad(url string, n int, vols []*volume.Volume, seed int64) chaosReport {
+	const clients = 8
+	var (
+		mu  sync.Mutex
+		rep chaosReport
+		wg  sync.WaitGroup
+	)
+	next := make(chan int)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := range next {
+				ok := chaosScan(url, vols[i%len(vols)], rng)
+				mu.Lock()
+				if ok {
+					rep.completed++
+				} else {
+					rep.failed++
+				}
+				mu.Unlock()
+			}
+		}(rand.New(rand.NewSource(seed + int64(c))))
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return rep
+}
+
+// chaosScan submits one perturbed copy of v and reports whether it
+// completed.
+func chaosScan(url string, v *volume.Volume, rng *rand.Rand) bool {
+	data := append([]float32(nil), v.Data...)
+	data[rng.Intn(len(data))] += float32(rng.Float64()*2 - 1)
+	body, err := json.Marshal(serve.ScanRequest{D: v.D, H: v.H, W: v.W, Data: data})
+	if err != nil {
+		return false
+	}
+	for {
+		resp, err := http.Post(url+"/v1/scan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return false
+		}
+		var view serve.JobView
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests &&
+			(resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "") {
+			return resp.StatusCode == http.StatusOK && err == nil && view.State == serve.StateDone
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // chaosVolumes builds n distinct small volumes sized so scans are quick
@@ -356,20 +414,8 @@ func TestChaosShardedReplicaKillMidScan(t *testing.T) {
 	}
 
 	const requests = 200
-	loadDone := make(chan serve.LoadReport, 1)
-	go func() {
-		rep, err := serve.RunLoadURLs([]string{gwSrv}, serve.LoadOptions{
-			Requests:    requests,
-			Concurrency: 8,
-			Volumes:     chaosDeepVolumes(4),
-			Perturb:     true,
-			Seed:        13,
-		})
-		if err != nil {
-			t.Errorf("load: %v", err)
-		}
-		loadDone <- rep
-	}()
+	loadDone := make(chan chaosReport, 1)
+	go func() { loadDone <- chaosLoad(gwSrv, requests, chaosDeepVolumes(4), 13) }()
 
 	// Let sharded traffic reach steady state, then yank a replica out
 	// while its chunks are in flight.
@@ -384,11 +430,11 @@ func TestChaosShardedReplicaKillMidScan(t *testing.T) {
 	waitVictimState("healthy")
 
 	rep := <-loadDone
-	if rep.Failed != 0 {
-		t.Fatalf("client saw %d failed scans through the crash, want 0 (report %+v)", rep.Failed, rep)
+	if rep.failed != 0 {
+		t.Fatalf("client saw %d failed scans through the crash, want 0 (report %+v)", rep.failed, rep)
 	}
-	if rep.Completed != requests {
-		t.Fatalf("completed %d of %d scans", rep.Completed, requests)
+	if rep.completed != requests {
+		t.Fatalf("completed %d of %d scans", rep.completed, requests)
 	}
 	if got := ejectionsTotal.Value() - ejectionsBefore; got == 0 {
 		t.Fatal("the crash never ejected the replica")

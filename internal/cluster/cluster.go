@@ -47,7 +47,6 @@ import (
 
 	"computecovid19/internal/obs"
 	"computecovid19/internal/serve"
-	"computecovid19/internal/workflow"
 )
 
 // Config assembles a Gateway. The zero value of every tuning field
@@ -102,14 +101,16 @@ type Config struct {
 	// route whole.
 	ShardSlices int
 	// ShardChunkSlices fixes the chunk size in slices; 0 derives it from
-	// ShardModel (workflow-predicted replica throughput) or, with no
-	// model, an even split of two chunks per healthy replica.
+	// ShardEnhanceSlice or, when that is 0, uses an even split of two
+	// chunks per healthy replica.
 	ShardChunkSlices int
-	// ShardModel predicts the makespan-optimal chunk size from the
-	// replica's measured per-slice enhancement time and the per-chunk
-	// dispatch overhead (see workflow.ClusterModel.ShardChunkSlices).
-	// The model's Replicas field is overridden by the live healthy count.
-	ShardModel workflow.ClusterModel
+	// ShardEnhanceSlice is a replica's measured per-slice enhancement
+	// time and ShardChunkOverhead the fixed cost of one chunk's
+	// /v1/enhance round trip. With ShardEnhanceSlice set, the chunk size
+	// is the one minimizing the predicted enhancement makespan across
+	// the live healthy replica count (see shardChunkSlices).
+	ShardEnhanceSlice  time.Duration
+	ShardChunkOverhead time.Duration
 }
 
 // Gateway is a running (or startable) cluster front end.

@@ -4,9 +4,8 @@ import "computecovid19/internal/obs"
 
 // Cluster data-plane telemetry. Every routing, hedging, retry, and
 // health decision reports here; the gateway's /metrics endpoint exposes
-// the registry and ccbench folds the counters into BENCH_cluster.json.
-// Per-replica inflight is a labelled gauge registered per replica (see
-// newReplica).
+// the registry. Per-replica inflight is a labelled gauge registered per
+// replica (see newReplica).
 var (
 	requestsTotal  = obs.GetCounter("cluster_requests_total")
 	errorsTotal    = obs.GetCounter("cluster_errors_total")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -20,8 +21,8 @@ import (
 // data plane. A sharded scan runs in two legs:
 //
 //  1. scatter: the scan's slices are split into contiguous chunks
-//     (planChunks; the size comes from the workflow-predicted
-//     throughput model when one is configured), each chunk is sent to a
+//     (planChunks; the size comes from the makespan model when a
+//     per-slice time is configured), each chunk is sent to a
 //     healthy replica as a POST /v1/enhance call through the same
 //     routing/retry/hedging machinery scans use (doCall), and the
 //     enhanced chunks are gathered into one volume in slice order —
@@ -66,17 +67,16 @@ func (g *Gateway) healthyCount() int {
 }
 
 // planChunks splits d slices into contiguous chunks. An explicit
-// ShardChunkSlices wins; otherwise the ShardModel picks the
-// makespan-optimal size from measured per-slice cost and per-chunk
-// overhead, and with no model the fallback is an even split of two
-// chunks per healthy replica — small enough to spread re-dispatch
-// granularity, large enough to amortize the HTTP round trip.
+// ShardChunkSlices wins; otherwise, with a measured ShardEnhanceSlice,
+// shardChunkSlices picks the makespan-optimal size, and with neither
+// the fallback is an even split of two chunks per healthy replica —
+// small enough to spread re-dispatch granularity, large enough to
+// amortize the HTTP round trip.
 func (g *Gateway) planChunks(d, healthy int) []chunkRange {
 	size := g.cfg.ShardChunkSlices
 	if size <= 0 {
-		if m := g.cfg.ShardModel; m.Replica.EnhanceSlice > 0 {
-			m.Replicas = healthy
-			size = m.ShardChunkSlices(d)
+		if g.cfg.ShardEnhanceSlice > 0 {
+			size = shardChunkSlices(d, healthy, g.cfg.ShardEnhanceSlice, g.cfg.ShardChunkOverhead)
 		} else {
 			size = (d + 2*healthy - 1) / (2 * healthy)
 		}
@@ -96,6 +96,42 @@ func (g *Gateway) planChunks(d, healthy int) []chunkRange {
 		chunks = append(chunks, chunkRange{z0: z, z1: z1})
 	}
 	return chunks
+}
+
+// shardChunkSlices picks the chunk size (in slices) for a sharded scan
+// of the given depth: the size minimizing the predicted enhancement
+// makespan under the uniform-chunk idealization — ceil(D/k) chunks of
+// duration k·perSlice + overhead, executed in ceil(chunks/R) waves
+// across R replicas. Ties break toward larger chunks (fewer round
+// trips, same makespan). With no per-slice time the toll-free optimum
+// degenerates to k = 1, so an even split into one wave per replica is
+// returned instead.
+func shardChunkSlices(slices, replicas int, perSlice, overhead time.Duration) int {
+	if replicas <= 0 {
+		replicas = 1
+	}
+	if slices <= 1 {
+		return 1
+	}
+	if perSlice <= 0 {
+		return (slices + replicas - 1) / replicas
+	}
+	best, bestSpan := 1, time.Duration(math.MaxInt64)
+	for k := 1; k <= slices; k++ {
+		if span := shardedEnhanceSpan(slices, replicas, k, perSlice, overhead); span <= bestSpan {
+			best, bestSpan = k, span
+		}
+	}
+	return best
+}
+
+// shardedEnhanceSpan is the predicted enhancement makespan of a sharded
+// scan at chunk size k: every chunk modeled at the full-chunk duration,
+// list-scheduled in waves of one chunk per replica.
+func shardedEnhanceSpan(slices, replicas, k int, perSlice, overhead time.Duration) time.Duration {
+	nchunks := (slices + k - 1) / k
+	waves := (nchunks + replicas - 1) / replicas
+	return time.Duration(waves) * (time.Duration(k)*perSlice + overhead)
 }
 
 // doSharded runs one scan through the sharded path: scatter/gather the

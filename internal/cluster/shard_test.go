@@ -59,14 +59,59 @@ func TestPlanChunksCoversEveryUnit(t *testing.T) {
 		}
 	}
 
-	// A workflow model takes over auto sizing when it has a slice time.
+	// The makespan model takes over auto sizing when it has a slice time.
 	g.cfg.ShardChunkSlices = 0
-	g.cfg.ShardModel = workflow.ClusterModel{
-		Replica:       workflow.ServeModel{EnhanceSlice: 10 * time.Millisecond},
-		ChunkOverhead: 5 * time.Millisecond,
-	}
+	g.cfg.ShardEnhanceSlice = 10 * time.Millisecond
+	g.cfg.ShardChunkOverhead = 5 * time.Millisecond
 	if chunks := g.planChunks(12, 3); len(chunks) != 3 {
 		t.Fatalf("model-driven plan made %d chunks, want 3 (k=4)", len(chunks))
+	}
+}
+
+// TestShardChunkSlicesPicksMakespanOptimum pins the chunk-size search
+// on a hand-checkable case: 12 slices across 3 replicas at 10 ms/slice.
+// With no per-chunk overhead the 40 ms makespan is achievable at k = 1,
+// 2, or 4, and ties break toward the larger chunk (fewer round trips);
+// a 5 ms overhead makes the one-wave even split strictly best.
+func TestShardChunkSlicesPicksMakespanOptimum(t *testing.T) {
+	const perSlice = 10 * time.Millisecond
+	if got := shardChunkSlices(12, 3, perSlice, 0); got != 4 {
+		t.Fatalf("overhead-free chunk size %d, want 4 (largest makespan tie)", got)
+	}
+	if got := shardChunkSlices(12, 3, perSlice, 5*time.Millisecond); got != 4 {
+		t.Fatalf("chunk size %d with overhead, want 4", got)
+	}
+
+	// No per-slice time: degrade to one even wave across the replicas.
+	if got := shardChunkSlices(10, 3, 0, 5*time.Millisecond); got != 4 {
+		t.Fatalf("model-free chunk size %d, want ceil(10/3)=4", got)
+	}
+}
+
+// TestShardedLatencyModelMatchesSimulation is the simulator cross-check
+// for the makespan model: mapping one scan's chunk fan-out onto the
+// discrete-event simulator (each chunk a job, one server per replica,
+// uniform chunk duration) must reproduce the analytic makespan exactly
+// — both sides model the same list schedule.
+func TestShardedLatencyModelMatchesSimulation(t *testing.T) {
+	const perSlice, overhead = 2 * time.Millisecond, time.Millisecond
+	for _, tc := range []struct{ slices, replicas, chunk int }{
+		{8, 2, 1}, {8, 2, 3}, {12, 3, 4}, {512, 7, 16}, {9, 3, 9},
+	} {
+		p := workflow.Pipeline{
+			Name: "sharded enhancement",
+			Stages: []workflow.Stage{{
+				Name:     "enhance (sharded)",
+				Duration: workflow.Fixed(time.Duration(tc.chunk)*perSlice + overhead),
+				Servers:  tc.replicas,
+			}},
+		}
+		nchunks := (tc.slices + tc.chunk - 1) / tc.chunk
+		res := workflow.Run(p, nchunks, 0, rand.New(rand.NewSource(1)))
+		if want := shardedEnhanceSpan(tc.slices, tc.replicas, tc.chunk, perSlice, overhead); res.Max != want {
+			t.Fatalf("slices=%d replicas=%d chunk=%d: simulated makespan %v, analytic %v",
+				tc.slices, tc.replicas, tc.chunk, res.Max, want)
+		}
 	}
 }
 

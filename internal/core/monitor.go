@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"computecovid19/internal/segment"
 	"computecovid19/internal/volume"
 )
 
@@ -131,11 +130,4 @@ func MonitorReport(records []ScanRecord) string {
 	}
 	out += fmt.Sprintf("trend: %s\n", BurdenTrend(records))
 	return out
-}
-
-// SegmentationQuality scores Segmentation AI against a reference mask
-// (our phantoms provide generative ground truth) using the
-// Dice–Sørensen coefficient.
-func SegmentationQuality(predicted, truth []bool) float64 {
-	return segment.Dice(predicted, truth)
 }

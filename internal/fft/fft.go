@@ -71,33 +71,3 @@ func transform(x []complex128, inverse bool) {
 		}
 	}
 }
-
-// Convolve returns the linear convolution of a and b (length
-// len(a)+len(b)-1) computed via zero-padded FFTs. It is used to validate
-// the spatial-domain ramp filter against the frequency-domain one.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	n := NextPow2(outLen)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	FFT(fa)
-	FFT(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	IFFT(fa)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
-}

@@ -113,27 +113,6 @@ func TestNonPow2Panics(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestConvolveMatchesDirect(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5}
-	got := Convolve(a, b)
-	want := []float64{4, 13, 22, 15}
-	if len(got) != len(want) {
-		t.Fatalf("Convolve length = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Convolve[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil {
-		t.Fatal("Convolve with empty input should return nil")
-	}
-}
-
 func BenchmarkFFT1024(b *testing.B) {
 	x := make([]complex128, 1024)
 	for i := range x {

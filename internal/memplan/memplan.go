@@ -100,8 +100,6 @@ func init() {
 // and the raw GetFloats/PutFloats are safe for concurrent use; each
 // serve worker typically owns one arena so scans recycle buffers across
 // requests without cross-worker contention.
-//
-// An Arena implements tensor.Allocator.
 type Arena struct {
 	mu      sync.Mutex
 	floats  [NumBuckets][]*tensor.Tensor // local free lists (header + full-cap storage)
@@ -386,14 +384,6 @@ func (a *Arena) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{Hits: a.hits, Misses: a.misses}
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any traffic.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // Plan records the peak number of simultaneously-live buffers per size

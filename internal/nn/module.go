@@ -119,11 +119,6 @@ func AvgPool2D(kernel, stride, padding int) *Func {
 	return &Func{F: func(x *ag.Value) *ag.Value { return ag.AvgPool2D(x, cfg) }}
 }
 
-// Upsample2D returns DDnet's bilinear un-pooling module.
-func Upsample2D(scale int) *Func {
-	return &Func{F: func(x *ag.Value) *ag.Value { return ag.UpsampleBilinear2D(x, scale) }}
-}
-
 // MaxPool3D returns a 3D max-pooling module.
 func MaxPool3D(kernel, stride, padding int) *Func {
 	cfg := ag.Pool2DConfig{Kernel: kernel, Stride: stride, Padding: padding}

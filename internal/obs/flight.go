@@ -200,19 +200,39 @@ var flightSeq atomic.Uint64
 // DumpFlight writes every retained trace to a new file in dir and
 // returns its path. The directory is created if needed.
 func DumpFlight(dir, reason string) (string, error) {
+	name := fmt.Sprintf("flight-%d-%04d.json", os.Getpid(), flightSeq.Add(1))
+	return writeDump(dir, name, func(w io.Writer) error { return WriteFlight(w, reason) })
+}
+
+// writeDump creates dir if needed and writes dir/name atomically: the
+// content goes to a temporary file in the same directory, which is
+// renamed into place only once fully written and closed, so a reader
+// polling for the dump sees either no file or the whole of it. On error
+// the temporary file is removed.
+func writeDump(dir, name string, write func(io.Writer) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("flight-%d-%04d.json", os.Getpid(), flightSeq.Add(1)))
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(dir, "."+name+".tmp-*")
 	if err != nil {
 		return "", err
 	}
-	if err := WriteFlight(f, reason); err != nil {
-		f.Close()
+	// CreateTemp makes the file 0600; dumps keep os.Create's readability.
+	if err = f.Chmod(0o644); err == nil {
+		err = write(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	path := filepath.Join(dir, name)
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return "", err
 	}
-	return path, f.Close()
+	return path, nil
 }
 
 // DumpFlightTrace writes the single retained trace with the given id to
@@ -224,21 +244,11 @@ func DumpFlightTrace(dir string, id TraceID, reason string) (string, error) {
 	if !ok {
 		return "", nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "flight-"+id.String()+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(flightDump{Reason: reason, WrittenAt: time.Now(), Traces: []FlightTrace{ft}}); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
+	return writeDump(dir, "flight-"+id.String()+".json", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(flightDump{Reason: reason, WrittenAt: time.Now(), Traces: []FlightTrace{ft}})
+	})
 }
 
 // DumpFlightOnSignal installs a SIGQUIT handler that dumps the flight

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,72 @@ func TestDumpFlightTraceSelectsOneTrace(t *testing.T) {
 	path, err = obs.DumpFlightTrace(dir, obs.TraceID{7}, "deadline")
 	if err != nil || path != "" {
 		t.Fatalf("unretained trace: path=%q err=%v, want no-op", path, err)
+	}
+}
+
+// TestFlightDumpsLeaveOnlyTheFinalFile pins the atomic write: a dump is
+// renamed into place whole, so after each call the directory holds the
+// final files and no temporary, and a second DumpFlightTrace for the
+// same id replaces the first dump rather than adding a file.
+func TestFlightDumpsLeaveOnlyTheFinalFile(t *testing.T) {
+	defer obs.Reset()
+	obs.Reset()
+	obs.Enable()
+	id := completeTrace(t, "request")
+
+	dir := t.TempDir()
+	only := func(want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		sort.Strings(want) // ReadDir returns names sorted
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("dump dir holds %q, want exactly %q", got, want)
+		}
+	}
+	readReason := func(path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump flightDumpFile
+		if err := json.Unmarshal(data, &dump); err != nil {
+			t.Fatalf("dump %s is not whole JSON: %v", path, err)
+		}
+		return dump.Reason
+	}
+
+	first, err := obs.DumpFlightTrace(dir, id, "deadline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	only(filepath.Base(first))
+	second, err := obs.DumpFlightTrace(dir, id, "5xx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatalf("second dump for one id went to %s, want %s", second, first)
+	}
+	only(filepath.Base(first))
+	if got := readReason(first); got != "5xx" {
+		t.Fatalf("dump reason %q after the second dump, want it replaced by %q", got, "5xx")
+	}
+
+	all, err := obs.DumpFlight(dir, "SIGQUIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	only(filepath.Base(all), filepath.Base(first))
+	if got := readReason(all); got != "SIGQUIT" {
+		t.Fatalf("full dump reason %q, want SIGQUIT", got)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 	"computecovid19/internal/obs"
 )
 
-// chunksSpawned counts chunks dispatched by For/Reduce — the inline
+// chunksSpawned counts chunks dispatched by For — the inline
 // (workers == 1) fast path dispatches none and is not counted, which
 // the regression tests pin. The name predates the persistent pool
 // (chunks used to each get their own goroutine); the metric's meaning —
@@ -186,23 +186,6 @@ func For(n, workers int, fn func(lo, hi int)) {
 	j.release()
 }
 
-// ForTimed is For wrapped in an obs span named "parallel/<name>" with
-// the iteration space and worker count attached — the telemetry-aware
-// entry point for coarse-grained loops (per-slice enhancement, cohort
-// scoring). Fine-grained kernel loops should keep calling For: the span
-// is only worth its ~300 ns when the body runs long enough to see on a
-// trace.
-func ForTimed(name string, n, workers int, fn func(lo, hi int)) {
-	var sp *obs.Span
-	if obs.Enabled() { // keep the name concat off the disabled path
-		sp = obs.Start("parallel/" + name)
-		sp.SetAttr("n", n)
-		sp.SetAttr("workers", workers)
-	}
-	For(n, workers, fn)
-	sp.End()
-}
-
 // ForEach runs fn once per index in [0, n), distributing indices across
 // the pool in contiguous chunks. It is a convenience wrapper over For for
 // loop bodies that do not benefit from seeing their chunk bounds.
@@ -212,58 +195,4 @@ func ForEach(n, workers int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// Map applies fn to every index in [0, n) and collects the results in
-// order. It allocates the result slice once and lets workers write
-// disjoint regions, so no locking is required.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
-}
-
-// Reduce computes a parallel reduction over [0, n). Each chunk is folded
-// with fold starting from zero, and the per-chunk partials are combined
-// serially with merge, in chunk order. fold and merge must be
-// associative for the result to be deterministic; for float32/float64
-// sums the result can differ from a serial loop only by rounding.
-func Reduce[T any](n, workers int, zero T, fold func(acc T, i int) T, merge func(a, b T) T) T {
-	if n <= 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		acc := zero
-		for i := 0; i < n; i++ {
-			acc = fold(acc, i)
-		}
-		return acc
-	}
-	// For with the same clamped worker count uses the same chunk size,
-	// so lo/chunk below is the chunk's index into the partials.
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	partial := make([]T, nchunks)
-	For(n, workers, func(lo, hi int) {
-		acc := zero
-		for i := lo; i < hi; i++ {
-			acc = fold(acc, i)
-		}
-		partial[lo/chunk] = acc
-	})
-	acc := partial[0]
-	for _, p := range partial[1:] {
-		acc = merge(acc, p)
-	}
-	return acc
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // TestForClampsWorkersToN pins the workers > n clamp: no more than one
@@ -58,20 +57,6 @@ func TestForSingleWorkerRunsInline(t *testing.T) {
 	}
 }
 
-// TestForTimedCoversRange checks the telemetry wrapper delegates
-// faithfully.
-func TestForTimedCoversRange(t *testing.T) {
-	var sum int64
-	ForTimed("test", 100, 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt64(&sum, int64(i))
-		}
-	})
-	if sum != 4950 {
-		t.Fatalf("ForTimed sum = %d, want 4950", sum)
-	}
-}
-
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1023} {
 		for _, w := range []int{0, 1, 2, 5, 64} {
@@ -104,67 +89,5 @@ func TestForZeroAndNegative(t *testing.T) {
 	For(-5, 4, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
-	}
-}
-
-func TestMapOrdered(t *testing.T) {
-	out := Map(50, 7, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	got := Reduce(1000, 8, 0, func(acc, i int) int { return acc + i },
-		func(a, b int) int { return a + b })
-	if got != 499500 {
-		t.Fatalf("Reduce = %d, want 499500", got)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := Reduce(0, 8, 42, func(acc, i int) int { return acc + i },
-		func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Fatalf("Reduce on empty range = %d, want zero value 42", got)
-	}
-}
-
-// Property: parallel sum equals serial sum for any worker count.
-func TestReduceMatchesSerialProperty(t *testing.T) {
-	f := func(vals []int16, workers uint8) bool {
-		w := int(workers%16) + 1
-		want := 0
-		for _, v := range vals {
-			want += int(v)
-		}
-		got := Reduce(len(vals), w, 0,
-			func(acc, i int) int { return acc + int(vals[i]) },
-			func(a, b int) int { return a + b })
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Map output is index-deterministic regardless of worker count.
-func TestMapDeterministicProperty(t *testing.T) {
-	f := func(n uint8, workers uint8) bool {
-		size := int(n)
-		w := int(workers%8) + 1
-		a := Map(size, 1, func(i int) int { return 3*i + 1 })
-		b := Map(size, w, func(i int) int { return 3*i + 1 })
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,8 +3,7 @@ package serve
 import "computecovid19/internal/obs"
 
 // Serving telemetry. Each admission, queue, batch, and cache decision
-// reports here; /metrics exposes the registry in Prometheus format and
-// cmd/ccbench folds the same counters into BENCH_serve.json.
+// reports here; /metrics exposes the registry in Prometheus format.
 var (
 	admittedTotal  = obs.GetCounter("serve_admitted_total")
 	rejectedTotal  = obs.GetCounter("serve_rejected_total")

@@ -20,9 +20,9 @@
 //
 // Every queue, batch, and cache decision reports into internal/obs
 // (queue-depth gauge, admission/rejection counters, batch-size and
-// end-to-end latency histograms), and internal/workflow carries a
-// serving-pipeline model (ServeModel) so the discrete-event simulator
-// can predict the throughput this server measures.
+// end-to-end latency histograms). The server's throughput and latency
+// are measured by the serve.scan and serve.cached workloads of the
+// repository's benchmark (bench/).
 package serve
 
 import (

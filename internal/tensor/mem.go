@@ -5,24 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// Allocator supplies tensor storage with explicit lifetime: Get returns
-// a zeroed tensor of the given shape, Release returns its storage for
-// reuse. internal/memplan provides the pooled implementation; nn/ddnet
-// inference paths accept one so a warm pipeline stops touching the GC.
-type Allocator interface {
-	Get(shape ...int) *Tensor
-	Release(t *Tensor)
-}
-
-// NewIn allocates a zeroed tensor from alloc, or from the heap when
-// alloc is nil — the pooled twin of New.
-func NewIn(alloc Allocator, shape ...int) *Tensor {
-	if alloc == nil {
-		return New(shape...)
-	}
-	return alloc.Get(shape...)
-}
-
 // PoisonBits is the float32 bit pattern pooled allocators fill released
 // buffers with when memory debugging is on: a quiet NaN with a
 // recognizable payload, so any use-after-release read propagates NaNs
