@@ -33,7 +33,7 @@ test:
 # counts).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
-	$(GO) test -race -run 'Pooled|Concurrent|Allocs' ./internal/core/
+	$(GO) test -race -run 'Pooled|Concurrent|Allocs|Split' ./internal/core/
 	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
 	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
 

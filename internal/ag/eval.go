@@ -2,6 +2,7 @@ package ag
 
 import (
 	"math"
+	"sync"
 
 	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
@@ -20,11 +21,13 @@ import (
 // produce the same bits by construction; TestGraphAndEvalShareOneKernel
 // pins it.
 //
-// Parallel ops go through forPlanes: the closure handed to
-// parallel.ForEach is only created on the multi-worker branch, so a
-// single-proc run (testing.AllocsPerRun pins GOMAXPROCS=1) takes the
-// serial branch and allocates nothing. Per-plane work is independent,
-// so both branches produce identical bits.
+// Parallel ops go through forPlanes. Its worker count is the caller's:
+// the DDnet eval forward passes the one its planner chose
+// (ddnet.EnhanceBatchInto), every other caller 0, the default. One
+// worker runs the plane loop inline; more hand it to the pool through
+// parallel.ForPooled rather than as a closure, so neither branch
+// allocates. Per-plane work is independent, so every worker count
+// produces identical bits.
 
 // output returns the tensor a forward kernel writes into: pooled from
 // sc on the eval path, fresh from the heap when sc is nil.
@@ -35,36 +38,44 @@ func output(sc *memplan.Scope, shape ...int) *tensor.Tensor {
 	return sc.Get(shape...)
 }
 
-// forPlanes runs f(arg, plane) for plane in [0, n), in parallel when
-// more than one worker is available.
-func forPlanes[T any](n int, arg T, f func(T, int)) {
-	if parallel.DefaultWorkers() > 1 {
-		forPlanesParallel(n, arg, f)
-		return
-	}
-	for i := 0; i < n; i++ {
-		f(arg, i)
+// planeJob is one forPlanes loop as a parallel.Job.
+type planeJob[T any] struct {
+	arg T
+	f   func(T, int)
+}
+
+func (j *planeJob[T]) Run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		j.f(j.arg, i)
 	}
 }
 
-// forPlanesParallel holds forPlanes's only closure literal. It must
-// stay out of forPlanes itself: for args structs over the compiler's
-// by-value capture limit (conv3DArgs) the captured variable is moved
-// to the heap at function entry, which would tax the serial branch
-// with an allocation it never uses. noinline keeps the literal from
-// being inlined back.
-//
-//go:noinline
-func forPlanesParallel[T any](n int, arg T, f func(T, int)) {
-	parallel.ForEach(n, 0, func(i int) { f(arg, i) })
+// Each args type recycles its own *planeJob through parallel.ForPooled.
+var maxPool2DJobs, upsampleJobs, conv3DJobs, maxPool3DJobs sync.Pool
+
+// forPlanes runs f(arg, plane) for plane in [0, n) on up to workers
+// workers (0: parallel.DefaultWorkers), drawing the job from jobs, the
+// pool of *planeJob[T], when it splits.
+func forPlanes[T any](jobs *sync.Pool, n, workers int, arg T, f func(T, int)) {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	if workers == 1 || n < 2 {
+		for i := 0; i < n; i++ {
+			f(arg, i)
+		}
+		return
+	}
+	parallel.ForPooled(jobs, n, workers, planeJob[T]{arg: arg, f: f})
 }
 
 // EvalConv2D runs a stride-1 "same" odd-square-kernel convolution — or,
 // with transposed set, transposed convolution — on the selected
-// internal/kernels ladder rung (kernels.Default), batch elements in
-// series. Every DDnet layer has this shape. Weights are (OutC, InC, K,
-// K), or (InC, OutC, K, K) when transposed; b may be nil.
-func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, transposed bool) *tensor.Tensor {
+// internal/kernels ladder rung (kernels.Default) on workers kernel
+// workers (0: the default count), batch elements in series. Every DDnet
+// layer has this shape. Weights are (OutC, InC, K, K), or (InC, OutC,
+// K, K) when transposed; b may be nil.
+func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, transposed bool, workers int) *tensor.Tensor {
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cout, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	im := kernels.Default()
@@ -81,7 +92,7 @@ func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, tra
 	oplane := cout * h * wd
 	for ni := 0; ni < n; ni++ {
 		run(x.Data[ni*plane:(ni+1)*plane], w.Data,
-			out.Data[ni*oplane:(ni+1)*oplane], ks, 0)
+			out.Data[ni*oplane:(ni+1)*oplane], ks, workers)
 	}
 	addBias(out.Data, b, n, cout, h*wd)
 	return out
@@ -154,16 +165,17 @@ func maxPool2DPlane(a maxPool2DArgs, plane int) {
 	}
 }
 
-// EvalMaxPool2D max-pools each (H, W) plane of a (N, C, H, W) tensor;
-// padded cells act as -inf.
-func EvalMaxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig) *tensor.Tensor {
-	out, _ := maxPool2D(sc, x, cfg, false)
+// EvalMaxPool2D max-pools each (H, W) plane of a (N, C, H, W) tensor
+// on up to workers workers (0: the default count); padded cells act as
+// -inf.
+func EvalMaxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, workers int) *tensor.Tensor {
+	out, _ := maxPool2D(sc, x, cfg, false, workers)
 	return out
 }
 
 // maxPool2D is the pooling forward; with record set it also returns
 // each output's argmax for the graph op's backward scatter.
-func maxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record bool) (*tensor.Tensor, []int32) {
+func maxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record bool, workers int) (*tensor.Tensor, []int32) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
 	oh, ow := convOutDim(h, k, s, p), convOutDim(w, k, s, p)
@@ -175,7 +187,7 @@ func maxPool2D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record boo
 	if record {
 		argmax = make([]int32, len(out.Data))
 	}
-	forPlanes(n*c, maxPool2DArgs{
+	forPlanes(&maxPool2DJobs, n*c, workers, maxPool2DArgs{
 		xd: x.Data, od: out.Data, argmax: argmax,
 		h: h, w: w, oh: oh, ow: ow, k: k, s: s, p: p,
 	}, maxPool2DPlane)
@@ -243,12 +255,13 @@ func upsamplePlane(a upsampleArgs, plane int) {
 
 // EvalUpsampleBilinear2D resamples each (H, W) plane with bilinear
 // interpolation to the size the caller's axis tables (cached per shape
-// on the serving path) were built for.
-func EvalUpsampleBilinear2D(sc *memplan.Scope, x *tensor.Tensor, ty, tx *BilinearTable) *tensor.Tensor {
+// on the serving path) were built for, on up to workers workers (0: the
+// default count).
+func EvalUpsampleBilinear2D(sc *memplan.Scope, x *tensor.Tensor, ty, tx *BilinearTable, workers int) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := len(ty.Lo), len(tx.Lo)
 	out := output(sc, n, c, oh, ow)
-	forPlanes(n*c, upsampleArgs{
+	forPlanes(&upsampleJobs, n*c, workers, upsampleArgs{
 		xd: x.Data, od: out.Data,
 		h: h, w: w, oh: oh, ow: ow, ty: ty, tx: tx,
 	}, upsamplePlane)
@@ -383,7 +396,7 @@ func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *te
 	if b != nil {
 		bd = b.Data
 	}
-	forPlanes(n*cout, conv3DArgs{
+	forPlanes(&conv3DJobs, n*cout, 0, conv3DArgs{
 		xd: x.Data, wd: w.Data, od: out.Data, bd: bd,
 		cin: cin, cout: cout, dd: dd, h: h, w: wd,
 		od0: od0, oh: oh, ow: ow, kd: kd, kh: kh, kw: kw,
@@ -461,7 +474,7 @@ func maxPool3D(sc *memplan.Scope, x *tensor.Tensor, cfg Pool2DConfig, record boo
 	if record {
 		argmax = make([]int32, len(out.Data))
 	}
-	forPlanes(n*c, maxPool3DArgs{
+	forPlanes(&maxPool3DJobs, n*c, 0, maxPool3DArgs{
 		xd: x.Data, od: out.Data, argmax: argmax,
 		dd: dd, h: h, w: w, od0: od0, oh: oh, ow: ow, k: k, s: s, p: p,
 		planeIn: dd * h * w, planeOut: od0 * oh * ow,

@@ -56,10 +56,10 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 	}{
 		{"maxpool2d k3s2p1",
 			func() *Value { return MaxPool2D(Const(x4), Pool2DConfig{3, 2, 1}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool2D(sc, x4, Pool2DConfig{3, 2, 1}) }},
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool2D(sc, x4, Pool2DConfig{3, 2, 1}, 0) }},
 		{"maxpool2d k2s2",
 			func() *Value { return MaxPool2D(Const(x4), Pool2DConfig{2, 2, 0}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool2D(sc, x4, Pool2DConfig{2, 2, 0}) }},
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool2D(sc, x4, Pool2DConfig{2, 2, 0}, 0) }},
 		{"maxpool3d k3s2p1",
 			func() *Value { return MaxPool3D(Const(x5), Pool2DConfig{3, 2, 1}) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool3D(sc, x5, Pool2DConfig{3, 2, 1}) }},
@@ -68,7 +68,7 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalMaxPool3D(sc, x5, Pool2DConfig{2, 2, 0}) }},
 		{"upsample x2",
 			func() *Value { return UpsampleBilinear2D(Const(x4), 2) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalUpsampleBilinear2D(sc, x4, ty, tx) }},
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalUpsampleBilinear2D(sc, x4, ty, tx, 0) }},
 		{"concat rank 4 axis 2",
 			func() *Value { return Concat(2, vals(c4)...) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalConcat(sc, 2, c4) }},
@@ -102,10 +102,12 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 			}},
 		{"conv2d same k3 bias",
 			func() *Value { return Conv2DFast(Const(x4), Const(w2), Const(b2), Conv2DConfig{1, 1}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv2D(sc, x4, w2, b2, Conv2DConfig{1, 1}, false) }},
+			func(sc *memplan.Scope) *tensor.Tensor {
+				return EvalConv2D(sc, x4, w2, b2, Conv2DConfig{1, 1}, false, 0)
+			}},
 		{"deconv2d same k5 bias",
 			func() *Value { return ConvTranspose2DFast(Const(x4), Const(wT), Const(b2), Conv2DConfig{1, 2}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv2D(sc, x4, wT, b2, Conv2DConfig{1, 2}, true) }},
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv2D(sc, x4, wT, b2, Conv2DConfig{1, 2}, true, 0) }},
 		{"leakyrelu",
 			func() *Value { return LeakyReLU(Const(x4), 0.01) },
 			func(sc *memplan.Scope) *tensor.Tensor {
@@ -151,7 +153,7 @@ func TestMaxPoolBackwardFollowsRecordedArgmax(t *testing.T) {
 	}{
 		{"maxpool2d", tensor.New(3, 2, 7, 9).RandN(rng, 0, 1),
 			func(x *Value) *Value { return MaxPool2D(x, cfg) },
-			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool2D(nil, x, cfg, true) }},
+			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool2D(nil, x, cfg, true, 0) }},
 		{"maxpool3d", tensor.New(3, 2, 5, 7, 6).RandN(rng, 0, 1),
 			func(x *Value) *Value { return MaxPool3D(x, cfg) },
 			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool3D(nil, x, cfg, true) }},

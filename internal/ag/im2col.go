@@ -100,7 +100,7 @@ func Conv2DFast(x, w, b *Value, cfg Conv2DConfig) *Value {
 	}
 
 	if sameConvShape(kh, kw, s, p) {
-		return newConv2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, false))
+		return newConv2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, false, 0))
 	}
 
 	out := tensor.New(n, cout, oh, ow)
@@ -129,5 +129,5 @@ func ConvTranspose2DFast(x, w, b *Value, cfg Conv2DConfig) *Value {
 	if !sameConvShape(w.T.Shape[2], w.T.Shape[3], cfg.Stride, cfg.Padding) {
 		return ConvTranspose2D(x, w, b, cfg)
 	}
-	return newConvTranspose2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, true))
+	return newConvTranspose2DNode(x, w, b, cfg, EvalConv2D(nil, x.T, w.T, b.Tensor(), cfg, true, 0))
 }

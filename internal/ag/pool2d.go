@@ -22,7 +22,7 @@ func MaxPool2D(x *Value, cfg Pool2DConfig) *Value {
 	if x.T.Rank() != 4 {
 		panic(fmt.Sprintf("ag: MaxPool2D wants rank-4 input, got %v", x.T.Shape))
 	}
-	out, argmax := maxPool2D(nil, x.T, cfg, true)
+	out, argmax := maxPool2D(nil, x.T, cfg, true, 0)
 	return maxPoolNode("maxpool2d", x, out, argmax)
 }
 
@@ -156,7 +156,7 @@ func UpsampleBilinear2D(x *Value, scale int) *Value {
 	n, c, h, w := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3]
 	oh, ow := h*scale, w*scale
 	ty, tx := NewBilinearTable(h, oh), NewBilinearTable(w, ow)
-	out := EvalUpsampleBilinear2D(nil, x.T, ty, tx)
+	out := EvalUpsampleBilinear2D(nil, x.T, ty, tx, 0)
 
 	var node *Value
 	node = newNode("upsample2d", out, func() {

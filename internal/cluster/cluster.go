@@ -33,12 +33,9 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -357,18 +354,11 @@ func (g *Gateway) Handler() http.Handler {
 // across replicas, and the key only has to be stable, not collision-
 // proof against redeploys.
 func contentKey(req *serve.ScanRequest) string {
-	h := sha256.New()
 	var dims [12]byte
 	binary.LittleEndian.PutUint32(dims[0:], uint32(req.D))
 	binary.LittleEndian.PutUint32(dims[4:], uint32(req.H))
 	binary.LittleEndian.PutUint32(dims[8:], uint32(req.W))
-	h.Write(dims[:])
-	buf := make([]byte, 4*len(req.Data))
-	for i, x := range req.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
-	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	return serve.VoxelKey(req.Data, dims[:])
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

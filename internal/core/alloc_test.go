@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"computecovid19/internal/classify"
 	"computecovid19/internal/ctsim"
 	"computecovid19/internal/ddnet"
+	"computecovid19/internal/memplan"
 	"computecovid19/internal/segment"
 	"computecovid19/internal/tensor"
 	"computecovid19/internal/volume"
@@ -141,24 +144,78 @@ func TestClassifyPooledBitIdentical(t *testing.T) {
 
 // TestAllocsWarmPipelineEnhance pins zero steady-state heap allocations
 // for warm whole-volume enhancement, both writing into a caller volume
-// and through the Enhance + RecycleVolume cycle.
+// and through the Enhance + RecycleVolume cycle, on one proc and on two.
+// Three slices on two procs take both planner branches in one call: a
+// slice-split pair, then a kernel-split lone slice.
 func TestAllocsWarmPipelineEnhance(t *testing.T) {
 	p := pooledTestPipeline(25)
-	v := pooledTestVolume(rand.New(rand.NewSource(26)), 2, 32, 32)
+	v := pooledTestVolume(rand.New(rand.NewSource(26)), 3, 32, 32)
 	out := volume.New(v.D, v.H, v.W)
 	ctx := context.Background()
 
 	into := func() { p.EnhanceInto(ctx, v, out) }
-	into()
-	if n := testing.AllocsPerRun(5, into); n != 0 {
-		t.Fatalf("warm EnhanceInto allocates %v allocs/op, want 0", n)
-	}
-
 	cycle := func() { p.RecycleVolume(p.Enhance(v)) }
-	cycle()
-	if n := testing.AllocsPerRun(5, cycle); n != 0 {
-		t.Fatalf("warm Enhance+RecycleVolume allocates %v allocs/op, want 0", n)
+	for _, procs := range []int{1, 2} {
+		if procs > 1 && memplan.RaceEnabled {
+			continue // every dispatch recycles jobs through sync.Pools
+		}
+		if n := memplan.AllocsPerRun(procs, 50, into); n != 0 {
+			t.Fatalf("warm EnhanceInto on %d procs allocates %v allocs/op, want 0", procs, n)
+		}
+		if n := memplan.AllocsPerRun(procs, 50, cycle); n != 0 {
+			t.Fatalf("warm Enhance+RecycleVolume on %d procs allocates %v allocs/op, want 0", procs, n)
+		}
 	}
+}
+
+// TestEnhanceSplitBitIdentical pins EnhanceInto to the serial per-slice
+// reference (computed on one proc) at depths covering every shape of
+// the planner — one slice (kernel split), an even depth (slice split),
+// an odd one (a slice-split group, then a lone kernel-split slice) and
+// a deep one — on 1, 2 and 4 procs.
+func TestEnhanceSplitBitIdentical(t *testing.T) {
+	p := pooledTestPipeline(35)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, d := range []int{1, 2, 3, 8} {
+		v := pooledTestVolume(rand.New(rand.NewSource(int64(36+d))), d, 32, 32)
+		runtime.GOMAXPROCS(1)
+		want := refEnhance(p, v)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			out := volume.New(d, v.H, v.W)
+			p.EnhanceInto(context.Background(), v, out)
+			requireSameVolumeBits(t, want, out, fmt.Sprintf("D=%d on %d procs", d, procs))
+		}
+	}
+}
+
+// TestEnhancePooledConcurrent runs warm EnhanceInto from several
+// goroutines sharing one pipeline, each forward itself split across
+// two workers; under -race this covers slice-split groups sharing the
+// pipeline arena, scratch list and worker pool with other scans.
+func TestEnhancePooledConcurrent(t *testing.T) {
+	p := pooledTestPipeline(45)
+	v := pooledTestVolume(rand.New(rand.NewSource(46)), 3, 32, 32)
+	want := refEnhance(p, v)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := volume.New(v.D, v.H, v.W)
+			for k := 0; k < 3; k++ {
+				p.EnhanceInto(context.Background(), v, out)
+				for i := range want.Data {
+					if math.Float32bits(out.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Errorf("concurrent EnhanceInto changed voxel %d", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestAllocsWarmPipelineClassify pins zero steady-state heap
@@ -202,13 +259,26 @@ func TestClassifyPooledConcurrent(t *testing.T) {
 }
 
 // BenchmarkEnhancePooled measures the warm whole-volume enhancement hot
-// path; the CI alloc gate holds its allocs/op at zero.
-func BenchmarkEnhancePooled(b *testing.B) {
+// path on two slices, which take the slice split on two or more procs;
+// the CI alloc gate holds its allocs/op at zero.
+func BenchmarkEnhancePooled(b *testing.B) { benchEnhancePooled(b, 2) }
+
+// BenchmarkEnhancePooledOneSlice is the same on one slice, which always
+// takes the kernel split, so both planner branches stay under
+// benchcheck's timing and allocation gates.
+func BenchmarkEnhancePooledOneSlice(b *testing.B) { benchEnhancePooled(b, 1) }
+
+func benchEnhancePooled(b *testing.B, d int) {
 	p := pooledTestPipeline(31)
-	v := pooledTestVolume(rand.New(rand.NewSource(32)), 2, 32, 32)
+	v := pooledTestVolume(rand.New(rand.NewSource(32)), d, 32, 32)
 	out := volume.New(v.D, v.H, v.W)
 	ctx := context.Background()
-	p.EnhanceInto(ctx, v, out)
+	// Warm past the arena's growth: concurrent slice-split groups
+	// overlap differently from call to call, and the arena keeps growing
+	// until it has covered the widest overlap, a few calls in.
+	for range 20 {
+		p.EnhanceInto(ctx, v, out)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

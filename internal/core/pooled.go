@@ -6,6 +6,7 @@ import (
 
 	"computecovid19/internal/ctsim"
 	"computecovid19/internal/obs"
+	"computecovid19/internal/parallel"
 	"computecovid19/internal/segment"
 	"computecovid19/internal/tensor"
 	"computecovid19/internal/volume"
@@ -19,18 +20,22 @@ import (
 // allocates nothing.
 type scanScratch struct {
 	seg *segment.Scratch
-	// The slice staging pair lives in length-1 arrays so the batch
-	// slices handed to EnhanceBatchInto point into the (heap-resident)
-	// scratch rather than a stack array that would escape per call.
-	imgs [1]*tensor.Tensor // normalized input slice
-	outs [1]*tensor.Tensor // enhanced output slice
-	norm *volume.Volume    // masked, windowed classifier input
+	// The slice staging pairs, one normalized input and one enhanced
+	// output per worker. A group of slices goes to EnhanceBatchInto as a
+	// subslice of this heap-resident scratch rather than a stack array
+	// that would escape per call.
+	imgs, outs []*tensor.Tensor
+	norm       *volume.Volume // masked, windowed classifier input
 }
 
-func (s *scanScratch) ensureSlice(h, w int) {
-	if s.imgs[0] == nil || s.imgs[0].Shape[0] != h || s.imgs[0].Shape[1] != w {
-		s.imgs[0] = tensor.New(h, w)
-		s.outs[0] = tensor.New(h, w)
+// ensureSlices sizes the staging pairs to at least n slices of h×w.
+func (s *scanScratch) ensureSlices(n, h, w int) {
+	if len(s.imgs) > 0 && (s.imgs[0].Shape[0] != h || s.imgs[0].Shape[1] != w) {
+		s.imgs, s.outs = s.imgs[:0], s.outs[:0]
+	}
+	for len(s.imgs) < n {
+		s.imgs = append(s.imgs, tensor.New(h, w))
+		s.outs = append(s.outs, tensor.New(h, w))
 	}
 }
 
@@ -157,21 +162,29 @@ func (p *Pipeline) EnhanceRangeInto(ctx context.Context, v *volume.Volume, z0, z
 	p.enhanceSlices(ctx, in, out)
 }
 
-// enhanceSlices runs Enhancement AI slice by slice from pooled memory,
+// enhanceSlices runs Enhancement AI over the volume from pooled memory,
 // writing the enhanced HU volume into out (every voxel overwritten).
+// Slices go to the network in groups of at most
+// parallel.DefaultWorkers, so the forward can run them side by side (it
+// picks its parallel axis per call) while the staging memory stays at
+// one slice pair per worker whatever the depth.
 func (p *Pipeline) enhanceSlices(ctx context.Context, v, out *volume.Volume) {
 	s := p.getScratch()
-	s.ensureSlice(v.H, v.W)
-	img, enh := s.imgs[0], s.outs[0]
-	for z := 0; z < v.D; z++ {
-		src := v.Slice(z)
-		for i, hu := range src {
-			img.Data[i] = float32(ctsim.NormalizeHU(float64(hu), p.WindowLo, p.WindowHi))
+	group := min(parallel.DefaultWorkers(), v.D)
+	s.ensureSlices(group, v.H, v.W)
+	for z0 := 0; z0 < v.D; z0 += group {
+		k := min(group, v.D-z0)
+		for i, img := range s.imgs[:k] {
+			for j, hu := range v.Slice(z0 + i) {
+				img.Data[j] = float32(ctsim.NormalizeHU(float64(hu), p.WindowLo, p.WindowHi))
+			}
 		}
-		p.Enhancer.EnhanceBatchInto(ctx, p.Arena(), s.imgs[:], s.outs[:])
-		dst := out.Slice(z)
-		for i, val := range enh.Data {
-			dst[i] = float32(ctsim.DenormalizeHU(float64(val), p.WindowLo, p.WindowHi))
+		p.Enhancer.EnhanceBatchInto(ctx, p.Arena(), s.imgs[:k], s.outs[:k])
+		for i, enh := range s.outs[:k] {
+			dst := out.Slice(z0 + i)
+			for j, val := range enh.Data {
+				dst[j] = float32(ctsim.DenormalizeHU(float64(val), p.WindowLo, p.WindowHi))
+			}
 		}
 	}
 	p.putScratch(s)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,17 +40,21 @@ func distinctBN(m *DDnet) {
 // forward backends. Every combination of
 //
 //	path    graph | eval layer-wise | eval fused plan | warmed model on a rung without epilogues
-//	batch   each image alone | all three in one forward
-//	workers GOMAXPROCS 1 | 4 (the default worker count, hence every kernel's chunking)
+//	batch   each image alone | three per forward (the last takes two) | all eight in one forward
+//	workers GOMAXPROCS 1 | 2 | 4 (the default worker count: it picks each forward's
+//	        parallel axis, and so every kernel's chunking)
 //	arena   cold | warm (second forward on the same arena) | release-poisoning | the global arena behind EnhanceBatch
 //
 // must stand in its documented relation to the graph forward of each
 // image alone on one worker: bit-identical for the graph and both
 // layer-wise paths, and for the fused plan within fusedBudget of it
-// while bit-identical to the first fused result — so batching, worker
-// count and arena state never change a bit on any path.
+// while bit-identical to the first fused result — so batching, the
+// parallel axis, worker count and arena state never change a bit on any
+// path. The eval forwards take both planner branches (the kernel split
+// for one image or one worker, the slice split otherwise), and the
+// kernels/rung spans show that both ran.
 func TestForwardOracle(t *testing.T) {
-	imgs := evalTestImages(rand.New(rand.NewSource(11)), 3, 32, 32)
+	imgs := evalTestImages(rand.New(rand.NewSource(11)), 8, 32, 32)
 	cold := New(rand.New(rand.NewSource(12)), TinyConfig())
 	warm := New(rand.New(rand.NewSource(12)), TinyConfig())
 	distinctBN(cold)
@@ -66,6 +71,9 @@ func TestForwardOracle(t *testing.T) {
 		}
 	}(kernels.Default().Name)
 	defer tensor.SetMemDebug(tensor.SetMemDebug(false))
+	defer obs.Reset()
+	obs.Reset()
+	obs.Enable()
 
 	var ref []*tensor.Tensor
 	for _, img := range imgs {
@@ -90,8 +98,8 @@ func TestForwardOracle(t *testing.T) {
 		if err := kernels.SetDefault(p.rung); err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []int{1, len(imgs)} {
-			for _, workers := range []int{1, 4} {
+		for _, batch := range []int{1, 3, len(imgs)} {
+			for _, workers := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(workers)
 				for _, arena := range arenas {
 					if p.graph && arena != "cold" {
@@ -101,7 +109,7 @@ func TestForwardOracle(t *testing.T) {
 					mem := memplan.New()
 					var got []*tensor.Tensor
 					for lo := 0; lo < len(imgs); lo += batch {
-						in := imgs[lo : lo+batch]
+						in := imgs[lo:min(lo+batch, len(imgs))]
 						switch {
 						case p.graph:
 							got = append(got, graphEnhance(p.m, in)...)
@@ -133,6 +141,57 @@ func TestForwardOracle(t *testing.T) {
 	if cold.plan.Load() != nil {
 		t.Fatal("plain inference must not compile a plan (that is Warm's job)")
 	}
+	splits := map[string]bool{}
+	recs, _ := obs.TraceRecords()
+	for _, r := range recs {
+		for _, a := range r.Attrs {
+			if r.Name == "kernels/rung" && a.Key == "split" {
+				splits[fmt.Sprint(a.Value)] = true
+			}
+		}
+	}
+	if !splits["kernels"] || !splits["slices"] {
+		t.Fatalf("planner branches taken: %v, want both kernels and slices", splits)
+	}
+}
+
+// TestPlanSplit pins the planner's rule — g = min(w, n) groups with w/g
+// kernel workers each — and that one worker or one image is the kernel
+// split, the single batched forward.
+func TestPlanSplit(t *testing.T) {
+	for _, c := range []struct{ n, w, groups, workers int }{
+		{1, 1, 1, 1}, {8, 1, 1, 1}, {1, 2, 1, 2}, {1, 4, 1, 4},
+		{2, 2, 2, 1}, {3, 2, 2, 1}, {8, 2, 2, 1},
+		{2, 4, 2, 2}, {3, 4, 3, 1}, {8, 4, 4, 1},
+	} {
+		got := planSplit(c.n, c.w)
+		if got != (split{groups: c.groups, workers: c.workers}) {
+			t.Errorf("planSplit(%d images, %d workers) = %+v, want %d groups of %d kernel workers",
+				c.n, c.w, got, c.groups, c.workers)
+		}
+		if (got.axis() == "kernels") != (c.groups == 1) {
+			t.Errorf("planSplit(%d, %d): axis %q", c.n, c.w, got.axis())
+		}
+	}
+}
+
+// TestEnhanceBadSizePanicsOnCaller feeds a slice-split batch whose size
+// the network cannot pool: the caller-side size check must panic before
+// any group reaches a pool worker, where the panic could not be
+// recovered and would end the process.
+func TestEnhanceBadSizePanicsOnCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	m := New(rng, TinyConfig())
+	m.Warm()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	imgs := evalTestImages(rng, 2, 33, 33)
+	outs := []*tensor.Tensor{tensor.New(33, 33), tensor.New(33, 33)}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "divisible by 2^Stages") {
+			t.Fatalf("EnhanceBatchInto of 33×33 images: panic %v, want the caller-side size check", r)
+		}
+	}()
+	m.EnhanceBatchInto(context.Background(), memplan.New(), imgs, outs)
 }
 
 // TestWarmConcurrentForwardsMixedSizes drives one warm network from
@@ -174,50 +233,77 @@ func TestWarmConcurrentForwardsMixedSizes(t *testing.T) {
 }
 
 // TestForwardSpanTree pins the trace both forward backends emit: the
-// forward span, the rung span beneath it (carrying the rung name, and
-// plan=fused on the compiled plan), and one span per walk stage beneath
-// that, in walk order.
+// forward span, the rung span beneath it (carrying the rung name, the
+// planner's split, groups and kernel_workers, and plan=fused on the
+// compiled plan), and one span per walk stage beneath that, in walk
+// order. A slice-split batch emits that tree once per image, each under
+// the caller's span.
 func TestForwardSpanTree(t *testing.T) {
 	defer obs.Reset()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m := New(rand.New(rand.NewSource(41)), TinyConfig())
-	img := evalTestImages(rand.New(rand.NewSource(42)), 1, 32, 32)
-	want := []string{
+	tree := []string{
 		"ddnet/forward<-", "kernels/rung<-ddnet/forward",
 		"ddnet/stem<-kernels/rung", "ddnet/enc0<-kernels/rung", "ddnet/enc1<-kernels/rung",
 		"ddnet/dec0<-kernels/rung", "ddnet/dec1<-kernels/rung",
 	}
 	for _, path := range []string{"graph", "eval-layerwise", "eval-fused"} {
-		obs.Reset()
-		obs.Enable()
-		switch path {
-		case "graph":
-			graphEnhance(m, img)
-		case "eval-fused":
-			m.Warm()
-			fallthrough
-		default:
-			enhanceInto(m, memplan.New(), img)
-		}
-		recs, _ := obs.TraceRecords()
-		name := map[obs.SpanID]string{}
-		for _, r := range recs {
-			name[r.ID] = r.Name
-		}
-		var got []string
-		fused := false
-		for _, r := range recs {
-			got = append(got, r.Name+"<-"+name[r.Parent])
-			for _, a := range r.Attrs {
-				fused = fused || (r.Name == "kernels/rung" && a.Key == "plan")
+		for _, n := range []int{1, 2} {
+			if path == "graph" && n == 2 {
+				continue // the graph forward has no planner
 			}
-		}
-		sort.Strings(got)
-		sort.Strings(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s span tree:\n got %v\nwant %v", path, got, want)
-		}
-		if fused != (path == "eval-fused") {
-			t.Fatalf("%s: plan=fused attribute present=%v", path, fused)
+			img := evalTestImages(rand.New(rand.NewSource(42)), n, 32, 32)
+			obs.Reset()
+			obs.Enable()
+			switch path {
+			case "graph":
+				graphEnhance(m, img)
+			case "eval-fused":
+				m.Warm()
+				fallthrough
+			default:
+				enhanceInto(m, memplan.New(), img)
+			}
+			recs, _ := obs.TraceRecords()
+			name := map[obs.SpanID]string{}
+			for _, r := range recs {
+				name[r.ID] = r.Name
+			}
+			var got, want []string
+			for range n {
+				want = append(want, tree...)
+			}
+			attrs := map[string]string{}
+			for _, r := range recs {
+				got = append(got, r.Name+"<-"+name[r.Parent])
+				if r.Name == "kernels/rung" {
+					for _, a := range r.Attrs {
+						attrs[a.Key] = fmt.Sprint(a.Value)
+					}
+				}
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			label := fmt.Sprintf("%s/%d images on 2 procs", path, n)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s span tree:\n got %v\nwant %v", label, got, want)
+			}
+			if _, fused := attrs["plan"]; fused != (path == "eval-fused") {
+				t.Fatalf("%s: plan=fused attribute present=%v", label, fused)
+			}
+			wantSplit := map[string]string{}
+			switch {
+			case path == "graph":
+			case n == 1:
+				wantSplit = map[string]string{"split": "kernels", "groups": "1", "kernel_workers": "2"}
+			default:
+				wantSplit = map[string]string{"split": "slices", "groups": "2", "kernel_workers": "1"}
+			}
+			for k, v := range wantSplit {
+				if attrs[k] != v {
+					t.Errorf("%s: kernels/rung %s=%q, want %q", label, k, attrs[k], v)
+				}
+			}
 		}
 	}
 }

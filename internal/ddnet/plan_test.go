@@ -73,21 +73,33 @@ func TestSetTrainingInvalidatesPlan(t *testing.T) {
 // TestAllocsWarmEnhanceFused pins the fused plan's performance
 // invariant: the packed weights live in plan-compile-time buffers and
 // every kernel draws scratch from the pools, so a warm fused
-// EnhanceBatchInto performs zero steady-state heap allocations.
+// EnhanceBatchInto performs zero steady-state heap allocations. One
+// image takes the kernel split on both proc counts; three on two procs
+// take the slice split, whose group dispatch must not allocate either.
 func TestAllocsWarmEnhanceFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	m := New(rng, TinyConfig())
 	m.Warm()
-	imgs := evalTestImages(rng, 1, 32, 32)
-	outs := []*tensor.Tensor{tensor.New(32, 32)}
 	mem := memplan.New()
 	ctx := context.Background()
-	warm := func() { m.EnhanceBatchInto(ctx, mem, imgs, outs) }
-	warm()
-	if m.plan.Load() == nil || kernels.Default().ConvEp == nil {
-		t.Fatal("fused path not active")
-	}
-	if n := testing.AllocsPerRun(20, warm); n != 0 {
-		t.Fatalf("warm fused EnhanceBatchInto allocates %v allocs/op, want 0", n)
+	for _, n := range []int{1, 3} {
+		imgs := evalTestImages(rng, n, 32, 32)
+		outs := make([]*tensor.Tensor, n)
+		for i := range outs {
+			outs[i] = tensor.New(32, 32)
+		}
+		warm := func() { m.EnhanceBatchInto(ctx, mem, imgs, outs) }
+		warm()
+		if m.plan.Load() == nil || kernels.Default().ConvEp == nil {
+			t.Fatal("fused path not active")
+		}
+		for _, procs := range []int{1, 2} {
+			if procs > 1 && memplan.RaceEnabled {
+				continue // every dispatch recycles jobs through sync.Pools
+			}
+			if a := memplan.AllocsPerRun(procs, 50, warm); a != 0 {
+				t.Fatalf("warm fused EnhanceBatchInto of %d images on %d procs allocates %v allocs/op, want 0", n, procs, a)
+			}
+		}
 	}
 }

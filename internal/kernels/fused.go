@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync"
+
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/parallel"
 )
@@ -33,41 +35,48 @@ type Epilogue struct {
 }
 
 // ConvFused computes a stride-1 "same" convolution (weights OutC, InC,
-// K, K) via the tiled GEMM path with ep applied tile-locally. For
-// transposed convolutions pass weights pre-flipped with
+// K, K) via the tiled GEMM path with ep applied tile-locally, sharing
+// the column tiles (gemmTiling) among workers workers (0: the default
+// count). For transposed convolutions pass weights pre-flipped with
 // FlipDeconvWeights — a stride-1 deconvolution is exactly a convolution
 // with the spatially flipped filter.
 func ConvFused(x, w, out []float32, s ConvShape, workers int, ep Epilogue) {
-	r := s.InC * s.K * s.K
-	cols := s.H * s.W
-	tile := gemmPanelFloats / r
-	if tile > cols {
-		tile = cols
-	}
-	if tile < 64 {
-		tile = 64
-	}
-	nTiles := (cols + tile - 1) / tile
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	if workers > nTiles {
-		workers = nTiles
-	}
-	if workers == 1 {
-		gemmTilesEp(x, w, out, s, r, cols, tile, 0, nTiles, ep)
+	r := s.InC * s.K * s.K
+	cols := s.H * s.W
+	tile, nTiles := gemmTiling(r, cols, workers)
+	j := gemmJob{x: x, w: w, out: out, s: s, r: r, cols: cols, tile: tile, ep: ep}
+	if workers == 1 || nTiles == 1 {
+		j.Run(0, nTiles)
 		return
 	}
-	parallel.For(nTiles, workers, func(lo, hi int) {
-		gemmTilesEp(x, w, out, s, r, cols, tile, lo, hi, ep)
-	})
+	parallel.ForPooled(&gemmJobs, nTiles, workers, j)
 }
 
-// gemmTilesEp is gemmTiles with the epilogue fused into the tile sweep:
-// the bias seeds each output element's accumulator (one write saved per
-// element) and the activation reruns over the freshly written — still
-// L1-resident — tile row instead of a whole-tensor pass later.
-func gemmTilesEp(x, w, out []float32, s ConvShape, r, cols, tile, lo, hi int, ep Epilogue) {
+// gemmJob is one convolution's tile loop. Split across workers it goes
+// to the pool through parallel.ForPooled rather than as a closure, so
+// the split allocates nothing.
+type gemmJob struct {
+	x, w, out     []float32
+	s             ConvShape
+	r, cols, tile int
+	ep            Epilogue
+}
+
+var gemmJobs sync.Pool // of *gemmJob
+
+// Run stages and multiplies the column tiles [lo, hi) with the epilogue
+// fused into the tile sweep: the bias seeds each output element's
+// accumulator (one write saved per element) and the activation reruns
+// over the freshly written — still L1-resident — tile row instead of a
+// whole-tensor pass later. The per-worker panel is drawn from the
+// global memory pool and not zeroed on loan: stagePatchTile fully
+// writes [0, n) of every row it stages and gemmRow reads exactly that
+// range, so no stale element is ever read.
+func (j *gemmJob) Run(lo, hi int) {
+	s, r, cols, tile, ep := j.s, j.r, j.cols, j.tile, j.ep
 	panel := memplan.GetFloats(r * tile)
 	for t := lo; t < hi; t++ {
 		c0 := t * tile
@@ -75,19 +84,19 @@ func gemmTilesEp(x, w, out []float32, s ConvShape, r, cols, tile, lo, hi int, ep
 		if n > tile {
 			n = tile
 		}
-		stagePatchTile(x, panel, s, c0, n, tile)
+		stagePatchTile(j.x, panel, s, c0, n, tile)
 		for co := 0; co < s.OutC; co++ {
 			var bias float32
 			if ep.Bias != nil {
 				bias = ep.Bias[co]
 			}
-			dst := out[co*cols+c0 : co*cols+c0+n]
-			gemmRow(w[co*r:(co+1)*r], panel, dst, tile, bias)
+			dst := j.out[co*cols+c0 : co*cols+c0+n]
+			gemmRow(j.w[co*r:(co+1)*r], panel, dst, tile, bias)
 			if ep.Act {
 				slope := ep.Slope
-				for j, v := range dst {
+				for k, v := range dst {
 					if v < 0 {
-						dst[j] = slope * v
+						dst[k] = slope * v
 					}
 				}
 			}
@@ -127,24 +136,29 @@ func BNActInfer(x, out []float32, c, hw int, scale, shift []float32, slope float
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	if workers > c {
-		workers = c
-	}
-	if workers == 1 {
-		// Serial fast path before any closure literal: the fused warm
-		// forward must stay at 0 allocs/op even though For would run the
-		// body inline anyway.
-		bnActChannels(x, out, 0, c, hw, scale, shift, slope)
+	j := bnActJob{x: x, out: out, hw: hw, scale: scale, shift: shift, slope: slope}
+	if workers == 1 || c == 1 {
+		j.Run(0, c)
 		return
 	}
-	parallel.For(c, workers, func(lo, hi int) {
-		bnActChannels(x, out, lo, hi, hw, scale, shift, slope)
-	})
+	parallel.ForPooled(&bnActJobs, c, workers, j)
 }
 
-func bnActChannels(x, out []float32, lo, hi, hw int, scale, shift []float32, slope float32) {
+// bnActJob is BNActInfer's channel loop, dispatched like gemmJob.
+type bnActJob struct {
+	x, out       []float32
+	hw           int
+	scale, shift []float32
+	slope        float32
+}
+
+var bnActJobs sync.Pool // of *bnActJob
+
+// Run maps channels [lo, hi).
+func (j *bnActJob) Run(lo, hi int) {
+	x, out, hw, slope := j.x, j.out, j.hw, j.slope
 	for ci := lo; ci < hi; ci++ {
-		s, t := scale[ci], shift[ci]
+		s, t := j.scale[ci], j.shift[ci]
 		base := ci * hw
 		for i := base; i < base+hw; i++ {
 			v := s*x[i] + t

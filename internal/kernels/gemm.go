@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"computecovid19/internal/memplan"
-	"computecovid19/internal/parallel"
-)
+import "computecovid19/internal/memplan"
 
 // The gemm rung restructures convolution the way cuDNN-class CPU/GPU
 // backends do: im2col turns each output pixel's receptive field into a
@@ -31,58 +28,24 @@ import (
 // comfortable fit in a per-core L2 alongside the weight rows.
 const gemmPanelFloats = 1 << 18
 
-// convGEMM computes a stride-1 "same" convolution with weights in
-// (OutC, InC, K, K) layout via tiled im2col + GEMM.
-func convGEMM(x, w, out []float32, s ConvShape, workers int) {
-	r := s.InC * s.K * s.K
-	cols := s.H * s.W
-	tile := gemmPanelFloats / r
-	if tile > cols {
-		tile = cols
-	}
-	if tile < 64 {
-		tile = 64
-	}
-	nTiles := (cols + tile - 1) / tile
-	// Resolve the worker count with parallel.For's own rules so the
-	// single-worker case runs inline without materializing a closure —
-	// on one proc (testing.AllocsPerRun) the hot path stays
-	// allocation-free; the staged panels come from the memory pool
-	// either way.
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if workers > nTiles {
-		workers = nTiles
-	}
-	if workers == 1 {
-		gemmTiles(x, w, out, s, r, cols, tile, 0, nTiles)
-		return
-	}
-	parallel.For(nTiles, workers, func(lo, hi int) {
-		gemmTiles(x, w, out, s, r, cols, tile, lo, hi)
-	})
+// gemmTiling sizes a convolution's column tiles for workers ≥ 1
+// workers: as wide as the panel cap allows (gemmPanelFloats / r
+// columns), but no wider than an even share of the columns per worker,
+// and never under 64 columns. The share cap is what lets a kernel split
+// reach every worker at serving resolutions, where the panel cap alone
+// leaves the 7×7 stem, every 1×1 layer and every layer at 32×32 or
+// below as one tile on one core. Each output element's reduction runs
+// in the same order whatever the tile, so tiling never changes a bit.
+func gemmTiling(r, cols, workers int) (tile, nTiles int) {
+	tile = max(64, min(gemmPanelFloats/r, (cols+workers-1)/workers))
+	return tile, (cols + tile - 1) / tile
 }
 
-// gemmTiles stages and multiplies the column tiles [lo, hi), with the
-// per-worker panel drawn from the global memory pool. The panel is not
-// zeroed on loan: stagePatchTile fully writes [0, n) of every row it
-// stages and gemmRow reads exactly that range, so no stale element is
-// ever read.
-func gemmTiles(x, w, out []float32, s ConvShape, r, cols, tile, lo, hi int) {
-	panel := memplan.GetFloats(r * tile)
-	for t := lo; t < hi; t++ {
-		c0 := t * tile
-		n := cols - c0
-		if n > tile {
-			n = tile
-		}
-		stagePatchTile(x, panel, s, c0, n, tile)
-		for co := 0; co < s.OutC; co++ {
-			gemmRow(w[co*r:(co+1)*r], panel, out[co*cols+c0:co*cols+c0+n], tile, 0)
-		}
-	}
-	memplan.PutFloats(panel)
+// convGEMM computes a stride-1 "same" convolution with weights in
+// (OutC, InC, K, K) layout via tiled im2col + GEMM: ConvFused with the
+// zero epilogue, which adds nothing.
+func convGEMM(x, w, out []float32, s ConvShape, workers int) {
+	ConvFused(x, w, out, s, workers, Epilogue{})
 }
 
 // deconvGEMM computes a stride-1 "same" transposed convolution with

@@ -62,10 +62,11 @@ func (l *Conv2D) Forward(x *ag.Value) *ag.Value {
 	return ag.Conv2DFast(x, l.W, l.B, l.Cfg)
 }
 
-// Infer applies the (transposed) convolution on the pooled eval path;
-// the layer must be a stride-1 "same" one.
-func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Cfg, l.Transposed)
+// Infer applies the (transposed) convolution on the pooled eval path
+// on workers kernel workers (0: the default count); the layer must be a
+// stride-1 "same" one.
+func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor, workers int) *tensor.Tensor {
+	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Cfg, l.Transposed, workers)
 }
 
 // Params returns the weight (and bias, when present).

@@ -9,14 +9,18 @@
 // platforms with different core counts.
 //
 // Dispatch goes through a pool of persistent goroutines rather than a
-// per-call fork/join: a 45-layer DDnet forward issues one For per layer,
-// and spawning + joining fresh goroutines for each paid a scheduler
-// round-trip per layer per slice. Workers created once at first use spin
-// briefly after finishing a job — catching the next layer's dispatch
-// while still running — and then park on a channel receive. The caller
-// always participates in its own job (claiming chunks from the same
-// atomic cursor as the workers), so a For never deadlocks even when
-// every pool worker is busy or the loop body issues a nested For.
+// per-call fork/join. A DDnet forward picks its parallel axis once
+// (ddnet.EnhanceBatchInto): split across images, it issues one dispatch
+// for the whole forward and every kernel runs serially; split across
+// kernels, it issues one dispatch per layer that has more than one tile
+// or plane to share. Spawning + joining fresh goroutines for each paid a
+// scheduler round-trip every time. Workers created once at first use
+// spin briefly after finishing a job — catching the next layer's
+// dispatch while still running — and then park on a channel receive.
+// The caller always participates in its own job (claiming chunks from
+// the same atomic cursor as the workers), so a dispatch never deadlocks
+// even when every pool worker is busy or the loop body issues a nested
+// one.
 package parallel
 
 import (
@@ -43,7 +47,14 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forJob is one For call's shared state. Workers and the caller claim
+// Job is a loop body together with its state: Run(lo, hi) does the
+// indices [lo, hi). A pointer to a job struct the caller already owns
+// (a pooled one) dispatches through ForJob without allocating, where
+// the closure For takes is heap-allocated on every call — the dispatch
+// stores it where escape analysis cannot follow.
+type Job interface{ Run(lo, hi int) }
+
+// forJob is one dispatch's shared state. Workers and the caller claim
 // chunk c = next.Add(1)-1 until the range is exhausted; wg tracks chunk
 // completions (the caller waits on it) and refs counts live references
 // (the caller, plus one per pointer sitting in the dispatch channel) so
@@ -54,7 +65,7 @@ func DefaultWorkers() int {
 // range is exhausted sees next past the end, claims nothing, and just
 // drops its reference.
 type forJob struct {
-	fn    func(lo, hi int)
+	body  Job
 	n     int
 	chunk int
 	next  atomic.Int64
@@ -74,7 +85,7 @@ func (j *forJob) run() {
 		if hi > j.n {
 			hi = j.n
 		}
-		j.fn(lo, hi)
+		j.body.Run(lo, hi)
 		j.wg.Done()
 	}
 }
@@ -84,7 +95,7 @@ func (j *forJob) run() {
 // plain-field writes, so reuse is race-free.
 func (j *forJob) release() {
 	if j.refs.Add(-1) == 0 {
-		j.fn = nil // do not pin the closure while pooled
+		j.body = nil // do not pin the loop body while pooled
 		jobPool.Put(j)
 	}
 }
@@ -146,6 +157,18 @@ func poolWorker() {
 // busy — and the caller works the same chunk cursor itself, so progress
 // never depends on pool availability.
 func For(n, workers int, fn func(lo, hi int)) {
+	ForJob(n, workers, rangeFunc(fn))
+}
+
+// rangeFunc is For's loop body as a Job; a func value is pointer-shaped,
+// so the conversion allocates nothing.
+type rangeFunc func(lo, hi int)
+
+func (f rangeFunc) Run(lo, hi int) { f(lo, hi) }
+
+// ForJob is For over a Job: job.Run runs once per chunk of [0, n), by
+// the same rules.
+func ForJob(n, workers int, job Job) {
 	if n <= 0 {
 		return
 	}
@@ -156,14 +179,14 @@ func For(n, workers int, fn func(lo, hi int)) {
 		workers = n
 	}
 	if workers == 1 {
-		fn(0, n)
+		job.Run(0, n)
 		return
 	}
 	poolOnce.Do(startPool)
 	chunk := (n + workers - 1) / workers
 	nchunks := (n + chunk - 1) / chunk
 	j := jobPool.Get().(*forJob)
-	j.fn, j.n, j.chunk = fn, n, chunk
+	j.body, j.n, j.chunk = job, n, chunk
 	j.next.Store(0)
 	j.refs.Store(1)
 	j.wg.Add(nchunks)
@@ -184,6 +207,26 @@ func For(n, workers int, fn func(lo, hi int)) {
 	j.run()
 	j.wg.Wait()
 	j.release()
+}
+
+// ForPooled is ForJob over a copy of j held in a *J recycled through
+// pool (which holds only *J; its zero value will do), so a job whose
+// state would otherwise escape to the heap on every dispatch allocates
+// nothing once the pool is warm. The copy is zeroed before it goes
+// back, so a pooled job pins none of its slices.
+func ForPooled[J any, P interface {
+	*J
+	Job
+}](pool *sync.Pool, n, workers int, j J) {
+	p, _ := pool.Get().(P)
+	if p == nil {
+		p = new(J)
+	}
+	*p = j
+	ForJob(n, workers, p)
+	var zero J
+	*p = zero
+	pool.Put(p)
 }
 
 // ForEach runs fn once per index in [0, n), distributing indices across

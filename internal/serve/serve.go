@@ -401,8 +401,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // equal an enhanced one (identity enhancers, no-op windows) from
 // aliasing its cached result.
 func (s *Server) cacheKey(v *volume.Volume, preEnhanced bool) string {
-	h := sha256.New()
-	h.Write([]byte(s.cfg.ModelVersion))
 	var dims [13]byte
 	binary.LittleEndian.PutUint32(dims[0:], uint32(v.D))
 	binary.LittleEndian.PutUint32(dims[4:], uint32(v.H))
@@ -410,12 +408,27 @@ func (s *Server) cacheKey(v *volume.Volume, preEnhanced bool) string {
 	if preEnhanced {
 		dims[12] = 1
 	}
-	h.Write(dims[:])
-	buf := make([]byte, 4*len(v.Data))
-	for i, x := range v.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
+	return VoxelKey(v.Data, []byte(s.cfg.ModelVersion), dims[:])
+}
+
+// VoxelKey is the hex SHA-256 of the prefix parts followed by the raw
+// little-endian bits of data. The voxels stream through a fixed 4 KiB
+// stack buffer, so hashing a scan never copies it. The result cache key
+// and the cluster gateway's content key are both VoxelKeys.
+func VoxelKey(data []float32, prefix ...[]byte) string {
+	h := sha256.New()
+	for _, p := range prefix {
+		h.Write(p)
 	}
-	h.Write(buf)
+	var buf [4096]byte
+	for len(data) > 0 {
+		n := min(len(data), len(buf)/4)
+		for i, x := range data[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
+		}
+		h.Write(buf[:4*n])
+		data = data[n:]
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -170,7 +170,12 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		if !linked {
 			continue
 		}
-		forward, rung := obs.SpanRecord{}, obs.SpanRecord{}
+		// The batch's forward picked its parallel axis: one forward span
+		// for the kernel split, one per slice for the slice split. Each
+		// forward span holds one rung span carrying the rung and the
+		// planner's choice.
+		forwards := map[obs.SpanID]bool{}
+		var rungs []obs.SpanRecord
 		for _, br := range recs {
 			if br.Trace != r.Trace {
 				continue
@@ -178,26 +183,35 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 			switch br.Name {
 			case "ddnet/forward":
 				if br.Parent == r.ID {
-					forward = br
+					forwards[br.ID] = true
 				}
 			case "kernels/rung":
-				rung = br
+				rungs = append(rungs, br)
 			}
 		}
-		if forward.ID.IsZero() {
+		if len(forwards) == 0 {
 			t.Fatal("batch trace missing ddnet/forward under the batch span")
 		}
-		if rung.Parent != forward.ID {
-			t.Fatal("batch trace missing kernels/rung under ddnet/forward")
+		if len(rungs) != len(forwards) {
+			t.Fatalf("batch trace has %d kernels/rung spans for %d forwards", len(rungs), len(forwards))
 		}
-		hasRungAttr := false
-		for _, a := range rung.Attrs {
-			if a.Key == "rung" {
-				hasRungAttr = true
+		for _, rung := range rungs {
+			if !forwards[rung.Parent] {
+				t.Fatal("batch trace missing kernels/rung under ddnet/forward")
 			}
-		}
-		if !hasRungAttr {
-			t.Fatal("kernels/rung span must carry the selected rung name")
+			attrs := map[string]string{}
+			for _, a := range rung.Attrs {
+				attrs[a.Key] = fmt.Sprint(a.Value)
+			}
+			if attrs["rung"] == "" {
+				t.Fatal("kernels/rung span must carry the selected rung name")
+			}
+			if want := map[bool]string{true: "kernels", false: "slices"}[attrs["groups"] == "1"]; attrs["split"] != want || attrs["kernel_workers"] == "" {
+				t.Fatalf("kernels/rung span attributes %v: want split=%s with groups and kernel_workers", attrs, want)
+			}
+			if attrs["split"] == "kernels" && len(forwards) != 1 {
+				t.Fatalf("a kernel-split batch ran %d forwards, want 1", len(forwards))
+			}
 		}
 		break
 	}
