@@ -28,14 +28,16 @@ test:
 # inference server (worker pool + micro-batcher + admission control),
 # the cluster gateway (router, hedges, prober), DDnet's eval forward
 # (the differential oracle, the fused plan, and concurrent warm
-# forwards sharing the table cache and recycled backends), and the
+# forwards sharing the table cache and recycled backends), the
 # classifier's pooled backend (its oracle over arenas and worker
-# counts).
+# counts), and ag's Conv3D GEMM lowering (its oracle against the direct
+# loop nest on 1, 2 and 4 procs, and the caller-side operand checks).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -run 'Pooled|Concurrent|Allocs|Split' ./internal/core/
 	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
 	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
+	$(GO) test -race -run 'Conv3D' ./internal/ag/
 
 vet:
 	$(GO) vet ./...

@@ -13,20 +13,16 @@ type Conv3DConfig struct {
 }
 
 // Conv3D performs a 3D cross-correlation over (N, C, D, H, W) volumes,
-// the building block of the 3D DenseNet classifier (§2.3.2).
+// the building block of the 3D DenseNet classifier (§2.3.2). The layer
+// must be a stride-1 "same" one with an odd cubic kernel (EvalConv3D,
+// its forward, panics otherwise).
 //
-//	x: (N, Cin, D, H, W)   w: (Cout, Cin, KD, KH, KW)   b: (Cout) or nil
+//	x: (N, Cin, D, H, W)   w: (Cout, Cin, K, K, K)   b: (Cout) or nil
 func Conv3D(x, w, b *Value, cfg Conv3DConfig) *Value {
-	if x.T.Rank() != 5 || w.T.Rank() != 5 {
-		panic(fmt.Sprintf("ag: Conv3D wants rank-5 x and w, got %v and %v", x.T.Shape, w.T.Shape))
-	}
-	n, cin, dd, h, wd := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3], x.T.Shape[4]
-	cout, wcin, kd, kh, kw := w.T.Shape[0], w.T.Shape[1], w.T.Shape[2], w.T.Shape[3], w.T.Shape[4]
-	if cin != wcin {
-		panic(fmt.Sprintf("ag: Conv3D channel mismatch: x has %d, w expects %d", cin, wcin))
-	}
-	s, p := cfg.Stride, cfg.Padding
 	out := EvalConv3D(nil, x.T, w.T, b.Tensor(), cfg)
+	n, cin, dd, h, wd := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3], x.T.Shape[4]
+	cout, kd, kh, kw := w.T.Shape[0], w.T.Shape[2], w.T.Shape[3], w.T.Shape[4]
+	s, p := cfg.Stride, cfg.Padding
 	od0, oh, ow := out.Shape[2], out.Shape[3], out.Shape[4]
 	xd, wdta := x.T.Data, w.T.Data
 	planeIn := dd * h * wd

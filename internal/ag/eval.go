@@ -1,6 +1,7 @@
 package ag
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -21,7 +22,9 @@ import (
 // produce the same bits by construction; TestGraphAndEvalShareOneKernel
 // pins it.
 //
-// Parallel ops go through forPlanes. Its worker count is the caller's:
+// The convolutions run on internal/kernels, which splits their GEMM
+// column tiles across workers itself. The other parallel ops go
+// through forPlanes. Its worker count is the caller's:
 // the DDnet eval forward passes the one its planner chose
 // (ddnet.EnhanceBatchInto), every other caller 0, the default. One
 // worker runs the plane loop inline; more hand it to the pool through
@@ -51,7 +54,7 @@ func (j *planeJob[T]) Run(lo, hi int) {
 }
 
 // Each args type recycles its own *planeJob through parallel.ForPooled.
-var maxPool2DJobs, upsampleJobs, conv3DJobs, maxPool3DJobs sync.Pool
+var maxPool2DJobs, upsampleJobs, maxPool3DJobs sync.Pool
 
 // forPlanes runs f(arg, plane) for plane in [0, n) on up to workers
 // workers (0: parallel.DefaultWorkers), drawing the job from jobs, the
@@ -324,85 +327,50 @@ func concatExtents(shape []int, axis int) (outer, inner int) {
 	return outer, inner
 }
 
-type conv3DArgs struct {
-	xd, wd, od, bd    []float32 // bd nil when the layer has no bias
-	cin, cout         int
-	dd, h, w          int
-	od0, oh, ow       int
-	kd, kh, kw        int
-	s, p              int
-	planeIn, planeOut int
-}
-
-func conv3DPlane(a conv3DArgs, idx int) {
-	ni, co := idx/a.cout, idx%a.cout
-	var bias float32
-	if a.bd != nil {
-		bias = a.bd[co]
-	}
-	obase := (ni*a.cout + co) * a.planeOut
-	for oz := 0; oz < a.od0; oz++ {
-		iz0 := oz*a.s - a.p
-		for oy := 0; oy < a.oh; oy++ {
-			iy0 := oy*a.s - a.p
-			for ox := 0; ox < a.ow; ox++ {
-				ix0 := ox*a.s - a.p
-				acc := bias
-				for ci := 0; ci < a.cin; ci++ {
-					xbase := (ni*a.cin + ci) * a.planeIn
-					wbase := (co*a.cin + ci) * a.kd * a.kh * a.kw
-					for kz := 0; kz < a.kd; kz++ {
-						iz := iz0 + kz
-						if iz < 0 || iz >= a.dd {
-							continue
-						}
-						for ky := 0; ky < a.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= a.h {
-								continue
-							}
-							xrow := xbase + (iz*a.h+iy)*a.w
-							wrow := wbase + (kz*a.kh+ky)*a.kw
-							for kx := 0; kx < a.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= a.w {
-									continue
-								}
-								acc += a.xd[xrow+ix] * a.wd[wrow+kx]
-							}
-						}
-					}
-				}
-				a.od[obase+(oz*a.oh+oy)*a.ow+ox] = acc
-			}
-		}
-	}
-}
-
 // EvalConv3D cross-correlates (N, Cin, D, H, W) volumes with weights
-// (Cout, Cin, KD, KH, KW); b may be nil.
+// (Cout, Cin, K, K, K) — a stride-1 "same" layer with an odd cubic
+// kernel, the only shape the classifier has — on the fused GEMM
+// (kernels.ConvFused), batch elements in series, with the bias (b may
+// be nil) seeding each output's sum. The GEMM then adds the taps in
+// (ci, kz, ky, kx) order and a padded tap adds an exact zero, so the
+// bits are those of the direct loop nest (TestEvalConv3DMatchesDirectNest).
+// The operands are validated here, on the caller's goroutine: a bad
+// shape must panic where the caller can recover it, not on a pool
+// worker, which would take the process down.
 func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *tensor.Tensor {
+	checkConv3D(x, w, b, cfg)
 	n, cin, dd, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	cout, kd, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3], w.Shape[4]
-	s, p := cfg.Stride, cfg.Padding
-	od0 := convOutDim(dd, kd, s, p)
-	oh := convOutDim(h, kh, s, p)
-	ow := convOutDim(wd, kw, s, p)
-	if od0 <= 0 || oh <= 0 || ow <= 0 {
-		panic("ag: Conv3D output would be empty")
-	}
-	out := output(sc, n, cout, od0, oh, ow)
-	var bd []float32
+	cout := w.Shape[0]
+	out := output(sc, n, cout, dd, h, wd)
+	ks := kernels.ConvShape{InC: cin, D: dd, H: h, W: wd, OutC: cout, K: w.Shape[2]}
+	var ep kernels.Epilogue
 	if b != nil {
-		bd = b.Data
+		ep.Bias = b.Data
 	}
-	forPlanes(&conv3DJobs, n*cout, 0, conv3DArgs{
-		xd: x.Data, wd: w.Data, od: out.Data, bd: bd,
-		cin: cin, cout: cout, dd: dd, h: h, w: wd,
-		od0: od0, oh: oh, ow: ow, kd: kd, kh: kh, kw: kw,
-		s: s, p: p, planeIn: dd * h * wd, planeOut: od0 * oh * ow,
-	}, conv3DPlane)
+	in, o := ks.InLen(), ks.OutLen()
+	for ni := 0; ni < n; ni++ {
+		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
+	}
 	return out
+}
+
+// checkConv3D panics unless x (N, Cin, D, H, W), w (Cout, Cin, K, K, K)
+// and b (Cout, or nil) form a stride-1 "same" convolution with an odd
+// cubic kernel.
+func checkConv3D(x, w, b *tensor.Tensor, cfg Conv3DConfig) {
+	if x.Rank() != 5 || w.Rank() != 5 {
+		panic(fmt.Sprintf("ag: Conv3D wants rank-5 x and w, got %v and %v", x.Shape, w.Shape))
+	}
+	if x.Shape[1] != w.Shape[1] {
+		panic(fmt.Sprintf("ag: Conv3D channel mismatch: x has %d, w expects %d", x.Shape[1], w.Shape[1]))
+	}
+	if w.Shape[2] != w.Shape[3] || !sameConvShape(w.Shape[3], w.Shape[4], cfg.Stride, cfg.Padding) {
+		panic(fmt.Sprintf("ag: Conv3D wants a stride-1 same-shape odd cubic kernel, got w %v stride %d padding %d",
+			w.Shape, cfg.Stride, cfg.Padding))
+	}
+	if b != nil && (b.Rank() != 1 || b.Shape[0] != w.Shape[0]) {
+		panic(fmt.Sprintf("ag: Conv3D bias shape %v, want (%d)", b.Shape, w.Shape[0]))
+	}
 }
 
 type maxPool3DArgs struct {

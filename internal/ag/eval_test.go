@@ -35,7 +35,7 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 
 	x4, x5 := r(3, 4, 7, 9), r(3, 2, 5, 7, 6)
 	ty, tx := NewBilinearTable(7, 14), NewBilinearTable(9, 18)
-	w3, b3 := r(5, 2, 3, 3, 3), r(5)
+	w3, w1, b3 := r(5, 2, 3, 3, 3), r(5, 2, 1, 1, 1), r(5)
 	w2, wT, b2 := r(6, 4, 3, 3), r(4, 6, 5, 5), r(6)
 	xl, wl, bl := r(3, 11), r(4, 11), r(4)
 	gamma, beta, mean, variance := r(4), r(4), r(4), pos(4)
@@ -81,9 +81,9 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 		{"conv3d k3s1p1 bias",
 			func() *Value { return Conv3D(Const(x5), Const(w3), Const(b3), Conv3DConfig{1, 1}) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w3, b3, Conv3DConfig{1, 1}) }},
-		{"conv3d k3s2p1 no bias",
-			func() *Value { return Conv3D(Const(x5), Const(w3), nil, Conv3DConfig{2, 1}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w3, nil, Conv3DConfig{2, 1}) }},
+		{"conv3d k1s1p0 no bias",
+			func() *Value { return Conv3D(Const(x5), Const(w1), nil, Conv3DConfig{1, 0}) },
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w1, nil, Conv3DConfig{1, 0}) }},
 		{"gap3d",
 			func() *Value { return GlobalAvgPool3D(Const(x5)) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalGlobalAvgPool3D(sc, x5) }},

@@ -323,10 +323,10 @@ func TestLinearKnownValues(t *testing.T) {
 }
 
 func TestConv3DShapeAndGAP(t *testing.T) {
-	x := Const(tensor.New(1, 2, 8, 8, 8))
-	w := Const(tensor.New(4, 2, 3, 3, 3))
-	y := Conv3D(x, w, nil, Conv3DConfig{Stride: 2, Padding: 1})
-	want := []int{1, 4, 4, 4, 4}
+	x := Const(tensor.New(1, 2, 5, 6, 7))
+	w := Const(tensor.New(4, 2, 1, 1, 1))
+	y := Conv3D(x, w, nil, Conv3DConfig{Stride: 1, Padding: 0})
+	want := []int{1, 4, 5, 6, 7}
 	for i, d := range want {
 		if y.T.Shape[i] != d {
 			t.Fatalf("conv3d shape = %v, want %v", y.T.Shape, want)

@@ -9,9 +9,10 @@ import (
 
 // The DenseNet-3D topology is written down exactly once, in walk, the
 // way kernels.Walk does for DDnet. Construction, the autograd forward
-// and the pooled eval forward are backends the walk drives, so a
-// compiled classifier plan or a GEMM Conv3D is another backend (or an
-// edit to one method), never another copy of the stage loops.
+// and the pooled eval forward are backends the walk drives; both
+// forwards run each convolution through ag.EvalConv3D, the fused GEMM
+// DDnet uses, with a depth axis. A compiled classifier plan would be
+// another backend, never another copy of the stage loops.
 
 // layer is one parameter-bearing position of the walk: a k³ "same" 3D
 // convolution to outC channels optionally followed by BatchNorm + ReLU,

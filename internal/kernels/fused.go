@@ -35,17 +35,19 @@ type Epilogue struct {
 }
 
 // ConvFused computes a stride-1 "same" convolution (weights OutC, InC,
-// K, K) via the tiled GEMM path with ep applied tile-locally, sharing
-// the column tiles (gemmTiling) among workers workers (0: the default
-// count). For transposed convolutions pass weights pre-flipped with
-// FlipDeconvWeights — a stride-1 deconvolution is exactly a convolution
-// with the spatially flipped filter.
+// K, K — or OutC, InC, K, K, K when s.D > 0) via the tiled GEMM path
+// with ep applied tile-locally, sharing the column tiles (gemmTiling)
+// among workers workers (0: the default count). For transposed
+// convolutions pass weights pre-flipped with FlipDeconvWeights — a
+// stride-1 deconvolution is exactly a convolution with the spatially
+// flipped filter.
 func ConvFused(x, w, out []float32, s ConvShape, workers int, ep Epilogue) {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	r := s.InC * s.K * s.K
-	cols := s.H * s.W
+	d, kd := s.depth()
+	r := s.InC * kd * s.K * s.K
+	cols := d * s.H * s.W
 	tile, nTiles := gemmTiling(r, cols, workers)
 	j := gemmJob{x: x, w: w, out: out, s: s, r: r, cols: cols, tile: tile, ep: ep}
 	if workers == 1 || nTiles == 1 {

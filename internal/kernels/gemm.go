@@ -66,58 +66,56 @@ func deconvGEMM(x, w, out []float32, s ConvShape, workers int) {
 }
 
 // stagePatchTile writes the im2col panel for output pixels
-// [c0, c0+n): row (ci·K+ky)·K+kx of the panel holds, for each output
-// pixel, the input element that filter tap (ci, ky, kx) reads, with
-// zero padding materialized. Interior segments are bulk copy()s; only
-// the borders go element-wise (through zeroFill).
+// [c0, c0+n): row ((ci·KD+kz)·K+ky)·K+kx of the panel holds, for each
+// output pixel, the input element that filter tap (ci, kz, ky, kx)
+// reads, with zero padding materialized (KD = 1 and kz = 0 for a 2D
+// layer). A column indexes the output as (oz, oy, ox); a row of the
+// panel is staged one output image row (run) at a time, stepping
+// (oz, oy) from run to run rather than dividing per run. Interior runs
+// are bulk copy()s; only the borders go element-wise (through
+// zeroFill).
 func stagePatchTile(x, panel []float32, s ConvShape, c0, n, pstride int) {
 	h, wd, k := s.H, s.W, s.K
-	pad := k / 2
+	d, kd := s.depth()
+	pad, padZ := k/2, kd/2
+	oz0, oy0, ox0 := c0/(h*wd), c0/wd%h, c0%wd
 	row := 0
 	for ci := 0; ci < s.InC; ci++ {
-		xbase := ci * h * wd
-		for ky := 0; ky < k; ky++ {
-			dy := ky - pad
-			for kx := 0; kx < k; kx++ {
-				dx := kx - pad
-				dst := panel[row*pstride : row*pstride+n]
-				row++
-				j := 0
-				for j < n {
-					col := c0 + j
-					oy, ox := col/wd, col%wd
-					run := wd - ox // output pixels left on this image row
-					if run > n-j {
-						run = n - j
-					}
-					iy := oy + dy
-					if iy < 0 || iy >= h {
-						zeroFill(dst[j : j+run])
+		xbase := ci * d * h * wd
+		for kz := 0; kz < kd; kz++ {
+			dz := kz - padZ
+			for ky := 0; ky < k; ky++ {
+				dy := ky - pad
+				for kx := 0; kx < k; kx++ {
+					dx := kx - pad
+					dst := panel[row*pstride : row*pstride+n]
+					row++
+					oz, oy, ox := oz0, oy0, ox0
+					for j := 0; j < n; {
+						run := min(wd-ox, n-j) // output pixels left on this image row
+						seg := dst[j : j+run]
+						// Valid input columns: 0 ≤ ox′+dx < wd for
+						// ox′ ∈ [ox, ox+run); the clipped edges are zeros.
+						lo, hi := max(ox, -dx), min(ox+run, wd-dx)
+						iz, iy := oz+dz, oy+dy
+						if iz < 0 || iz >= d || iy < 0 || iy >= h || hi <= lo {
+							// All padding. (Skipping the copy matters when
+							// hi <= lo — even an empty src[lo+dx:hi+dx]
+							// would be out of bounds on the volume's last
+							// row.)
+							zeroFill(seg)
+						} else {
+							src := x[xbase+(iz*h+iy)*wd:]
+							zeroFill(seg[:lo-ox])
+							copy(seg[lo-ox:hi-ox], src[lo+dx:hi+dx])
+							zeroFill(seg[hi-ox:])
+						}
 						j += run
-						continue
+						ox = 0
+						if oy++; oy == h {
+							oy, oz = 0, oz+1
+						}
 					}
-					// Valid input columns: 0 ≤ ox′+dx < wd for
-					// ox′ ∈ [ox, ox+run); zero the clipped edges.
-					lo, hi := ox, ox+run
-					if -dx > lo {
-						lo = -dx
-					}
-					if wd-dx < hi {
-						hi = wd - dx
-					}
-					if hi <= lo {
-						// Fully clipped run: all padding. (Skipping the copy
-						// matters — even an empty src[lo+dx:hi+dx] would be
-						// out of bounds on the image's last row.)
-						zeroFill(dst[j : j+run])
-						j += run
-						continue
-					}
-					src := x[xbase+iy*wd:]
-					zeroFill(dst[j : j+lo-ox])
-					copy(dst[j+lo-ox:j+hi-ox], src[lo+dx:hi+dx])
-					zeroFill(dst[j+hi-ox : j+run])
-					j += run
 				}
 			}
 		}

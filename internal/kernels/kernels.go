@@ -83,16 +83,39 @@ func TinyArch() Arch {
 
 // ConvShape describes a stride-1 "same" convolution or deconvolution
 // layer on a CHW buffer: InC input channels of H×W, OutC outputs, odd
-// square kernel K with padding K/2.
+// square kernel K with padding K/2. A depth D > 0 makes it volumetric:
+// CDHW buffers and a cubic K×K×K kernel padded K/2 on every axis. D == 0
+// is the 2D layer (one plane, no depth taps). Only ConvFused takes a
+// volumetric shape; the registry rungs are 2D.
 type ConvShape struct {
 	InC, H, W, OutC, K int
+	D                  int
+}
+
+// depth returns the number of planes and of depth taps: (1, 1) for a 2D
+// layer, (D, K) for a volumetric one.
+func (s ConvShape) depth() (d, kd int) {
+	if s.D == 0 {
+		return 1, 1
+	}
+	return s.D, s.K
 }
 
 // InLen returns the input buffer length.
-func (s ConvShape) InLen() int { return s.InC * s.H * s.W }
+func (s ConvShape) InLen() int {
+	d, _ := s.depth()
+	return s.InC * d * s.H * s.W
+}
 
 // OutLen returns the output buffer length.
-func (s ConvShape) OutLen() int { return s.OutC * s.H * s.W }
+func (s ConvShape) OutLen() int {
+	d, _ := s.depth()
+	return s.OutC * d * s.H * s.W
+}
 
-// WeightLen returns the weight buffer length (OutC·InC·K·K).
-func (s ConvShape) WeightLen() int { return s.OutC * s.InC * s.K * s.K }
+// WeightLen returns the weight buffer length (OutC·InC·K·K, times K
+// more for a volumetric layer).
+func (s ConvShape) WeightLen() int {
+	_, kd := s.depth()
+	return s.OutC * s.InC * kd * s.K * s.K
+}

@@ -345,3 +345,17 @@ func BenchmarkDeconvRungs(b *testing.B) {
 		})
 	}
 }
+
+// TestConvShapeLens pins the buffer lengths of a 2D shape (D == 0) and
+// of a volumetric one: depth multiplies the activations, and the
+// volumetric kernel has K³ taps per channel pair.
+func TestConvShapeLens(t *testing.T) {
+	s := ConvShape{InC: 2, H: 5, W: 7, OutC: 3, K: 3}
+	if s.InLen() != 70 || s.OutLen() != 105 || s.WeightLen() != 54 {
+		t.Fatalf("2D lens %d/%d/%d, want 70/105/54", s.InLen(), s.OutLen(), s.WeightLen())
+	}
+	s.D = 4
+	if s.InLen() != 280 || s.OutLen() != 420 || s.WeightLen() != 162 {
+		t.Fatalf("D=4 lens %d/%d/%d, want 280/420/162", s.InLen(), s.OutLen(), s.WeightLen())
+	}
+}

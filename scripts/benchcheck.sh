@@ -8,11 +8,13 @@
 # exist on only one side (renamed or newly added) are reported and
 # skipped, so adding a rung never breaks the gate.
 #
-# The runs carry -benchmem, and a second benchdiff pass in -allocs mode
-# gates B/op and allocs/op EXACTLY (no threshold, no floor) on the
-# pooled hot-path benchmarks (names matching "Pooled"): allocation
+# A second pair of runs, of the pooled hot-path benchmarks (names
+# matching "Pooled") only, goes through benchdiff in -allocs mode, which
+# gates B/op and allocs/op EXACTLY (no threshold, no floor): allocation
 # counts are deterministic, so a single new alloc/op on the
-# zero-allocation inference path fails the gate.
+# zero-allocation inference path fails the gate. Those runs use
+# -cpu 1,2, so both the serial branch of every kernel and the branch
+# that hands work to the worker pool are gated.
 #
 # Knobs (environment):
 #   BASE_REF    baseline ref (default: origin/main if it exists, else HEAD~1)
@@ -78,25 +80,29 @@ trap 'exit 143' TERM
 echo "benchcheck: baseline $BASE_REF vs HEAD (threshold ${THRESHOLD}%, floor ${FLOOR}ns, benchtime $BENCHTIME, count $COUNT)"
 git worktree add --quiet --detach "$tmp/base" "$BASE_REF"
 
-run_bench() { # $1 = tree, $2 = output file
+run_bench() { # $1 = tree, $2 = output file, then extra go test flags
+    local tree="$1" out="$2"
+    shift 2
     # A package may not exist in the baseline tree yet; benchmark the
     # intersection so newly added benchmark packages never break the gate.
     (
-        cd "$1"
+        cd "$tree"
         pkgs=""
         for p in $PKGS; do
             if [ -d "$p" ]; then pkgs="$pkgs $p"; fi
         done
-        go test -run '^$' -bench . -benchmem -benchtime="$BENCHTIME" -count="$COUNT" $pkgs
-    ) >"$2"
+        go test -run '^$' -benchmem -benchtime="$BENCHTIME" "$@" $pkgs
+    ) >"$out"
 }
 
-run_bench "$tmp/base" "$tmp/base.txt"
-run_bench . "$tmp/head.txt"
+run_bench "$tmp/base" "$tmp/base.txt" -bench . -count="$COUNT"
+run_bench . "$tmp/head.txt" -bench . -count="$COUNT"
+run_bench "$tmp/base" "$tmp/base.allocs.txt" -bench Pooled -count="$COUNT" -cpu 1,2
+run_bench . "$tmp/head.allocs.txt" -bench Pooled -count="$COUNT" -cpu 1,2
 
 # benchdiff always runs from HEAD's tree, so the baseline does not need
 # to contain the tool. Under GitHub Actions the verdicts also land on
 # the run's summary page as markdown tables.
 md="${GITHUB_STEP_SUMMARY:-}"
 go run ./cmd/benchdiff -threshold "$THRESHOLD" -floor "$FLOOR" ${md:+-md "$md"} "$tmp/base.txt" "$tmp/head.txt"
-go run ./cmd/benchdiff -allocs ${md:+-md "$md"} "$tmp/base.txt" "$tmp/head.txt"
+go run ./cmd/benchdiff -allocs ${md:+-md "$md"} "$tmp/base.allocs.txt" "$tmp/head.allocs.txt"
