@@ -5,7 +5,7 @@ GO ?= go
 BENCHTIME ?=
 BENCHFLAGS = -bench . -benchmem -run '^$$' $(if $(BENCHTIME),-benchtime=$(BENCHTIME))
 
-.PHONY: build test race vet fmt lint lint-tools chaos cluster-chaos cover alloc bench-smoke bench benchcheck loc ci clean
+.PHONY: build test race vet crossarch fmt lint lint-tools chaos cluster-chaos cover alloc bench-smoke bench benchcheck loc ci clean
 
 # Pinned static-analysis tool versions; `make lint-tools` installs them
 # (CI does this — it needs network, so it is not part of `make lint`).
@@ -39,8 +39,19 @@ race:
 	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
 	$(GO) test -race -run 'Conv3D' ./internal/ag/
 
+# vet includes asmdecl, which checks the frame offsets and argument
+# sizes in internal/kernels/gemm_amd64.s against their Go declarations.
 vet:
 	$(GO) vet ./...
+
+# The GEMM micro-kernel's vector step is amd64 assembly; every other
+# GOARCH runs gemmRow's Go loop alone. GOARCH=386 runs that fallback
+# natively on an amd64 host (kernels holds the bit-for-bit micro-kernel
+# test, ag the Conv3D lowering onto it), and the arm64 vet type-checks
+# the whole tree without the assembly.
+crossarch:
+	GOARCH=386 $(GO) test ./internal/kernels/ ./internal/ag/
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fail when any file is not gofmt-clean (CI lint job).
 fmt:
@@ -109,11 +120,11 @@ alloc:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The full gate CI runs: build, lint, the whole test suite, the
-# race-detector pass over the concurrent packages, both chaos suites,
-# the allocation gate, the bench-module smoke test, and the distrib
-# coverage gate.
-ci: build lint test race chaos cluster-chaos alloc bench-smoke cover
+# The full gate CI runs: build, lint, the cross-architecture check,
+# the whole test suite, the race-detector pass over the concurrent
+# packages, both chaos suites, the allocation gate, the bench-module
+# smoke test, and the distrib coverage gate.
+ci: build lint crossarch test race chaos cluster-chaos alloc bench-smoke cover
 
 # Disabled-telemetry overhead (must stay in the single-digit ns/op
 # range), the parallel-for overhead benchmark, the kernel
@@ -131,10 +142,10 @@ bench:
 benchcheck:
 	./scripts/benchcheck.sh
 
-# Line-count report: non-test Go lines per internal/* package at
-# BASE_REF (default origin/main or HEAD~1) versus this tree, with the
-# net delta — a reported metric of every PR (negative is good). See
-# scripts/loc.sh.
+# Line-count report: non-test Go and assembly lines per internal/*
+# package at BASE_REF (default origin/main or HEAD~1) versus this tree,
+# with the net delta — a reported metric of every PR (negative is
+# good). See scripts/loc.sh.
 loc:
 	./scripts/loc.sh
 

@@ -76,24 +76,32 @@ var gemmJobs sync.Pool // of *gemmJob
 // whole-tensor pass later. The per-worker panel is drawn from the
 // global memory pool and not zeroed on loan: stagePatchTile fully
 // writes [0, n) of every row it stages and gemmRow reads exactly that
-// range, so no stale element is ever read.
+// range, so no stale element is ever read. A 1×1 (or 1³) layer stages
+// nothing: its patch row ci is input channel ci, so the panel is the
+// input itself, read from column c0 with a row stride of cols.
 func (j *gemmJob) Run(lo, hi int) {
 	s, r, cols, tile, ep := j.s, j.r, j.cols, j.tile, j.ep
-	panel := memplan.GetFloats(r * tile)
+	var staged []float32
+	pstride := cols
+	if s.K > 1 {
+		staged = memplan.GetFloats(r * tile)
+		pstride = tile
+	}
 	for t := lo; t < hi; t++ {
 		c0 := t * tile
-		n := cols - c0
-		if n > tile {
-			n = tile
+		n := min(tile, cols-c0)
+		panel := j.x[c0:]
+		if staged != nil {
+			stagePatchTile(j.x, staged, s, c0, n, tile)
+			panel = staged
 		}
-		stagePatchTile(j.x, panel, s, c0, n, tile)
 		for co := 0; co < s.OutC; co++ {
 			var bias float32
 			if ep.Bias != nil {
 				bias = ep.Bias[co]
 			}
 			dst := j.out[co*cols+c0 : co*cols+c0+n]
-			gemmRow(j.w[co*r:(co+1)*r], panel, dst, tile, bias)
+			gemmRow(j.w[co*r:(co+1)*r], panel, dst, pstride, bias)
 			if ep.Act {
 				slope := ep.Slope
 				for k, v := range dst {
@@ -104,7 +112,9 @@ func (j *gemmJob) Run(lo, hi int) {
 			}
 		}
 	}
-	memplan.PutFloats(panel)
+	if staged != nil {
+		memplan.PutFloats(staged)
+	}
 }
 
 // FlipDeconvWeights rewrites stride-1 transposed-convolution weights

@@ -18,7 +18,12 @@ import "computecovid19/internal/memplan"
 //     (channel × filter-tap) dimension by four while keeping a single
 //     in-order accumulator per output element, so the summation order
 //     matches the naive kernels' and results stay within the oracle
-//     tolerance (zero-padding taps contribute exact float32 zeros).
+//     tolerance (zero-padding taps contribute exact float32 zeros);
+//   - vectorization (§4.2, the width factor of Tables 5 and 7 beside
+//     PF and LU): on amd64 the micro-kernel sweeps the output columns
+//     four at a time in SSE (gemm_amd64.s). Columns are independent
+//     sums, so the vector lanes keep each element's reduction order and
+//     every output bit; other architectures run the same Go loop.
 //
 // Work is distributed over column tiles, not output channels, so the
 // rung parallelizes cleanly even for the decoder's single-channel
@@ -136,6 +141,12 @@ func zeroFill(s []float32) {
 // order. The plain gemm rung passes bias 0, which seeds the
 // accumulator with the same exact zero as before; the fused rung seeds
 // it with the folded bias, saving the separate bias pass.
+//
+// On amd64 gemmQuad and gemmTap (gemm_amd64.s) do the first n &^ 3
+// columns four at a time and the Go loops below finish the n mod 4
+// tail; elsewhere the Go loops do every column. Lane for lane the
+// vector step is the scalar multiply-then-add in the same order, so
+// both give the same bits.
 func gemmRow(wrow, panel, dst []float32, pstride int, bias float32) {
 	for j := range dst {
 		dst[j] = bias
@@ -149,7 +160,7 @@ func gemmRow(wrow, panel, dst []float32, pstride int, bias float32) {
 		p1 := panel[(ri+1)*pstride : (ri+1)*pstride+n]
 		p2 := panel[(ri+2)*pstride : (ri+2)*pstride+n]
 		p3 := panel[(ri+3)*pstride : (ri+3)*pstride+n]
-		for j := 0; j < n; j++ {
+		for j := gemmQuad(dst, p0, p1, p2, p3, a0, a1, a2, a3); j < n; j++ {
 			acc := dst[j] + a0*p0[j]
 			acc += a1 * p1[j]
 			acc += a2 * p2[j]
@@ -160,7 +171,7 @@ func gemmRow(wrow, panel, dst []float32, pstride int, bias float32) {
 	for ; ri < r; ri++ {
 		a := wrow[ri]
 		p := panel[ri*pstride : ri*pstride+n]
-		for j := 0; j < n; j++ {
+		for j := gemmTap(dst, p, a); j < n; j++ {
 			dst[j] += a * p[j]
 		}
 	}

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# loc: report non-test Go lines per internal/* package at a baseline ref
-# and in this tree, with the net delta — ROADMAP aim 2 makes net line
-# count a reported metric ("negative is good").
+# loc: report non-test Go and assembly lines per internal/* package at a
+# baseline ref and in this tree, with the net delta — ROADMAP aim 2 makes
+# net line count a reported metric ("negative is good").
 #
-# Lines are plain `wc -l` over *.go files that are not *_test.go, so
-# comments and blank lines count: deleting documentation is not a
-# saving, and neither is moving code into tests.
+# Lines are plain `wc -l` over *.go files that are not *_test.go and
+# over *.s files, so comments and blank lines count: deleting
+# documentation is not a saving, moving code into tests is not one
+# either, and neither is moving it into assembly.
 #
 # Knobs (environment):
 #   BASE_REF  baseline ref (default: origin/main if it exists, else HEAD~1)
@@ -29,7 +30,7 @@ git archive "$BASE_REF" internal | tar -x -C "$base"
 
 # count ROOT prints "package lines" for every package under ROOT/internal.
 count() {
-    (cd "$1" && find internal -name '*.go' ! -name '*_test.go' -print0 |
+    (cd "$1" && find internal \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print0 |
         xargs -0 awk 'FNR == 1 { n = split(FILENAME, p, "/"); pkg = p[2] } { lines[pkg]++ }
             END { for (pkg in lines) print pkg, lines[pkg] }')
 }
@@ -45,7 +46,7 @@ table="$({
 echo "$table"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
     {
-        echo "### Non-test Go lines per package"
+        echo "### Non-test Go and assembly lines per package"
         echo
         echo "$table"
     } >>"$GITHUB_STEP_SUMMARY"
