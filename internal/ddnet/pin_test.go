@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"computecovid19/internal/ag"
 	"computecovid19/internal/kernels"
+	"computecovid19/internal/nn"
 	"computecovid19/internal/tensor"
 )
 
@@ -160,5 +162,45 @@ func TestPinPaperTables(t *testing.T) {
 	}
 	if got := kernels.DDnetCounts(kernels.TinyArch(), 64); got != wantTiny {
 		t.Errorf("DDnetCounts(TinyArch, 64):\n got %+v\nwant %+v", got, wantTiny)
+	}
+}
+
+// TestPinTraining pins three Adam steps of Loss on fixed data: the
+// parameter and running-statistics bits afterwards depend on every
+// graph forward value and every convolution and deconvolution
+// gradient, so this is what shows a change to the training path left
+// its arithmetic alone. The constants were computed before the
+// convolution ops were collapsed onto one backward.
+func TestPinTraining(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("parameter bits were recorded on amd64")
+	}
+	img := tensor.New(2, 1, 32, 32)
+	target := tensor.New(2, 1, 32, 32)
+	for i := range img.Data {
+		img.Data[i] = float32((i*7+(i/32)*13)%61) / 60
+		target.Data[i] = float32((i*5+(i/32)*3+(i/1024)*17)%53) / 52
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		m := New(rand.New(rand.NewSource(1)), TinyConfig())
+		m.SetTraining(true)
+		opt := nn.NewAdam(m.Params(), 1e-3)
+		for step := 0; step < 3; step++ {
+			opt.ZeroGrad()
+			Loss(m.Forward(ag.Const(img)), ag.Const(target)).Backward()
+			opt.Step()
+		}
+		runtime.GOMAXPROCS(prev)
+		ps := make([]*tensor.Tensor, 0, len(m.Params()))
+		for _, p := range m.Params() {
+			ps = append(ps, p.T)
+		}
+		if got := bitsSum(ps...); got != 0xd21000818b59a9d4 {
+			t.Errorf("GOMAXPROCS=%d: parameters after 3 Adam steps checksum %#x, parent differs", procs, got)
+		}
+		if got := bitsSum(m.StateTensors()...); got != 0x7b36f1f71e48d43a {
+			t.Errorf("GOMAXPROCS=%d: running statistics after 3 training forwards checksum %#x, parent differs", procs, got)
+		}
 	}
 }
