@@ -78,19 +78,17 @@ func forPlanes[T any](jobs *sync.Pool, n, workers int, arg T, f func(T, int)) {
 // workers (0: the default count), batch elements in series. Every DDnet
 // layer has this shape. Weights are (OutC, InC, K, K), or (InC, OutC,
 // K, K) when transposed; b may be nil.
-func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, transposed bool, workers int) *tensor.Tensor {
+func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, transposed bool, workers int) *tensor.Tensor {
+	checkConv(x, w, b, 4, transposed)
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
+	cout := w.Shape[0]
 	im := kernels.Default()
 	run := im.Conv
 	if transposed {
 		cout, run = w.Shape[1], im.Deconv
 	}
-	if !sameConvShape(kh, kw, cfg.Stride, cfg.Padding) {
-		panic("ag: EvalConv2D requires a stride-1 same-shape (de)convolution")
-	}
 	out := output(sc, n, cout, h, wd)
-	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: kh}
+	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: w.Shape[2]}
 	plane := cin * h * wd
 	oplane := cout * h * wd
 	for ni := 0; ni < n; ni++ {
@@ -99,6 +97,45 @@ func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv2DConfig, tra
 	}
 	addBias(out.Data, b, n, cout, h*wd)
 	return out
+}
+
+// checkConv panics unless x, w and b form a stride-1 "same"
+// convolution of the given rank (4: 2D, 5: 3D) with an odd square or
+// cubic kernel: x (N, Cin, spatial...), w (Cout, Cin, K...) — (Cin,
+// Cout, K, K) when transposed — and b (Cout) or nil. Both forwards run
+// it on the caller's goroutine, before any tile is dispatched: a bad
+// operand must panic where the caller can recover it, not on a pool
+// worker, which would take the process down.
+func checkConv(x, w, b *tensor.Tensor, rank int, transposed bool) {
+	op := "Conv3D"
+	if rank == 4 {
+		op = "Conv2D"
+		if transposed {
+			op = "ConvTranspose2D"
+		}
+	}
+	if x.Rank() != rank || w.Rank() != rank {
+		panic(fmt.Sprintf("ag: %s wants rank-%d x and w, got %v and %v", op, rank, x.Shape, w.Shape))
+	}
+	cout, cin := w.Shape[0], w.Shape[1]
+	if transposed {
+		cout, cin = cin, cout
+	}
+	if x.Shape[1] != cin {
+		panic(fmt.Sprintf("ag: %s channel mismatch: x has %d, w expects %d", op, x.Shape[1], cin))
+	}
+	k := w.Shape[2]
+	for _, e := range w.Shape[3:] {
+		if e != k {
+			k = 0
+		}
+	}
+	if k%2 == 0 {
+		panic(fmt.Sprintf("ag: %s wants an odd square or cubic kernel, got w %v", op, w.Shape))
+	}
+	if b != nil && (b.Rank() != 1 || b.Shape[0] != cout) {
+		panic(fmt.Sprintf("ag: %s bias shape %v, want (%d)", op, b.Shape, cout))
+	}
 }
 
 // addBias adds the per-channel bias to an (N, C, spatial) buffer (a
@@ -334,11 +371,8 @@ func concatExtents(shape []int, axis int) (outer, inner int) {
 // be nil) seeding each output's sum. The GEMM then adds the taps in
 // (ci, kz, ky, kx) order and a padded tap adds an exact zero, so the
 // bits are those of the direct loop nest (TestEvalConv3DMatchesDirectNest).
-// The operands are validated here, on the caller's goroutine: a bad
-// shape must panic where the caller can recover it, not on a pool
-// worker, which would take the process down.
-func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *tensor.Tensor {
-	checkConv3D(x, w, b, cfg)
+func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor) *tensor.Tensor {
+	checkConv(x, w, b, 5, false)
 	n, cin, dd, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
 	cout := w.Shape[0]
 	out := output(sc, n, cout, dd, h, wd)
@@ -352,25 +386,6 @@ func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor, cfg Conv3DConfig) *te
 		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
 	}
 	return out
-}
-
-// checkConv3D panics unless x (N, Cin, D, H, W), w (Cout, Cin, K, K, K)
-// and b (Cout, or nil) form a stride-1 "same" convolution with an odd
-// cubic kernel.
-func checkConv3D(x, w, b *tensor.Tensor, cfg Conv3DConfig) {
-	if x.Rank() != 5 || w.Rank() != 5 {
-		panic(fmt.Sprintf("ag: Conv3D wants rank-5 x and w, got %v and %v", x.Shape, w.Shape))
-	}
-	if x.Shape[1] != w.Shape[1] {
-		panic(fmt.Sprintf("ag: Conv3D channel mismatch: x has %d, w expects %d", x.Shape[1], w.Shape[1]))
-	}
-	if w.Shape[2] != w.Shape[3] || !sameConvShape(w.Shape[3], w.Shape[4], cfg.Stride, cfg.Padding) {
-		panic(fmt.Sprintf("ag: Conv3D wants a stride-1 same-shape odd cubic kernel, got w %v stride %d padding %d",
-			w.Shape, cfg.Stride, cfg.Padding))
-	}
-	if b != nil && (b.Rank() != 1 || b.Shape[0] != w.Shape[0]) {
-		panic(fmt.Sprintf("ag: Conv3D bias shape %v, want (%d)", b.Shape, w.Shape[0]))
-	}
 }
 
 type maxPool3DArgs struct {

@@ -79,11 +79,11 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 			func() *Value { return Concat(0, Const(c4[0]), Const(c4[2])) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalConcat(sc, 0, []*tensor.Tensor{c4[0], c4[2]}) }},
 		{"conv3d k3s1p1 bias",
-			func() *Value { return Conv3D(Const(x5), Const(w3), Const(b3), Conv3DConfig{1, 1}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w3, b3, Conv3DConfig{1, 1}) }},
+			func() *Value { return Conv3D(Const(x5), Const(w3), Const(b3)) },
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w3, b3) }},
 		{"conv3d k1s1p0 no bias",
-			func() *Value { return Conv3D(Const(x5), Const(w1), nil, Conv3DConfig{1, 0}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w1, nil, Conv3DConfig{1, 0}) }},
+			func() *Value { return Conv3D(Const(x5), Const(w1), nil) },
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv3D(sc, x5, w1, nil) }},
 		{"gap3d",
 			func() *Value { return GlobalAvgPool3D(Const(x5)) },
 			func(sc *memplan.Scope) *tensor.Tensor { return EvalGlobalAvgPool3D(sc, x5) }},
@@ -101,13 +101,13 @@ func TestGraphAndEvalShareOneKernel(t *testing.T) {
 				return EvalBatchNorm(sc, x4, gamma, beta, mean, variance, 1e-5)
 			}},
 		{"conv2d same k3 bias",
-			func() *Value { return Conv2DFast(Const(x4), Const(w2), Const(b2), Conv2DConfig{1, 1}) },
+			func() *Value { return Conv2D(Const(x4), Const(w2), Const(b2)) },
 			func(sc *memplan.Scope) *tensor.Tensor {
-				return EvalConv2D(sc, x4, w2, b2, Conv2DConfig{1, 1}, false, 0)
+				return EvalConv2D(sc, x4, w2, b2, false, 0)
 			}},
 		{"deconv2d same k5 bias",
-			func() *Value { return ConvTranspose2DFast(Const(x4), Const(wT), Const(b2), Conv2DConfig{1, 2}) },
-			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv2D(sc, x4, wT, b2, Conv2DConfig{1, 2}, true, 0) }},
+			func() *Value { return ConvTranspose2D(Const(x4), Const(wT), Const(b2)) },
+			func(sc *memplan.Scope) *tensor.Tensor { return EvalConv2D(sc, x4, wT, b2, true, 0) }},
 		{"leakyrelu",
 			func() *Value { return LeakyReLU(Const(x4), 0.01) },
 			func(sc *memplan.Scope) *tensor.Tensor {

@@ -1,6 +1,7 @@
 package ag
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,52 +113,52 @@ func TestGradConcatReshape(t *testing.T) {
 	}, 1e-2)
 }
 
+// gradCheckConv gradchecks op with x and weights of shape wShape(k)
+// for every kernel size the networks use, without and with a bias of
+// cout channels.
+func gradCheckConv(t *testing.T, name string, rng *rand.Rand, x *Value, cout int,
+	wShape func(k int) []int, op func(x, w, b *Value) *Value) {
+	t.Helper()
+	for _, k := range []int{1, 3, 5} {
+		w := randParam(rng, wShape(k)...)
+		for _, bias := range []bool{false, true} {
+			leaves := []*Value{x, w}
+			var b *Value
+			if bias {
+				b = randParam(rng, cout)
+				leaves = append(leaves, b)
+			}
+			gradCheck(t, fmt.Sprintf("%s k=%d bias=%v", name, k, bias), leaves, func() *Value {
+				return Mean(Square(op(x, w, b)))
+			}, 2e-2)
+		}
+	}
+}
+
 func TestGradConv2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randParam(rng, 2, 2, 5, 5)
-	w := randParam(rng, 3, 2, 3, 3)
-	b := randParam(rng, 3)
-	gradCheck(t, "conv2d_s1p1", []*Value{x, w, b}, func() *Value {
-		return Mean(Square(Conv2D(x, w, b, Conv2DConfig{Stride: 1, Padding: 1})))
-	}, 2e-2)
-	gradCheck(t, "conv2d_s2p0", []*Value{x, w, b}, func() *Value {
-		return Mean(Square(Conv2D(x, w, b, Conv2DConfig{Stride: 2, Padding: 0})))
-	}, 2e-2)
-	gradCheck(t, "conv2d_nobias", []*Value{x, w}, func() *Value {
-		return Mean(Square(Conv2D(x, w, nil, Conv2DConfig{Stride: 1, Padding: 0})))
-	}, 2e-2)
+	gradCheckConv(t, "conv2d", rng, randParam(rng, 2, 2, 5, 5), 3,
+		func(k int) []int { return []int{3, 2, k, k} }, Conv2D)
 }
 
 func TestGradConvTranspose2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	x := randParam(rng, 1, 2, 4, 4)
-	w := randParam(rng, 2, 3, 3, 3) // (Cin, Cout, KH, KW)
-	b := randParam(rng, 3)
-	gradCheck(t, "convT_s1p1", []*Value{x, w, b}, func() *Value {
-		return Mean(Square(ConvTranspose2D(x, w, b, Conv2DConfig{Stride: 1, Padding: 1})))
-	}, 2e-2)
-	gradCheck(t, "convT_s2p0", []*Value{x, w, b}, func() *Value {
-		return Mean(Square(ConvTranspose2D(x, w, b, Conv2DConfig{Stride: 2, Padding: 0})))
-	}, 2e-2)
+	gradCheckConv(t, "convT", rng, randParam(rng, 2, 2, 4, 4), 3,
+		func(k int) []int { return []int{2, 3, k, k} }, ConvTranspose2D) // (Cin, Cout, K, K)
 }
 
 func TestConvTranspose2DAdjointOfConv(t *testing.T) {
 	// <conv(x), y> must equal <x, convT(y)> when they share weights:
 	// transposed convolution is by definition the adjoint map.
-	// 7x7 with k=3, s=2, p=1 gives a 4x4 output whose transpose maps
-	// back to exactly 7x7, so the inner products are comparable.
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.New(1, 2, 7, 7).RandN(rng, 0, 1)
 	w := tensor.New(3, 2, 3, 3).RandN(rng, 0, 1)
-	cfg := Conv2DConfig{Stride: 2, Padding: 1}
-	cx := Conv2D(Const(x), Const(w), nil, cfg)
+	cx := Conv2D(Const(x), Const(w), nil)
 	y := tensor.New(cx.T.Shape...).RandN(rng, 0, 1)
 
-	// w viewed as (Cin=3 → 2) for the transpose direction requires the
-	// (Cin, Cout, KH, KW) layout; build it by permuting.
-	wt := tensor.New(3, 2, 3, 3)
-	copy(wt.Data, w.Data)
-	ty := ConvTranspose2D(Const(y.Reshape(y.Shape...)), Const(wt), nil, cfg)
+	// The same (3, 2, 3, 3) buffer read as (Cin, Cout, K, K) maps the
+	// 3 output channels back to the 2 input ones.
+	ty := ConvTranspose2D(Const(y), Const(w), nil)
 
 	lhs := cx.T.Dot(y)
 	rhs := x.Dot(ty.T)
@@ -222,16 +223,8 @@ func TestGradLinear(t *testing.T) {
 
 func TestGradConv3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	x := randParam(rng, 1, 2, 3, 4, 4)
-	w := randParam(rng, 2, 2, 3, 3, 3)
-	b := randParam(rng, 2)
-	gradCheck(t, "conv3d_s1p1", []*Value{x, w, b}, func() *Value {
-		return Mean(Square(Conv3D(x, w, b, Conv3DConfig{Stride: 1, Padding: 1})))
-	}, 2e-2)
-	w1 := randParam(rng, 3, 2, 1, 1, 1)
-	gradCheck(t, "conv3d_k1", []*Value{x, w1}, func() *Value {
-		return Mean(Square(Conv3D(x, w1, nil, Conv3DConfig{Stride: 1, Padding: 0})))
-	}, 2e-2)
+	gradCheckConv(t, "conv3d", rng, randParam(rng, 2, 2, 3, 4, 4), 2,
+		func(k int) []int { return []int{2, 2, k, k, k} }, Conv3D)
 }
 
 func TestGradPool3D(t *testing.T) {

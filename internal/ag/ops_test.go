@@ -66,16 +66,16 @@ func TestDetachCutsTape(t *testing.T) {
 }
 
 func TestConv2DKnownValues(t *testing.T) {
-	// 3x3 input, 2x2 kernel of ones, no pad, stride 1 → each output is
-	// the sum of a 2x2 block.
+	// 3x3 input, 3x3 kernel of ones, "same" padding → each output is
+	// the sum of the cells of its 3x3 neighbourhood inside the image.
 	x := Const(tensor.FromSlice([]float32{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3))
-	w := Const(tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2))
-	y := Conv2D(x, w, nil, Conv2DConfig{Stride: 1})
-	want := []float32{12, 16, 24, 28}
+	w := Const(tensor.New(1, 1, 3, 3).Fill(1))
+	y := Conv2D(x, w, nil)
+	want := []float32{12, 21, 16, 27, 45, 33, 24, 39, 28}
 	for i, v := range want {
 		if y.T.Data[i] != v {
 			t.Fatalf("conv out[%d] = %v, want %v", i, y.T.Data[i], v)
@@ -86,26 +86,11 @@ func TestConv2DKnownValues(t *testing.T) {
 func TestConv2DOutputShape(t *testing.T) {
 	x := Const(tensor.New(2, 3, 16, 16))
 	w := Const(tensor.New(8, 3, 7, 7))
-	y := Conv2D(x, w, nil, Conv2DConfig{Stride: 1, Padding: 3})
+	y := Conv2D(x, w, nil)
 	wantShape := []int{2, 8, 16, 16}
 	for i, d := range wantShape {
 		if y.T.Shape[i] != d {
 			t.Fatalf("shape = %v, want %v", y.T.Shape, wantShape)
-		}
-	}
-}
-
-func TestConvTranspose2DUpsamples(t *testing.T) {
-	x := Const(tensor.New(1, 1, 4, 4).Fill(1))
-	w := Const(tensor.New(1, 1, 2, 2).Fill(1))
-	y := ConvTranspose2D(x, w, nil, Conv2DConfig{Stride: 2})
-	if y.T.Shape[2] != 8 || y.T.Shape[3] != 8 {
-		t.Fatalf("convT shape = %v, want 8x8 spatial", y.T.Shape)
-	}
-	// Stride-2 scatter of a 2x2 ones kernel tiles without overlap: all 1s.
-	for i, v := range y.T.Data {
-		if v != 1 {
-			t.Fatalf("convT out[%d] = %v, want 1", i, v)
 		}
 	}
 }
@@ -325,7 +310,7 @@ func TestLinearKnownValues(t *testing.T) {
 func TestConv3DShapeAndGAP(t *testing.T) {
 	x := Const(tensor.New(1, 2, 5, 6, 7))
 	w := Const(tensor.New(4, 2, 1, 1, 1))
-	y := Conv3D(x, w, nil, Conv3DConfig{Stride: 1, Padding: 0})
+	y := Conv3D(x, w, nil)
 	want := []int{1, 4, 5, 6, 7}
 	for i, d := range want {
 		if y.T.Shape[i] != d {
@@ -344,7 +329,7 @@ func TestConvIdentityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := tensor.New(1, 1, 4, 4).RandN(rng, 0, 1)
 		w := tensor.FromSlice([]float32{1}, 1, 1, 1, 1)
-		y := Conv2D(Const(x), Const(w), nil, Conv2DConfig{Stride: 1})
+		y := Conv2D(Const(x), Const(w), nil)
 		return y.T.AllClose(x, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

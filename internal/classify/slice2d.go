@@ -31,15 +31,15 @@ func NewSlice2D(rng *rand.Rand, channels int, std float64) *Slice2D {
 		std = 0.05
 	}
 	net := nn.NewSequential(
-		nn.NewConv2D(rng, 1, channels, 3, 1, 1, false, std),
+		nn.NewConv2D(rng, 1, channels, 3, false, std),
 		nn.NewBatchNorm(channels),
 		nn.ReLU(),
 		nn.MaxPool2D(2, 2, 0),
-		nn.NewConv2D(rng, channels, 2*channels, 3, 1, 1, false, std),
+		nn.NewConv2D(rng, channels, 2*channels, 3, false, std),
 		nn.NewBatchNorm(2*channels),
 		nn.ReLU(),
 		nn.MaxPool2D(2, 2, 0),
-		nn.NewConv2D(rng, 2*channels, 2*channels, 3, 1, 1, false, std),
+		nn.NewConv2D(rng, 2*channels, 2*channels, 3, false, std),
 		nn.NewBatchNorm(2*channels),
 		nn.ReLU(),
 		nn.MaxPool2D(2, 2, 0),

@@ -127,7 +127,7 @@ type builder struct {
 func (b *builder) apply(l layer, inC int) int {
 	var u unit
 	if l.k > 0 {
-		u.conv = nn.NewConv3D(b.rng, inC, l.outC, l.k, 1, l.k/2, false, b.std)
+		u.conv = nn.NewConv3D(b.rng, inC, l.outC, l.k, false, b.std)
 	}
 	if l.bnAct {
 		u.bn = nn.NewBatchNorm(l.outC)

@@ -127,9 +127,9 @@ func New(rng *rand.Rand, cfg Config) *DDnet {
 	for _, l := range kernels.Layers(cfg.Arch()) {
 		var u unit
 		if l.Deconv {
-			u.conv = nn.NewConvTranspose2D(rng, l.InC, l.OutC, l.K, 1, l.K/2, false, cfg.InitStd)
+			u.conv = nn.NewConvTranspose2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
 		} else if l.K > 0 {
-			u.conv = nn.NewConv2D(rng, l.InC, l.OutC, l.K, 1, l.K/2, false, cfg.InitStd)
+			u.conv = nn.NewConv2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
 		}
 		if l.BNAct {
 			u.bn = nn.NewBatchNorm(l.OutC)

@@ -42,7 +42,7 @@ func TestConvMatchesAutogradReference(t *testing.T) {
 		ref := ag.Conv2D(
 			ag.Const(tensor.FromSlice(x, 1, s.InC, s.H, s.W)),
 			ag.Const(tensor.FromSlice(w, s.OutC, s.InC, s.K, s.K)),
-			nil, ag.Conv2DConfig{Stride: 1, Padding: k / 2})
+			nil)
 		for _, name := range Names()[:4] {
 			out := make([]float32, s.OutLen())
 			MustSelect(name).Conv(x, w, out, s, 1)
@@ -79,7 +79,7 @@ func TestDeconvMatchesAutogradReference(t *testing.T) {
 	ref := ag.ConvTranspose2D(
 		ag.Const(tensor.FromSlice(x, 1, s.InC, s.H, s.W)),
 		ag.Const(tensor.FromSlice(w, s.InC, s.OutC, s.K, s.K)),
-		nil, ag.Conv2DConfig{Stride: 1, Padding: 2})
+		nil)
 	out := make([]float32, s.OutLen())
 	MustSelect("naive").Deconv(x, w, out, s, 1)
 	if d := maxDiff(out, ref.T.Data); d > 1e-4 {

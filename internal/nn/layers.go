@@ -16,57 +16,52 @@ import (
 // Conv2D is a trainable 2D convolution layer — or, with Transposed set,
 // a transposed convolution (deconvolution), the reconstruction operator
 // of DDnet. The two differ only in weight layout, (outCh, inCh, k, k)
-// against (inCh, outCh, k, k), and in the kernel they dispatch to.
+// against (inCh, outCh, k, k), and in the kernel they dispatch to. Both
+// are stride-1 "same" layers with an odd kernel, the only shape the
+// networks use: the output keeps the input's height and width.
 type Conv2D struct {
 	W, B       *ag.Value
-	Cfg        ag.Conv2DConfig
 	Transposed bool
 }
 
 // NewConv2D builds a conv layer with weights drawn from N(0, std²); bias
 // (if used) starts at zero. Pass std <= 0 for the paper's default 0.01.
-func NewConv2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *Conv2D {
-	return newConv2D(rng, tensor.New(outCh, inCh, kernel, kernel), outCh, stride, padding, bias, std)
+func NewConv2D(rng *rand.Rand, inCh, outCh, kernel int, bias bool, std float64) *Conv2D {
+	return newConv2D(rng, tensor.New(outCh, inCh, kernel, kernel), outCh, bias, std)
 }
 
 // NewConvTranspose2D builds a deconv layer with Gaussian-initialized
 // weights of shape (inCh, outCh, k, k).
-func NewConvTranspose2D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *Conv2D {
-	l := newConv2D(rng, tensor.New(inCh, outCh, kernel, kernel), outCh, stride, padding, bias, std)
+func NewConvTranspose2D(rng *rand.Rand, inCh, outCh, kernel int, bias bool, std float64) *Conv2D {
+	l := newConv2D(rng, tensor.New(inCh, outCh, kernel, kernel), outCh, bias, std)
 	l.Transposed = true
 	return l
 }
 
-func newConv2D(rng *rand.Rand, w *tensor.Tensor, outCh, stride, padding int, bias bool, std float64) *Conv2D {
+func newConv2D(rng *rand.Rand, w *tensor.Tensor, outCh int, bias bool, std float64) *Conv2D {
 	if std <= 0 {
 		std = 0.01
 	}
 	GaussianInit(w, rng, 0, std)
-	l := &Conv2D{
-		W:   ag.Param(w),
-		Cfg: ag.Conv2DConfig{Stride: stride, Padding: padding},
-	}
+	l := &Conv2D{W: ag.Param(w)}
 	if bias {
 		l.B = ag.Param(tensor.New(outCh))
 	}
 	return l
 }
 
-// Forward applies the (transposed) convolution via the kernel-registry
-// fast path (which falls back to the direct kernels for shapes the
-// registry rungs do not cover).
+// Forward applies the (transposed) convolution on the autograd tape.
 func (l *Conv2D) Forward(x *ag.Value) *ag.Value {
 	if l.Transposed {
-		return ag.ConvTranspose2DFast(x, l.W, l.B, l.Cfg)
+		return ag.ConvTranspose2D(x, l.W, l.B)
 	}
-	return ag.Conv2DFast(x, l.W, l.B, l.Cfg)
+	return ag.Conv2D(x, l.W, l.B)
 }
 
 // Infer applies the (transposed) convolution on the pooled eval path
-// on workers kernel workers (0: the default count); the layer must be a
-// stride-1 "same" one.
+// on workers kernel workers (0: the default count).
 func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor, workers int) *tensor.Tensor {
-	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Cfg, l.Transposed, workers)
+	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Transposed, workers)
 }
 
 // Params returns the weight (and bias, when present).
@@ -80,23 +75,20 @@ func (l *Conv2D) Params() []*ag.Value {
 // SetTraining is a no-op for convolutions.
 func (l *Conv2D) SetTraining(bool) {}
 
-// Conv3D is a trainable 3D convolution layer for volumetric networks.
+// Conv3D is a trainable 3D convolution layer for volumetric networks,
+// a stride-1 "same" one with an odd cubic kernel.
 type Conv3D struct {
 	W, B *ag.Value
-	Cfg  ag.Conv3DConfig
 }
 
 // NewConv3D builds a 3D conv layer with Gaussian-initialized weights.
-func NewConv3D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bool, std float64) *Conv3D {
+func NewConv3D(rng *rand.Rand, inCh, outCh, kernel int, bias bool, std float64) *Conv3D {
 	if std <= 0 {
 		std = 0.01
 	}
 	w := tensor.New(outCh, inCh, kernel, kernel, kernel)
 	GaussianInit(w, rng, 0, std)
-	l := &Conv3D{
-		W:   ag.Param(w),
-		Cfg: ag.Conv3DConfig{Stride: stride, Padding: padding},
-	}
+	l := &Conv3D{W: ag.Param(w)}
 	if bias {
 		l.B = ag.Param(tensor.New(outCh))
 	}
@@ -104,11 +96,11 @@ func NewConv3D(rng *rand.Rand, inCh, outCh, kernel, stride, padding int, bias bo
 }
 
 // Forward applies the 3D convolution.
-func (l *Conv3D) Forward(x *ag.Value) *ag.Value { return ag.Conv3D(x, l.W, l.B, l.Cfg) }
+func (l *Conv3D) Forward(x *ag.Value) *ag.Value { return ag.Conv3D(x, l.W, l.B) }
 
 // Infer applies the 3D convolution on the pooled eval path.
 func (l *Conv3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	return ag.EvalConv3D(sc, x, l.W.T, l.B.Tensor(), l.Cfg)
+	return ag.EvalConv3D(sc, x, l.W.T, l.B.Tensor())
 }
 
 // Params returns the weight (and bias, when present).

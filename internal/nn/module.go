@@ -1,6 +1,6 @@
 // Package nn builds the neural-network module layer on top of the
 // autograd engine: parameterized layers (convolutions, batch norm,
-// linear), the Sequential container, optimizers (SGD, Adam) and
+// linear), the Sequential container, the Adam optimizer and
 // learning-rate schedules, plus binary model serialization.
 //
 // It plays the role of torch.nn / torch.optim in the paper's stack.

@@ -21,57 +21,6 @@ type Optimizer interface {
 	LR() float64
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	params   []*ag.Value
-	lr       float64
-	momentum float64
-	velocity []*tensor.Tensor
-}
-
-// NewSGD builds an SGD optimizer over params.
-func NewSGD(params []*ag.Value, lr, momentum float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.T.Shape...)
-		}
-	}
-	return s
-}
-
-// Step applies p ← p − lr·g (with momentum when configured).
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.velocity != nil {
-			v := s.velocity[i]
-			for j := range v.Data {
-				v.Data[j] = float32(s.momentum)*v.Data[j] + p.Grad.Data[j]
-				p.T.Data[j] -= float32(s.lr) * v.Data[j]
-			}
-		} else {
-			p.T.AxpyInPlace(float32(-s.lr), p.Grad)
-		}
-	}
-}
-
-// ZeroGrad clears every parameter gradient.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR reports the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
 // Adam implements Kingma & Ba's optimizer, the one both DDnet and the
 // classifier are trained with in the paper (§3.1.1, §3.3.1).
 type Adam struct {
@@ -158,36 +107,6 @@ func NewExponentialLR(opt Optimizer, gamma float64) *ExponentialLR {
 // StepEpoch multiplies the learning rate by gamma; call once per epoch.
 func (e *ExponentialLR) StepEpoch() {
 	e.opt.SetLR(e.opt.LR() * e.gamma)
-}
-
-// GradNorm returns the L2 norm of all gradients of params, a useful
-// training diagnostic.
-func GradNorm(params []*ag.Value) float64 {
-	s := 0.0
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		for _, g := range p.Grad.Data {
-			s += float64(g) * float64(g)
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// ClipGradNorm rescales gradients so their global L2 norm does not
-// exceed maxNorm. Returns the pre-clip norm.
-func ClipGradNorm(params []*ag.Value, maxNorm float64) float64 {
-	norm := GradNorm(params)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			if p.Grad != nil {
-				p.Grad.ScaleInPlace(scale)
-			}
-		}
-	}
-	return norm
 }
 
 // NumParams counts the total scalar parameters in params.
