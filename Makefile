@@ -46,13 +46,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The GEMM micro-kernel's vector step is amd64 assembly; every other
-# GOARCH runs gemmRow's Go loop alone. GOARCH=386 runs that fallback
-# natively on an amd64 host (kernels holds the bit-for-bit micro-kernel
-# test, ag the Conv3D lowering onto it), and the arm64 vet type-checks
-# the whole tree without the assembly.
+# The GEMM micro-kernels are amd64 assembly; every other GOARCH runs
+# gemmRow's Go loop alone. GOARCH=386 runs that fallback natively on an
+# amd64 host (kernels holds the bit-for-bit micro-kernel and staged
+# oracle tests, ag the Conv3D lowering onto it, and ddnet and classify
+# the networks' output and training bit pins, end to end), and the
+# arm64 vet type-checks the whole tree without the assembly.
 crossarch:
-	GOARCH=386 $(GO) test ./internal/kernels/ ./internal/ag/
+	GOARCH=386 $(GO) test ./internal/kernels/ ./internal/ag/ ./internal/ddnet/ ./internal/classify/
 	GOARCH=arm64 $(GO) vet ./...
 
 # Fail when any file is not gofmt-clean (CI lint job).

@@ -1,8 +1,11 @@
 package kernels_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,6 +130,48 @@ func TestConvFusedDeterministicAcrossWorkers(t *testing.T) {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 				t.Fatalf("workers=%d element %d: %x != %x (worker count changed bits)",
 					workers, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestConvFusedBadOperandPanicsOnCaller pins where a malformed call
+// fails: a short operand, an even kernel or a non-positive dimension
+// panics with ConvFused's own message on the calling goroutine, where
+// it can be recovered, and not on a pool worker (which would take the
+// process down) or inside the assembly (which would read or write past
+// the operand without a panic at all). The shape splits into tiles on
+// 2 workers, so without the check the work would reach the pool.
+func TestConvFusedBadOperandPanicsOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []int{1, 3} {
+		s := ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k}
+		x := randSlice(rng, s.InLen())
+		w := randSlice(rng, s.WeightLen())
+		out := make([]float32, s.OutLen())
+		bias := Epilogue{Bias: randSlice(rng, s.OutC), Act: true, Slope: 0.01}
+		for _, c := range []struct {
+			name      string
+			x, w, out []float32
+			s         ConvShape
+			ep        Epilogue
+		}{
+			{"short x", x[:len(x)-1], w, out, s, bias},
+			{"short w", x, w[:len(w)-1], out, s, bias},
+			{"short out", x, w, out[:len(out)-1], s, bias},
+			{"short bias", x, w, out, s, Epilogue{Bias: bias.Bias[:s.OutC-1]}},
+			{"even K", x, w, out, ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k + 1}, bias},
+			{"zero H", x, w, out, ConvShape{InC: 3, W: 40, OutC: 5, K: k}, bias},
+			{"negative D", x, w, out, ConvShape{InC: 3, D: -1, H: 32, W: 40, OutC: 5, K: k}, bias},
+		} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				ConvFused(c.x, c.w, c.out, c.s, 2, c.ep)
+				return ""
+			}()
+			if !strings.HasPrefix(msg, "kernels: ConvFused") {
+				t.Errorf("K=%d %s: recovered %q, want ConvFused's operand panic", k, c.name, msg)
 			}
 		}
 	}

@@ -77,3 +77,156 @@ taploop:
 
 tapdone:
 	RET
+
+// One tap of one output channel on the 16-column block: a VBROADCASTSS
+// of the channel's weight, then per 8-column half one VMULPS of the
+// input by it into a product register and one VADDPS of the product
+// and the running sum. The input is the multiply's first source and
+// the product the add's first source, as in gemmQuad, and there is no
+// fused multiply-add, so every lane rounds as the scalar loop does.
+#define TAP(wrow, acc0, acc1) \
+	VBROADCASTSS (wrow)(AX*4), Y10; \
+	VMULPS       Y10, Y8, Y11; \
+	VADDPS       acc0, Y11, acc0; \
+	VMULPS       Y10, Y9, Y12; \
+	VADDPS       acc1, Y12, acc1
+
+// The epilogue's LeakyReLU on one accumulator: lanes below zero (not
+// NaN, not -0) take the product with the slope in Y13; Y14 holds zero.
+#define LRELU(acc) \
+	VCMPPS    $0x11, Y14, acc, Y11; \
+	VMULPS    Y13, acc, Y12; \
+	VBLENDVPS Y11, Y12, acc, acc
+
+// func gemmBlock(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32)
+//
+// Four output channels × 16 columns: for c in [0, 4) and j in [0, 16),
+// dst[c·ds+j] = act(bias[c] + Σ_t w[c·r+t]·x[offs[t]+j]), r = len(offs),
+// the sum in ascending t. The eight accumulators (Y0–Y7, two per
+// channel) stay in registers across the whole reduction; the bias
+// seeds them and the LeakyReLU runs on them before the one store.
+TEXT ·gemmBlock(SB), NOSPLIT, $0-136
+	MOVQ offs_base+56(FP), R12
+	MOVQ offs_len+64(FP), CX
+	MOVQ x_base+32(FP), SI
+	MOVQ w_base+80(FP), R8
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	MOVQ bias_base+104(FP), DX
+	VBROADCASTSS (DX), Y0
+	VBROADCASTSS (DX), Y1
+	VBROADCASTSS 4(DX), Y2
+	VBROADCASTSS 4(DX), Y3
+	VBROADCASTSS 8(DX), Y4
+	VBROADCASTSS 8(DX), Y5
+	VBROADCASTSS 12(DX), Y6
+	VBROADCASTSS 12(DX), Y7
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ   blockepi
+
+blockloop:
+	MOVLQSX (R12)(AX*4), DX
+	VMOVUPS (SI)(DX*4), Y8
+	VMOVUPS 32(SI)(DX*4), Y9
+	TAP(R8, Y0, Y1)
+	TAP(R9, Y2, Y3)
+	TAP(R10, Y4, Y5)
+	TAP(R11, Y6, Y7)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  blockloop
+
+blockepi:
+	CMPB act+128(FP), $0
+	JEQ  blockstore
+	VBROADCASTSS slope+132(FP), Y13
+	VXORPS Y14, Y14, Y14
+	LRELU(Y0)
+	LRELU(Y1)
+	LRELU(Y2)
+	LRELU(Y3)
+	LRELU(Y4)
+	LRELU(Y5)
+	LRELU(Y6)
+	LRELU(Y7)
+
+blockstore:
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    ds+24(FP), BX
+	SHLQ    $2, BX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func gemmBlock1(dst, x []float32, offs []int32, w []float32, bias float32, act bool, slope float32)
+//
+// gemmBlock for one output channel: dst[j] = act(bias + Σ_t
+// w[t]·x[offs[t]+j]) for j in [0, 16), in two accumulators.
+TEXT ·gemmBlock1(SB), NOSPLIT, $0-108
+	MOVQ offs_base+48(FP), R12
+	MOVQ offs_len+56(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+72(FP), R8
+	VBROADCASTSS bias+96(FP), Y0
+	VBROADCASTSS bias+96(FP), Y1
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ   oneepi
+
+oneloop:
+	MOVLQSX (R12)(AX*4), DX
+	VMOVUPS (SI)(DX*4), Y8
+	VMOVUPS 32(SI)(DX*4), Y9
+	TAP(R8, Y0, Y1)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  oneloop
+
+oneepi:
+	CMPB act+100(FP), $0
+	JEQ  onestore
+	VBROADCASTSS slope+104(FP), Y13
+	VXORPS Y14, Y14, Y14
+	LRELU(Y0)
+	LRELU(Y1)
+
+onestore:
+	MOVQ    dst_base+0(FP), DI
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX() bool
+//
+// CPUID leaf 1 ECX: OSXSAVE (bit 27) and AVX (bit 28); then XGETBV
+// XCR0 bits 1 and 2: the OS saves the XMM and YMM state.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   avxdone
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   avxdone
+	MOVB  $1, ret+0(FP)
+
+avxdone:
+	RET

@@ -81,7 +81,7 @@ func init() {
 	})
 	register(&Impl{
 		Name:    "gemm",
-		Desc:    "im2col + cache-blocked GEMM; tile-staged loads, channel-unrolled micro-kernel",
+		Desc:    "implicit GEMM over the zero-padded input; 4-channel × 16-column register-blocked micro-kernel, AVX where probed (SSE otherwise)",
 		Variant: REFPFLU,
 		Conv:    convGEMM,
 		Deconv:  deconvGEMM,
