@@ -30,16 +30,18 @@ test:
 # (the differential oracle, the fused plan, and concurrent warm
 # forwards sharing the table cache and recycled backends), the
 # classifier's pooled backend (its oracle over arenas and worker
-# counts), and ag's convolutions (the Conv3D GEMM lowering against the
-# direct loop nest on 1, 2 and 4 procs, the caller-side operand checks,
-# and the gradchecks, whose shared backward writes disjoint dX planes
-# and dW elements from pool workers).
+# counts), and ag's convolutions and plane ops (the Conv3D GEMM
+# lowering and the max pools and up-sample against their direct loop
+# nests on 1, 2 and 4 procs, the graph/eval equality on 1 and 4, the
+# max-pool backward, the caller-side operand checks, and the
+# gradchecks, whose shared backwards write disjoint planes and dW
+# elements from pool workers).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -run 'Pooled|Concurrent|Allocs|Split' ./internal/core/
 	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
 	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
-	$(GO) test -race -run 'Conv|Grad' ./internal/ag/
+	$(GO) test -race -run 'Conv|Grad|Pool|Share|Upsample' ./internal/ag/
 
 # vet includes asmdecl, which checks the frame offsets and argument
 # sizes in internal/kernels/gemm_amd64.s against their Go declarations.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/tensor"
 )
@@ -26,15 +27,15 @@ func sameBits(a, b *tensor.Tensor) bool {
 // and an eval caller through both, on the same random input, and
 // demands identical bits — with the shapes the network-level tests never
 // reach: padding > 0, odd extents, batch 3, concat on every axis. It
-// runs on one worker and on four, so forPlanes' serial and parallel
-// branches are both compared against each other too.
+// runs on one worker and on four, so the kernels' inline and pooled
+// dispatches are both compared against each other too.
 func TestGraphAndEvalShareOneKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	r := func(shape ...int) *tensor.Tensor { return tensor.New(shape...).RandN(rng, 0, 1) }
 	pos := func(shape ...int) *tensor.Tensor { return tensor.New(shape...).RandU(rng, 0.5, 2) }
 
 	x4, x5 := r(3, 4, 7, 9), r(3, 2, 5, 7, 6)
-	ty, tx := NewBilinearTable(7, 14), NewBilinearTable(9, 18)
+	ty, tx := kernels.NewBilinearTable(7, 14), kernels.NewBilinearTable(9, 18)
 	w3, w1, b3 := r(5, 2, 3, 3, 3), r(5, 2, 1, 1, 1), r(5)
 	w2, wT, b2 := r(6, 4, 3, 3), r(4, 6, 5, 5), r(6)
 	xl, wl, bl := r(3, 11), r(4, 11), r(4)
@@ -153,10 +154,10 @@ func TestMaxPoolBackwardFollowsRecordedArgmax(t *testing.T) {
 	}{
 		{"maxpool2d", tensor.New(3, 2, 7, 9).RandN(rng, 0, 1),
 			func(x *Value) *Value { return MaxPool2D(x, cfg) },
-			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool2D(nil, x, cfg, true, 0) }},
+			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool(nil, x, cfg, true, 0) }},
 		{"maxpool3d", tensor.New(3, 2, 5, 7, 6).RandN(rng, 0, 1),
 			func(x *Value) *Value { return MaxPool3D(x, cfg) },
-			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool3D(nil, x, cfg, true) }},
+			func(x *tensor.Tensor) (*tensor.Tensor, []int32) { return maxPool(nil, x, cfg, true, 0) }},
 	}
 	for _, c := range cases {
 		out, argmax := c.forward(c.x)

@@ -3,6 +3,7 @@ package ag
 import (
 	"fmt"
 
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/parallel"
 	"computecovid19/internal/tensor"
 )
@@ -28,7 +29,7 @@ func MaxPool2D(x *Value, cfg Pool2DConfig) *Value {
 	if x.T.Rank() != 4 {
 		panic(fmt.Sprintf("ag: MaxPool2D wants rank-4 input, got %v", x.T.Shape))
 	}
-	out, argmax := maxPool2D(nil, x.T, cfg, true, 0)
+	out, argmax := maxPool(nil, x.T, cfg, true, 0)
 	return maxPoolNode("maxpool2d", x, out, argmax)
 }
 
@@ -161,7 +162,7 @@ func UpsampleBilinear2D(x *Value, scale int) *Value {
 	}
 	n, c, h, w := x.T.Shape[0], x.T.Shape[1], x.T.Shape[2], x.T.Shape[3]
 	oh, ow := h*scale, w*scale
-	ty, tx := NewBilinearTable(h, oh), NewBilinearTable(w, ow)
+	ty, tx := kernels.NewBilinearTable(h, oh), kernels.NewBilinearTable(w, ow)
 	out := EvalUpsampleBilinear2D(nil, x.T, ty, tx, 0)
 
 	var node *Value
@@ -194,7 +195,7 @@ func MaxPool3D(x *Value, cfg Pool2DConfig) *Value {
 	if x.T.Rank() != 5 {
 		panic(fmt.Sprintf("ag: MaxPool3D wants rank-5 input, got %v", x.T.Shape))
 	}
-	out, argmax := maxPool3D(nil, x.T, cfg, true)
+	out, argmax := maxPool(nil, x.T, cfg, true, 0)
 	return maxPoolNode("maxpool3d", x, out, argmax)
 }
 

@@ -25,7 +25,7 @@ import (
 // load instead of a lock and a map lookup per stage.
 type unpoolTabs struct {
 	h, w   int
-	ty, tx []*ag.BilinearTable
+	ty, tx []*kernels.BilinearTable
 }
 
 // unpoolTables returns the tables for an h×w input, rebuilding them
@@ -37,8 +37,8 @@ func (m *DDnet) unpoolTables(h, w int) *unpoolTabs {
 	}
 	t := &unpoolTabs{h: h, w: w}
 	for s := m.Cfg.Stages; s > 0; s-- { // decoder stage 0 is the deepest
-		t.ty = append(t.ty, ag.NewBilinearTable(h>>s, 2*(h>>s)))
-		t.tx = append(t.tx, ag.NewBilinearTable(w>>s, 2*(w>>s)))
+		t.ty = append(t.ty, kernels.NewBilinearTable(h>>s, 2*(h>>s)))
+		t.tx = append(t.tx, kernels.NewBilinearTable(w>>s, 2*(w>>s)))
 	}
 	m.tabs.Store(t)
 	return t

@@ -279,48 +279,3 @@ func FlipDeconvWeights(w, dst []float32, s ConvShape) {
 		}
 	}
 }
-
-// BNActInfer applies a pre-folded inference BatchNorm and LeakyReLU in
-// one pass: out[c][i] = lrelu(scale[c]·x[c][i] + shift[c]). x and out
-// may alias (pure elementwise map); hw is the per-channel plane size.
-// The unfused path pays two full passes here (BatchNormInfer, then the
-// activation); positions where a BatchNorm cannot be folded into a
-// neighbouring convolution (DDnet's dense-layer BN1, whose input is a
-// concat consumed by other readers) use this instead.
-func BNActInfer(x, out []float32, c, hw int, scale, shift []float32, slope float32, workers int) {
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	j := bnActJob{x: x, out: out, hw: hw, scale: scale, shift: shift, slope: slope}
-	if workers == 1 || c == 1 {
-		j.Run(0, c)
-		return
-	}
-	parallel.ForPooled(&bnActJobs, c, workers, j)
-}
-
-// bnActJob is BNActInfer's channel loop, dispatched like gemmJob.
-type bnActJob struct {
-	x, out       []float32
-	hw           int
-	scale, shift []float32
-	slope        float32
-}
-
-var bnActJobs sync.Pool // of *bnActJob
-
-// Run maps channels [lo, hi).
-func (j *bnActJob) Run(lo, hi int) {
-	x, out, hw, slope := j.x, j.out, j.hw, j.slope
-	for ci := lo; ci < hi; ci++ {
-		s, t := j.scale[ci], j.shift[ci]
-		base := ci * hw
-		for i := base; i < base+hw; i++ {
-			v := s*x[i] + t
-			if v < 0 {
-				v = slope * v
-			}
-			out[i] = v
-		}
-	}
-}

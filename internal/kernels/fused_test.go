@@ -195,7 +195,7 @@ func TestBNActInferMatchesTwoPass(t *testing.T) {
 	const eps = 1e-5
 
 	want := append([]float32(nil), x...)
-	BatchNormInfer(want, c, 37, 41, gamma, beta, mean, variance, eps, 1)
+	BatchNormInfer(want, want, c, hw, gamma, beta, mean, variance, eps, 1)
 	LeakyReLU(want, 0.01, 1)
 
 	scale := make([]float32, c)

@@ -1,8 +1,14 @@
 // Package kernels reimplements the paper's OpenCL inference kernels
 // (§4.2) as plain Go functions over flat CHW float32 buffers: the six
 // operations DDnet inference needs — convolution, deconvolution, max
-// pooling, bilinear un-pooling, batch normalization, and leaky ReLU —
-// each in the optimization variants of Table 7:
+// pooling, bilinear un-pooling, batch normalization, and leaky ReLU.
+// Each has one forward that every caller runs: the autograd graph and
+// eval ops in ag, DDnet and the classifier through them, and the
+// Table 5 timer. Max pooling (2D and 3D), un-pooling, batch
+// normalization and leaky ReLU are one plane loop each (planes.go).
+// The convolution and deconvolution also come in the optimization
+// variants of Table 7, rungs of a registry whose fast rungs run one
+// implicit GEMM:
 //
 //	Baseline   naive loops; the deconvolution uses the scatter
 //	           formulation with per-tap integer divisions and recurring

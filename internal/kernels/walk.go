@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"strconv"
 
 	"computecovid19/internal/obs"
@@ -206,9 +207,27 @@ func (t *tracer) Unpool(x Dims) Dims {
 func (t *tracer) Concat(vs [MaxFanIn]Dims, n int) Dims {
 	out := vs[0]
 	for _, v := range vs[1:n] {
-		out.C += v.C
+		out = out.join(v)
 	}
 	return out
+}
+
+// join is the extent of d and o concatenated along channels; it panics
+// unless they have the same H×W.
+func (d Dims) join(o Dims) Dims {
+	if o.H != d.H || o.W != d.W {
+		panic(fmt.Sprintf("kernels: walk concatenates a %d×%d map with a %d×%d one", d.H, d.W, o.H, o.W))
+	}
+	return Dims{d.C + o.C, d.H, d.W}
+}
+
+// checkSize panics unless h and w are positive multiples of
+// 2^a.Stages: the only inputs whose every un-pooled map has the size
+// of the skip it is concatenated with.
+func (a Arch) checkSize(h, w int) {
+	if m := 1 << max(a.Stages, 0); h <= 0 || w <= 0 || h%m != 0 || w%m != 0 {
+		panic(fmt.Sprintf("kernels: a %d×%d input is not divisible by 2^Stages = %d", h, w, m))
+	}
 }
 
 // Trace walks the architecture on a 1×h×w input and returns every
@@ -216,6 +235,7 @@ func (t *tracer) Concat(vs [MaxFanIn]Dims, n int) Dims {
 // (ddnet.LayerShapes), Table 6 (DDnetCounts) and network construction
 // (Layers).
 func Trace(a Arch, h, w int) []Op {
+	a.checkSize(h, w)
 	var t tracer
 	Walk[Dims](a, &t, Dims{1, h, w}, nil)
 	return t.ops

@@ -135,8 +135,8 @@ func TestStartCtxNestsThroughContext(t *testing.T) {
 	obs.Enable()
 	ctx, root := obs.StartCtx(context.Background(), "pipeline")
 	ctx2, stage := obs.StartCtx(ctx, "enhance")
-	if obs.FromCtx(ctx2) != stage {
-		t.Fatal("FromCtx must return the innermost span")
+	if obs.FromContext(ctx2) != stage {
+		t.Fatal("FromContext must return the innermost span")
 	}
 	stage.End()
 	root.End()

@@ -88,9 +88,6 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// FromCtx is an alias of FromContext, kept for existing call sites.
-func FromCtx(ctx context.Context) *Span { return FromContext(ctx) }
-
 // ContextWithSpan returns a context carrying sp as the active span —
 // the detach primitive for work that outlives its originating request
 // context (a queued job keeps its trace without inheriting the HTTP

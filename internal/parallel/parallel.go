@@ -38,9 +38,6 @@ import (
 // parallel dispatch events — is unchanged.
 var chunksSpawned = obs.GetCounter("parallel_chunks_spawned_total")
 
-// ChunksSpawned reports the lifetime count of dispatched chunks.
-func ChunksSpawned() uint64 { return chunksSpawned.Value() }
-
 // DefaultWorkers reports the worker count used when a caller passes
 // workers <= 0: the current GOMAXPROCS setting.
 func DefaultWorkers() int {

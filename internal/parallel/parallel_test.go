@@ -11,7 +11,7 @@ import (
 // counter advances by exactly n.
 func TestForClampsWorkersToN(t *testing.T) {
 	const n = 3
-	before := ChunksSpawned()
+	before := chunksSpawned.Value()
 	var mu sync.Mutex
 	var chunks [][2]int
 	For(n, 64, func(lo, hi int) {
@@ -27,7 +27,7 @@ func TestForClampsWorkersToN(t *testing.T) {
 			t.Fatalf("chunk %v has size %d, want 1", c, c[1]-c[0])
 		}
 	}
-	if got := ChunksSpawned() - before; got != n {
+	if got := chunksSpawned.Value() - before; got != n {
 		t.Fatalf("spawned-chunk counter advanced by %d, want %d", got, n)
 	}
 }
@@ -35,7 +35,7 @@ func TestForClampsWorkersToN(t *testing.T) {
 // TestForSingleWorkerRunsInline pins the workers == 1 fast path: one
 // call covering [0, n) and zero spawned chunks (no goroutine overhead).
 func TestForSingleWorkerRunsInline(t *testing.T) {
-	before := ChunksSpawned()
+	before := chunksSpawned.Value()
 	calls := 0
 	For(100, 1, func(lo, hi int) {
 		calls++
@@ -46,13 +46,13 @@ func TestForSingleWorkerRunsInline(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("inline path made %d calls, want 1", calls)
 	}
-	if got := ChunksSpawned() - before; got != 0 {
+	if got := chunksSpawned.Value() - before; got != 0 {
 		t.Fatalf("inline path spawned %d chunks, want 0", got)
 	}
 	// n == 1 clamps any worker count onto the same inline path.
-	before = ChunksSpawned()
+	before = chunksSpawned.Value()
 	For(1, 8, func(lo, hi int) {})
-	if got := ChunksSpawned() - before; got != 0 {
+	if got := chunksSpawned.Value() - before; got != 0 {
 		t.Fatalf("n=1 spawned %d chunks, want 0", got)
 	}
 }
