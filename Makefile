@@ -62,11 +62,15 @@ crossarch:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Static analysis beyond vet: gofmt, go vet, staticcheck, and
-# govulncheck. The last two run only when installed (`make lint-tools`);
-# a loud SKIP is printed otherwise so local runs without network still
-# pass while CI — which always installs them — gets the full gate.
+# Static analysis beyond vet: gofmt, go vet, the test-only-symbol
+# check (scripts/testonly: no exported identifier in internal/ that only
+# tests use, beyond scripts/testonly.allow), staticcheck (whose default
+# checks include U1000, unused code), and govulncheck. The last two run
+# only when installed (`make lint-tools`); a loud SKIP is printed
+# otherwise so local runs without network still pass while CI — which
+# always installs them — gets the full gate.
 lint: fmt vet
+	$(GO) run ./scripts/testonly
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

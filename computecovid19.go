@@ -68,8 +68,8 @@ func NewDDnet(seed int64, cfg ddnet.Config) *ddnet.DDnet {
 }
 
 // NewClassifier builds the 3D DenseNet classifier; use
-// classify.DenseNet121Config() for the paper architecture or
-// classify.SmallConfig() for a laptop-scale variant.
+// classify.SmallConfig() for a laptop-scale variant of the paper's
+// DenseNet-121 (whose widths its doc comment lists).
 func NewClassifier(seed int64, cfg classify.Config) *classify.Classifier {
 	return classify.New(rand.New(rand.NewSource(seed)), cfg)
 }

@@ -33,7 +33,7 @@ func naiveConv2D(x, w *tensor.Tensor, b *Value, transposed bool) *tensor.Tensor 
 }
 
 // TestConv2DFastMatchesDirect compares the 2D graph convolutions, whose
-// forward is the selected kernels rung (normally the GEMM), with the
+// forward is the implicit GEMM (kernels.ConvFused), with the
 // direct loops of the "naive" rung: every kernel size the networks use
 // and one more, batch 1 and 2, with and without bias.
 func TestConv2DFastMatchesDirect(t *testing.T) {

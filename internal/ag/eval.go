@@ -34,27 +34,30 @@ func output(sc *memplan.Scope, shape ...int) *tensor.Tensor {
 }
 
 // EvalConv2D runs a stride-1 "same" odd-square-kernel convolution — or,
-// with transposed set, transposed convolution — on the selected
-// internal/kernels ladder rung (kernels.Default) on workers kernel
-// workers (0: the default count), batch elements in series. Every DDnet
-// layer has this shape. Weights are (OutC, InC, K, K), or (InC, OutC,
-// K, K) when transposed; b may be nil.
+// with transposed set, transposed convolution — through the implicit
+// GEMM (kernels.ConvFused with the zero epilogue, or kernels.DeconvGEMM,
+// which flips the weights first) on workers kernel workers (0: the
+// default count), batch elements in series. Every DDnet layer has this
+// shape. Weights are (OutC, InC, K, K), or (InC, OutC, K, K) when
+// transposed; b may be nil.
 func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, transposed bool, workers int) *tensor.Tensor {
 	checkConv(x, w, b, 4, transposed)
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cout := w.Shape[0]
-	im := kernels.Default()
-	run := im.Conv
 	if transposed {
-		cout, run = w.Shape[1], im.Deconv
+		cout = w.Shape[1]
 	}
 	out := output(sc, n, cout, h, wd)
 	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: w.Shape[2]}
 	plane := cin * h * wd
 	oplane := cout * h * wd
 	for ni := 0; ni < n; ni++ {
-		run(x.Data[ni*plane:(ni+1)*plane], w.Data,
-			out.Data[ni*oplane:(ni+1)*oplane], ks, workers)
+		xi, oi := x.Data[ni*plane:(ni+1)*plane], out.Data[ni*oplane:(ni+1)*oplane]
+		if transposed {
+			kernels.DeconvGEMM(xi, w.Data, oi, ks, workers)
+		} else {
+			kernels.ConvFused(xi, w.Data, oi, ks, workers, kernels.Epilogue{})
+		}
 	}
 	addBias(out.Data, b, n, cout, h*wd)
 	return out

@@ -23,7 +23,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 func TestConstStopsGradient(t *testing.T) {
 	x := Const(tensor.FromSlice([]float32{1, 2}, 2))
 	y := Mean(Square(x))
-	if y.NeedGrad() {
+	if y.needGrad {
 		t.Fatal("graph of constants should not need grad")
 	}
 	y.Backward() // must be a no-op, not a panic
@@ -53,15 +53,6 @@ func TestZeroGradBetweenSteps(t *testing.T) {
 	x.ZeroGrad()
 	if x.Grad.Data[0] != 0 {
 		t.Fatal("ZeroGrad did not clear")
-	}
-}
-
-func TestDetachCutsTape(t *testing.T) {
-	x := Param(tensor.FromSlice([]float32{2}, 1))
-	y := Square(x).Detach()
-	z := Sum(Square(y))
-	if z.NeedGrad() {
-		t.Fatal("detached graph should not need grad")
 	}
 }
 
@@ -350,4 +341,19 @@ func TestSSIMSymmetricProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BCELoss returns the binary cross-entropy between predicted
+// probabilities p ∈ (0,1) and targets y ∈ {0,1} (Equation 2 of the
+// paper). Probabilities are clamped to [eps, 1-eps] for numerical
+// stability, as deep-learning frameworks do.
+func BCELoss(prob, target *Value) *Value {
+	const eps = 1e-7
+	p := Clamp(prob, eps, 1-eps)
+	// -(y·log p + (1-y)·log(1-p)), averaged.
+	term1 := Mul(target, Log(p))
+	oneMinusY := AddConst(Neg(target), 1)
+	oneMinusP := AddConst(Neg(p), 1)
+	term2 := Mul(oneMinusY, Log(oneMinusP))
+	return MulConst(Mean(Add(term1, term2)), -1)
 }

@@ -3,7 +3,6 @@ package ag
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"computecovid19/internal/tensor"
 )
@@ -114,39 +113,5 @@ func CrossEntropyLoss(logits *Value, labels []int) *Value {
 			}
 		}
 	}, logits)
-	return node
-}
-
-// Dropout zeroes each element with probability p during training and
-// scales survivors by 1/(1−p) (inverted dropout); in eval mode it is the
-// identity. The rng must be supplied by the caller so training remains
-// reproducible.
-func Dropout(a *Value, p float64, training bool, rng *rand.Rand) *Value {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("ag: Dropout probability %v out of [0, 1)", p))
-	}
-	if !training || p == 0 {
-		return a
-	}
-	keep := make([]bool, a.T.Numel())
-	scale := float32(1 / (1 - p))
-	out := tensor.New(a.T.Shape...)
-	for i, v := range a.T.Data {
-		if rng.Float64() >= p {
-			keep[i] = true
-			out.Data[i] = v * scale
-		}
-	}
-	var node *Value
-	node = newNode("dropout", out, func() {
-		if a.needGrad {
-			g := a.ensureGrad().Data
-			for i, d := range node.Grad.Data {
-				if keep[i] {
-					g[i] += d * scale
-				}
-			}
-		}
-	}, a)
 	return node
 }

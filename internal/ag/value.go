@@ -46,10 +46,6 @@ func Const(t *tensor.Tensor) *Value {
 	return &Value{T: t, op: "const"}
 }
 
-// NeedGrad reports whether this node participates in gradient
-// computation.
-func (v *Value) NeedGrad() bool { return v.needGrad }
-
 // Op returns the name of the operation that produced this node (or
 // "param"/"const" for leaves). Useful in error messages and tests.
 func (v *Value) Op() string { return v.op }
@@ -65,9 +61,6 @@ func (v *Value) Tensor() *tensor.Tensor {
 	}
 	return v.T
 }
-
-// Detach returns a constant leaf sharing v's data, cutting the tape.
-func (v *Value) Detach() *Value { return Const(v.T) }
 
 // Scalar returns the single element of a one-element Value.
 func (v *Value) Scalar() float32 {

@@ -31,17 +31,12 @@ type Config struct {
 	InitStd float64
 }
 
-// DenseNet121Config returns the paper's classification architecture
-// adapted to 3D. Note: at full 512×512×n input this is far beyond
-// laptop-CPU inference; it exists for fidelity and parameter-count
-// reporting, while SmallConfig is the runnable default.
-func DenseNet121Config() Config {
-	return Config{InitChannels: 64, Growth: 32, BlockLayers: []int{6, 12, 24, 16}, Kernel: 3, InitStd: 0.01}
-}
-
 // SmallConfig returns a 3D DenseNet that trains in seconds on small
-// synthetic volumes while keeping the 121 topology (stem, four dense
-// blocks with transitions, global pooling, linear head).
+// synthetic volumes while keeping the 121 topology (stem, dense blocks
+// with transitions, global pooling, linear head). The paper's
+// DenseNet-121 adapted to 3D is Config{InitChannels: 64, Growth: 32,
+// BlockLayers: []int{6, 12, 24, 16}, Kernel: 3, InitStd: 0.01}; at
+// full 512×512×n input that is far beyond laptop-CPU inference.
 func SmallConfig() Config {
 	return Config{InitChannels: 8, Growth: 6, BlockLayers: []int{2, 2, 2}, Kernel: 3, InitStd: 0.05}
 }

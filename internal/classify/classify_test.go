@@ -23,19 +23,6 @@ func TestForwardShape(t *testing.T) {
 	}
 }
 
-func TestDenseNet121ConfigShape(t *testing.T) {
-	cfg := DenseNet121Config()
-	if cfg.InitChannels != 64 || cfg.Growth != 32 {
-		t.Fatalf("121 config stem/growth = %d/%d, want 64/32", cfg.InitChannels, cfg.Growth)
-	}
-	want := []int{6, 12, 24, 16}
-	for i, b := range want {
-		if cfg.BlockLayers[i] != b {
-			t.Fatalf("121 blocks = %v, want %v", cfg.BlockLayers, want)
-		}
-	}
-}
-
 func TestPredictProbabilityRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := New(rng, SmallConfig())

@@ -65,9 +65,6 @@ func NewSeverityGrader(rng *rand.Rand, cfg Config, numClasses int) *SeverityGrad
 	}
 }
 
-// NumClasses reports the head width.
-func (s *SeverityGrader) NumClasses() int { return s.num }
-
 // Forward maps (N, 1, D, H, W) volumes to (N, C) class logits.
 func (s *SeverityGrader) Forward(x *ag.Value) *ag.Value {
 	feats := s.trunk.features(x)

@@ -45,8 +45,8 @@ func gradedVolume(rng *rand.Rand, g Grade) *tensor.Tensor {
 func TestSeverityGraderShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewSeverityGrader(rng, SmallConfig(), NumGrades)
-	if s.NumClasses() != 3 {
-		t.Fatalf("NumClasses = %d", s.NumClasses())
+	if s.num != 3 {
+		t.Fatalf("head width = %d", s.num)
 	}
 	x := ag.Const(tensor.New(2, 1, 8, 16, 16).RandU(rng, 0, 1))
 	y := s.Forward(x)

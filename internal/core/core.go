@@ -114,12 +114,6 @@ func (p *Pipeline) Enhance(v *volume.Volume) *volume.Volume {
 	return p.enhance(v, obs.Start("core/enhance"))
 }
 
-// EnhanceCtx is Enhance continuing the context's trace.
-func (p *Pipeline) EnhanceCtx(ctx context.Context, v *volume.Volume) *volume.Volume {
-	_, sp := obs.StartCtx(ctx, "core/enhance")
-	return p.enhance(v, sp)
-}
-
 // enhance is Enhance under a caller-provided span (nil = untraced).
 func (p *Pipeline) enhance(v *volume.Volume, sp *obs.Span) *volume.Volume {
 	start := time.Now()
@@ -270,16 +264,11 @@ type EnhancerTrainingConfig struct {
 
 // DefaultEnhancerTraining returns settings scaled for demo-size images
 // and epoch counts: a larger learning rate and slower decay than the
-// paper's full-scale 1e-4 / 0.8 (PaperEnhancerTraining), which assume
-// 5102 images per epoch rather than a handful.
+// paper's literal §3.1.1 hyper-parameters — Adam at 1e-4 decayed ×0.8
+// per epoch, batch 1, 50 epochs — which assume 5102 images per epoch
+// rather than a handful.
 func DefaultEnhancerTraining() EnhancerTrainingConfig {
 	return EnhancerTrainingConfig{Epochs: 8, BatchSize: 1, LR: 3e-3, LRDecay: 0.95, Seed: 7}
-}
-
-// PaperEnhancerTraining returns the literal §3.1.1 hyper-parameters:
-// Adam at 1e-4 decayed ×0.8 per epoch, batch 1, 50 epochs.
-func PaperEnhancerTraining() EnhancerTrainingConfig {
-	return EnhancerTrainingConfig{Epochs: 50, BatchSize: 1, LR: 1e-4, LRDecay: 0.8, Seed: 7}
 }
 
 // TrainEnhancer trains a DDnet on clean/low-dose pairs and returns the

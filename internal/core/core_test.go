@@ -136,10 +136,3 @@ func TestEvaluateCohortConsistency(t *testing.T) {
 		t.Fatal("ROC curve too short")
 	}
 }
-
-func TestPaperEnhancerTrainingLiteral(t *testing.T) {
-	tc := PaperEnhancerTraining()
-	if tc.Epochs != 50 || tc.LR != 1e-4 || tc.LRDecay != 0.8 || tc.BatchSize != 1 {
-		t.Fatalf("paper hyper-parameters drifted: %+v", tc)
-	}
-}

@@ -135,33 +135,6 @@ func (p *Pipeline) EnhanceInto(ctx context.Context, v, out *volume.Volume) {
 	p.enhanceSlices(ctx, v, out)
 }
 
-// EnhanceRangeInto enhances only slices [z0, z1) of v, writing them into
-// out (dimensions (z1-z0)×H×W, fully overwritten) — the replica-side
-// unit of the cluster gateway's slice sharding. The input range is a
-// zero-copy view (volume.SliceRange); out is caller-owned, so a serving
-// handler can gather straight into pooled or response storage. Slice z
-// of out is slice z0+z of the full enhancement: per-slice forwards are
-// independent, so a sharded scan reassembles bit-identically to
-// EnhanceInto over the whole volume.
-func (p *Pipeline) EnhanceRangeInto(ctx context.Context, v *volume.Volume, z0, z1 int, out *volume.Volume) {
-	in := v.SliceRange(z0, z1)
-	if out.D != in.D || out.H != in.H || out.W != in.W {
-		panic("core: EnhanceRangeInto output must match the slice-range dimensions")
-	}
-	_, sp := obs.StartCtx(ctx, "core/enhance")
-	start := time.Now()
-	defer func() {
-		stageEnhanceSeconds.Observe(time.Since(start).Seconds())
-		sp.End()
-	}()
-	sp.SetAttr("slices", in.D)
-	if p.Enhancer == nil {
-		copy(out.Data, in.Data)
-		return
-	}
-	p.enhanceSlices(ctx, in, out)
-}
-
 // enhanceSlices runs Enhancement AI over the volume from pooled memory,
 // writing the enhanced HU volume into out (every voxel overwritten).
 // Slices go to the network in groups of at most

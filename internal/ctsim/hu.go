@@ -39,14 +39,9 @@ func DenormalizeHU(v, lo, hi float64) float64 {
 	return lo + v*(hi-lo)
 }
 
-// Standard display windows for chest CT, in (lo, hi) Hounsfield units.
+// FullWindowLo and FullWindowHi bound the full clinically relevant
+// chest-CT range, in Hounsfield units, used for network normalization.
 const (
-	// LungWindowLo and LungWindowHi bound the standard lung window
-	// (center −600, width 1500).
-	LungWindowLo = -1350.0
-	LungWindowHi = 150.0
-	// FullWindowLo and FullWindowHi bound the full clinically relevant
-	// HU range used for network normalization.
 	FullWindowLo = -1000.0
 	FullWindowHi = 1000.0
 )

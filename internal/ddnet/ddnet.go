@@ -151,14 +151,17 @@ func (m *DDnet) NumDeconvLayers() int { return 2 * m.Cfg.Stages }
 
 // startForward opens the "ddnet/forward → kernels/rung" span pair every
 // forward runs under; the walk hangs its per-stage spans beneath the
-// rung span, which pins which ladder point produced the timing.
+// rung span, which names the ladder point that produced the timing:
+// "fused" on the compiled plan, "gemm" on the layer-wise forwards.
 func startForward(ctx context.Context, fused bool) (sp, ksp *obs.Span) {
 	_, sp = obs.StartCtx(ctx, "ddnet/forward")
 	ksp = sp.Child("kernels/rung")
 	if ksp != nil {
-		ksp.SetAttr("rung", kernels.Default().Name)
 		if fused {
+			ksp.SetAttr("rung", "fused")
 			ksp.SetAttr("plan", "fused")
+		} else {
+			ksp.SetAttr("rung", "gemm")
 		}
 	}
 	return sp, ksp

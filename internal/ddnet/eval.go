@@ -55,21 +55,18 @@ type eval struct {
 	// workers is the forward's kernel worker count (see split); every
 	// kernel the walk calls gets it.
 	workers int
-	// plan and convEp are set together when the network is warm and the
-	// selected rung can run epilogues; nil means the layer-wise path.
-	plan   []folded
-	convEp convEpFunc
+	// plan is the compiled fused plan when the network is warm; nil
+	// means the layer-wise path.
+	plan []folded
 }
-
-type convEpFunc = func(x, w, out []float32, s kernels.ConvShape, workers int, ep kernels.Epilogue)
 
 var evalPool = sync.Pool{New: func() any { return new(eval) }}
 
-// Conv runs one conv(→BN→act) position: a single ConvEp call on the
+// Conv runs one conv(→BN→act) position: a single ConvFused call on the
 // compiled plan, conv → BN → in-place activation passes otherwise.
 func (e *eval) Conv(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
 	if e.plan != nil {
-		return evalFolded(e.sc, x, e.plan[l.Index].conv, e.convEp, e.workers)
+		return evalFolded(e.sc, x, e.plan[l.Index].conv, e.workers)
 	}
 	u := &e.m.units[l.Index]
 	c := u.conv.Infer(e.sc, x, e.workers)
@@ -115,17 +112,14 @@ func (e *eval) Free(x *tensor.Tensor) { e.sc.Free(x) }
 // forwardEval runs the eval-mode forward on plain tensors from sc, its
 // kernels on the worker count of split s. The input x is owned by the
 // caller and is never freed here (the residual head reads it last); the
-// returned tensor is scope-owned. A warmed network with an
-// epilogue-capable rung selected runs the compiled fused plan
-// (plan.go); everything else — unwarmed models, training-adjacent
-// callers, non-fused rungs — runs layer-wise.
+// returned tensor is scope-owned. A warmed network runs the compiled
+// fused plan (plan.go); unwarmed models and training-adjacent callers
+// run layer-wise.
 func (m *DDnet) forwardEval(ctx context.Context, sc *memplan.Scope, x *tensor.Tensor, s split) *tensor.Tensor {
 	e := evalPool.Get().(*eval)
 	*e = eval{m: m, sc: sc, tabs: m.unpoolTables(x.Shape[2], x.Shape[3]), workers: s.workers}
 	if pl := m.plan.Load(); pl != nil {
-		if convEp := kernels.Default().ConvEp; convEp != nil {
-			e.plan, e.convEp = *pl, convEp
-		}
+		e.plan = *pl
 	}
 	sp, ksp := startForward(ctx, e.plan != nil)
 	if ksp != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/obs"
 	"computecovid19/internal/tensor"
@@ -39,7 +38,7 @@ func distinctBN(m *DDnet) {
 // TestForwardOracle is the one differential oracle over the walk's
 // forward backends. Every combination of
 //
-//	path    graph | eval layer-wise | eval fused plan | warmed model on a rung without epilogues
+//	path    graph | eval layer-wise | eval fused plan
 //	batch   each image alone | three per forward (the last takes two) | all eight in one forward
 //	workers GOMAXPROCS 1 | 2 | 4 (the default worker count: it picks each forward's
 //	        parallel axis, and so every kernel's chunking)
@@ -65,11 +64,6 @@ func TestForwardOracle(t *testing.T) {
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer func(rung string) {
-		if err := kernels.SetDefault(rung); err != nil {
-			t.Fatal(err)
-		}
-	}(kernels.Default().Name)
 	defer tensor.SetMemDebug(tensor.SetMemDebug(false))
 	defer obs.Reset()
 	obs.Reset()
@@ -84,20 +78,15 @@ func TestForwardOracle(t *testing.T) {
 	paths := []struct {
 		name  string
 		m     *DDnet
-		rung  string
 		graph bool
 		fused bool
 	}{
-		{name: "graph", m: cold, rung: "fused", graph: true},
-		{name: "eval-layerwise", m: cold, rung: "fused"},
-		{name: "eval-fused", m: warm, rung: "fused", fused: true},
-		{name: "eval-warm-on-gemm-rung", m: warm, rung: "gemm"},
+		{name: "graph", m: cold, graph: true},
+		{name: "eval-layerwise", m: cold},
+		{name: "eval-fused", m: warm, fused: true},
 	}
 	arenas := []string{"cold", "warm", "memdebug", "global"}
 	for _, p := range paths {
-		if err := kernels.SetDefault(p.rung); err != nil {
-			t.Fatal(err)
-		}
 		for _, batch := range []int{1, 3, len(imgs)} {
 			for _, workers := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(workers)
@@ -233,7 +222,8 @@ func TestWarmConcurrentForwardsMixedSizes(t *testing.T) {
 }
 
 // TestForwardSpanTree pins the trace both forward backends emit: the
-// forward span, the rung span beneath it (carrying the rung name, the
+// forward span, the rung span beneath it (carrying the rung that ran —
+// fused on the compiled plan, gemm on the layer-wise forwards — the
 // planner's split, groups and kernel_workers, and plan=fused on the
 // compiled plan), and one span per walk stage beneath that, in walk
 // order. A slice-split batch emits that tree once per image, each under
@@ -290,6 +280,13 @@ func TestForwardSpanTree(t *testing.T) {
 			}
 			if _, fused := attrs["plan"]; fused != (path == "eval-fused") {
 				t.Fatalf("%s: plan=fused attribute present=%v", label, fused)
+			}
+			wantRung := "gemm"
+			if path == "eval-fused" {
+				wantRung = "fused"
+			}
+			if attrs["rung"] != wantRung {
+				t.Errorf("%s: kernels/rung rung=%q, want %q", label, attrs["rung"], wantRung)
 			}
 			wantSplit := map[string]string{}
 			switch {

@@ -13,7 +13,7 @@ import (
 //
 //   - every conv/deconv→BN→LeakyReLU triple (the stem, each dense
 //     layer's 1×1 bottleneck with BN2, the transitions, and the
-//     decoder's deconvolutions) collapses into ONE ConvEp call — the
+//     decoder's deconvolutions) collapses into ONE ConvFused call — the
 //     BatchNorm folds into the packed weights/bias and the activation
 //     runs in the epilogue while the output tile is cache-hot,
 //     eliminating two full feature-map passes per layer;
@@ -21,8 +21,8 @@ import (
 //     the activation sits between it and the bottleneck) runs the
 //     single-pass BNActInfer instead of separate BN and act passes;
 //   - transposed-convolution weights are flipped into convolution
-//     layout once here instead of on every call (deconvGEMM's per-call
-//     flip remains as the cold-path fallback).
+//     layout once here instead of on every call (DeconvGEMM's per-call
+//     flip remains for the layer-wise path).
 //
 // The packed buffers come from memplan, so compiling a plan warms the
 // same pool the forward draws from and the warm path stays at 0
@@ -72,7 +72,7 @@ func (m *DDnet) compilePlan() []folded {
 // evalFolded runs one packed convolution (or pre-flipped transposed
 // convolution) with its fused epilogue on workers kernel workers, batch
 // elements in series like ag.EvalConv2D.
-func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv, convEp convEpFunc, workers int) *tensor.Tensor {
+func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv, workers int) *tensor.Tensor {
 	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
 	out := sc.Get(n, f.OutC, h, wd)
 	ks := kernels.ConvShape{InC: f.InC, H: h, W: wd, OutC: f.OutC, K: f.K}
@@ -80,7 +80,7 @@ func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv, convEp co
 	plane := f.InC * h * wd
 	oplane := f.OutC * h * wd
 	for ni := 0; ni < n; ni++ {
-		convEp(x.Data[ni*plane:(ni+1)*plane], f.W,
+		kernels.ConvFused(x.Data[ni*plane:(ni+1)*plane], f.W,
 			out.Data[ni*oplane:(ni+1)*oplane], ks, workers, ep)
 	}
 	return out

@@ -17,8 +17,8 @@ import (
 )
 
 // allReduceBytes accumulates the total bytes moved on the ring across
-// all nodes — the live counterpart of Table 3's communication volume
-// (and of RingBytesPerNode's closed form). Registered at package init
+// all nodes — the live counterpart of Table 3's communication volume,
+// 2·(n−1)/n vectors per node. Registered at package init
 // so it appears in every metrics export of a binary that links distrib,
 // even before the first step runs.
 var allReduceBytes = obs.GetCounter("distrib_allreduce_bytes_total")

@@ -226,6 +226,25 @@ func TestClusterModelSublinearSpeedup(t *testing.T) {
 	}
 }
 
+// NaiveAllReduce sums the per-node vectors through a central node
+// (gather to node 0, reduce, broadcast) and leaves the result in every
+// vector: the parameter-server oracle for RingAllReduce.
+func NaiveAllReduce(vectors [][]float32) {
+	n := len(vectors)
+	if n <= 1 {
+		return
+	}
+	root := vectors[0]
+	for _, v := range vectors[1:] {
+		for i, x := range v {
+			root[i] += x
+		}
+	}
+	for _, v := range vectors[1:] {
+		copy(v, root)
+	}
+}
+
 func TestNaiveAllReduceMatchesRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	n, length := 5, 33
@@ -251,41 +270,20 @@ func TestNaiveAllReduceMatchesRing(t *testing.T) {
 	}
 }
 
-func TestCommunicationVolumes(t *testing.T) {
-	// Ring per-node volume is bounded (< 2 full vectors) regardless of n;
-	// the parameter server's root grows linearly with n.
-	length := 1000
-	prevRoot := 0
-	for _, n := range []int{2, 4, 8, 16} {
-		ring := RingBytesPerNode(n, length)
-		root := ServerBytesAtRoot(n, length)
-		if ring >= 2*4*length {
-			t.Fatalf("ring volume %d exceeds 2 vectors at n=%d", ring, n)
+// BenchmarkAblation_RingAllReduce times one ring all-reduce of a 64 Ki
+// float32 vector across 8 in-process nodes.
+func BenchmarkAblation_RingAllReduce(b *testing.B) {
+	const nodes, length = 8, 1 << 16
+	vecs := make([][]float32, nodes)
+	for i := range vecs {
+		vecs[i] = make([]float32, length)
+		for j := range vecs[i] {
+			vecs[i][j] = float32(i + j)
 		}
-		if root <= prevRoot {
-			t.Fatalf("server root volume should grow with n")
-		}
-		prevRoot = root
 	}
-	if RingBytesPerNode(1, length) != 0 || ServerBytesAtRoot(1, length) != 0 {
-		t.Fatal("single-node volumes must be zero")
-	}
-}
-
-func TestRingStepSecondsModel(t *testing.T) {
-	// More nodes cost more latency terms but the bandwidth term stays
-	// bounded; the function must be monotone in latency and length.
-	base := RingStepSeconds(8, 1<<20, 10e9, 10e-6)
-	if base <= 0 {
-		t.Fatal("ring time must be positive")
-	}
-	if RingStepSeconds(8, 2<<20, 10e9, 10e-6) <= base {
-		t.Fatal("bigger model must take longer")
-	}
-	if RingStepSeconds(8, 1<<20, 10e9, 100e-6) <= base {
-		t.Fatal("higher latency must take longer")
-	}
-	if RingStepSeconds(1, 1<<20, 10e9, 10e-6) != 0 {
-		t.Fatal("single node needs no communication")
+	b.SetBytes(int64(4 * length * nodes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RingAllReduce(vecs)
 	}
 }

@@ -11,19 +11,9 @@ import (
 
 // Resume regression: checkpoint → restore → train(N steps) must be
 // bit-identical to training N steps without the interruption, across
-// group sizes and both all-reduce implementations. This is the property
+// group sizes. This is the property
 // that makes `cctrain -resume` trustworthy — a resumed Table-3 run is
 // the run, not an approximation of it.
-
-type reducerCase struct {
-	name string
-	f    func([][]float32) // nil = default ring
-}
-
-var reducerCases = []reducerCase{
-	{"ring", nil},
-	{"naive", NaiveAllReduceMean},
-}
 
 // runSteps trains count steps drawing fresh batches from rng, returning
 // each step's loss.
@@ -58,20 +48,18 @@ func bitIdenticalParams(a, b []*tensor.Tensor) bool {
 	return true
 }
 
-func checkResumeBitIdentical(t *testing.T, nodes int, red reducerCase, seed int64, split, extra int) {
+func checkResumeBitIdentical(t *testing.T, nodes int, seed int64, split, extra int) {
 	t.Helper()
 	total := split + extra
 
 	// Reference: uninterrupted run.
 	ref := NewTrainer(newToyFactory(), nodes, 0.01, toyLoss)
-	ref.SetReducer(red.f)
 	refSrc := NewRNG(seed)
 	refLosses := runSteps(ref, rand.New(refSrc), total)
 
 	// Interrupted run: train to split, checkpoint through disk, restore
 	// into a brand-new trainer, continue.
 	first := NewTrainer(newToyFactory(), nodes, 0.01, toyLoss)
-	first.SetReducer(red.f)
 	firstSrc := NewRNG(seed)
 	firstRng := rand.New(firstSrc)
 	runSteps(first, firstRng, split)
@@ -88,7 +76,6 @@ func checkResumeBitIdentical(t *testing.T, nodes int, red reducerCase, seed int6
 	}
 
 	resumed := NewTrainer(newToyFactory(), nodes, 0.01, toyLoss)
-	resumed.SetReducer(red.f)
 	if err := resumed.Restore(loaded); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +85,12 @@ func checkResumeBitIdentical(t *testing.T, nodes int, red reducerCase, seed int6
 
 	for i, l := range tailLosses {
 		if l != refLosses[split+i] {
-			t.Fatalf("nodes=%d reducer=%s: step %d loss %v differs from uninterrupted %v",
-				nodes, red.name, split+i, l, refLosses[split+i])
+			t.Fatalf("nodes=%d: step %d loss %v differs from uninterrupted %v",
+				nodes, split+i, l, refLosses[split+i])
 		}
 	}
 	if !bitIdenticalParams(masterParams(ref), masterParams(resumed)) {
-		t.Fatalf("nodes=%d reducer=%s: resumed parameters are not bit-identical", nodes, red.name)
+		t.Fatalf("nodes=%d: resumed parameters are not bit-identical", nodes)
 	}
 	if resumed.GlobalStep() != uint64(total) {
 		t.Fatalf("resumed global step %d, want %d", resumed.GlobalStep(), total)
@@ -112,11 +99,10 @@ func checkResumeBitIdentical(t *testing.T, nodes int, red reducerCase, seed int6
 
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
-		for _, red := range reducerCases {
-			t.Run(fmt.Sprintf("nodes=%d/%s", nodes, red.name), func(t *testing.T) {
-				checkResumeBitIdentical(t, nodes, red, 42, 7, 9)
-			})
-		}
+		// The trainer's collective is the ring all-reduce.
+		t.Run(fmt.Sprintf("nodes=%d/ring", nodes), func(t *testing.T) {
+			checkResumeBitIdentical(t, nodes, 42, 7, 9)
+		})
 	}
 }
 
@@ -124,10 +110,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func TestCheckpointResumeProperty(t *testing.T) {
 	f := func(seed int64, splitRaw, extraRaw, nodeRaw uint8) bool {
 		nodes := []int{1, 2, 4}[nodeRaw%3]
-		red := reducerCases[splitRaw%2]
 		split := int(splitRaw%6) + 1
 		extra := int(extraRaw%5) + 1
-		checkResumeBitIdentical(t, nodes, red, seed, split, extra)
+		checkResumeBitIdentical(t, nodes, seed, split, extra)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

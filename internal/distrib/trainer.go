@@ -61,9 +61,6 @@ type Trainer struct {
 	opts     []*nn.Adam
 	loss     LossFunc
 
-	// reduce averages the per-node gradient vectors in place; nil means
-	// the ring (AllReduceMean). SetReducer switches implementations.
-	reduce func([][]float32)
 	// ft, when non-nil, routes collectives through the resilient
 	// checksummed transport and enables fault handling in TryStep.
 	ft *RingOptions
@@ -117,12 +114,6 @@ func (t *Trainer) Master() Model { return t.replicas[0] }
 // GlobalStep reports how many optimizer steps have been applied (it is
 // restored by checkpoints).
 func (t *Trainer) GlobalStep() uint64 { return t.step }
-
-// SetReducer replaces the gradient-averaging collective (default: ring
-// AllReduceMean; NaiveAllReduceMean is the parameter-server ablation).
-// Ignored while fault tolerance is enabled — the resilient ring owns
-// the collective there.
-func (t *Trainer) SetReducer(reduce func([][]float32)) { t.reduce = reduce }
 
 // EnableFaultTolerance routes gradient synchronization through the
 // checksummed, timeout-guarded ring with the given options. TryStep
@@ -269,8 +260,6 @@ func (t *Trainer) TryStepCtx(ctx context.Context, xs, ys []*tensor.Tensor) (floa
 				arSp.End()
 				return 0, err
 			}
-		} else if t.reduce != nil {
-			t.reduce(vecs)
 		} else {
 			AllReduceMean(vecs)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"computecovid19/internal/ag"
@@ -356,6 +355,3 @@ func Table10(cfg Config) string {
 	t.add("Serte et al. [38]", "no", "no", "2D/3D", "not required", "?", "yes", "no")
 	return "Table 10: Comparison with existing similar work\n" + t.String()
 }
-
-// trim returns s without trailing blank lines.
-func trim(s string) string { return strings.TrimRight(s, "\n") + "\n" }

@@ -264,7 +264,7 @@ func (j *gemmJob) compact(scratch []float32, q0, q1 int) {
 // from their (InC, OutC, K, K) layout into the spatially flipped
 // (OutC, InC, K, K) layout the convolution paths consume. dst must hold
 // s.OutC·s.InC·s.K·s.K values (only the channel counts and K of s are
-// read). deconvGEMM performs this transform per call into pooled
+// read). DeconvGEMM performs this transform per call into pooled
 // scratch; the fused plan runs it once at warm time and caches the
 // result.
 func FlipDeconvWeights(w, dst []float32, s ConvShape) {

@@ -88,7 +88,7 @@ func TestConvFusedZeroEpilogueBitIdenticalToGEMM(t *testing.T) {
 
 // TestConvFusedPreFlippedBitIdenticalToDeconv pins the warm-time weight
 // packing: FlipDeconvWeights once + ConvFused must produce exactly what
-// deconvGEMM produces with its per-call flip — the satellite fix that
+// DeconvGEMM produces with its per-call flip — the satellite fix that
 // hoists the flip out of the hot path must not change a single bit.
 func TestConvFusedPreFlippedBitIdenticalToDeconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -69,16 +69,16 @@ func convGEMM(x, w, out []float32, s ConvShape, workers int) {
 	ConvFused(x, w, out, s, workers, Epilogue{})
 }
 
-// deconvGEMM computes a stride-1 "same" transposed convolution with
+// DeconvGEMM computes a stride-1 "same" transposed convolution with
 // weights in (InC, OutC, K, K) layout. For stride 1 a transposed
 // convolution is exactly a convolution with the spatially flipped
 // filter, so the weights are transformed into the (OutC, InC, K, K)
-// flipped layout and the GEMM path does the rest. This is the
-// cold-path fallback: it pays the flip on every call into pooled
-// scratch. Warm inference goes through the fused execution plan, which
-// runs FlipDeconvWeights once at plan-compile time and feeds the cached
-// panel to ConvFused instead.
-func deconvGEMM(x, w, out []float32, s ConvShape, workers int) {
+// flipped layout and the GEMM path does the rest. It pays the flip on
+// every call into pooled scratch; it is the transposed op of the graph
+// and unwarmed eval forwards (ag.EvalConv2D). Warm inference goes
+// through the fused execution plan, which runs FlipDeconvWeights once
+// at plan-compile time and feeds the cached panel to ConvFused instead.
+func DeconvGEMM(x, w, out []float32, s ConvShape, workers int) {
 	// Pooled scratch; FlipDeconvWeights writes every element.
 	wc := memplan.GetFloats(s.OutC * s.InC * s.K * s.K)
 	FlipDeconvWeights(w, wc, s)

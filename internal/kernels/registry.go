@@ -1,17 +1,17 @@
 package kernels
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Impl is one rung of the optimization ladder: a matched pair of
 // convolution and deconvolution kernels over flat CHW buffers. Rungs
-// are registered in ladder order, selectable by name, and every rung
+// are registered in ladder order and looked up by name; the Table
+// 4/5/7 timer and its drivers run them side by side. Inference does
+// not pick a rung: every forward convolution calls ConvFused (or
+// DeconvGEMM) directly, the kernels of the last two rungs. Every rung
 // must agree with the "naive" rung to within the accumulation-order
 // tolerance pinned by TestRegistryRungsMatchNaiveOracle.
 type Impl struct {
-	// Name selects the rung (Select); ladder order is Names() order.
+	// Name selects the rung (MustSelect); ladder order is Names() order.
 	Name string
 	// Desc is a one-line description for benchmark reports.
 	Desc string
@@ -26,20 +26,17 @@ type Impl struct {
 	Deconv func(x, w, out []float32, s ConvShape, workers int)
 	// ConvEp, when non-nil, computes Conv with a fused per-output-
 	// channel epilogue (bias + optional LeakyReLU applied tile-locally).
-	// Only epilogue-capable rungs set it; the fused execution plan
-	// (ddnet plan compilation, the bench runner's fused walk) uses it
-	// for BN-folded layers and falls back to Conv + separate passes on
-	// rungs without it. Transposed convolutions go through ConvEp too,
-	// with weights pre-flipped once at plan-compile time
-	// (FlipDeconvWeights).
+	// Only the fused rung sets it; the timer (RunDDnetImpl) and the
+	// kernel benchmark tell that rung apart by it and time BN-folded
+	// layers through it, with transposed-convolution weights flipped
+	// once outside the timed region (FlipDeconvWeights).
 	ConvEp func(x, w, out []float32, s ConvShape, workers int, ep Epilogue)
 }
 
+// registry and ladder are written only by init.
 var (
-	regMu    sync.RWMutex
 	registry = map[string]*Impl{}
 	ladder   []string // registration order = ladder order
-	defName  string
 )
 
 func register(im *Impl) {
@@ -84,67 +81,32 @@ func init() {
 		Desc:    "implicit GEMM over the zero-padded input; 4-channel × 16-column register-blocked micro-kernel, AVX where probed (SSE otherwise)",
 		Variant: REFPFLU,
 		Conv:    convGEMM,
-		Deconv:  deconvGEMM,
+		Deconv:  DeconvGEMM,
 	})
 	register(&Impl{
 		Name:    "fused",
 		Desc:    "gemm + fused bias/BN/LeakyReLU epilogue; warm-time weight packing, persistent worker pool",
 		Variant: REFPFLU,
 		Conv:    convGEMM,
-		Deconv:  deconvGEMM,
+		Deconv:  DeconvGEMM,
 		ConvEp:  ConvFused,
 	})
-	defName = "fused"
 }
 
-// Select returns the named rung.
-func Select(name string) (*Impl, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
+// MustSelect returns the named rung; it panics on an unknown name, as
+// every caller passes a name from Names or a literal.
+func MustSelect(name string) *Impl {
 	im, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("kernels: unknown rung %q (have %v)", name, ladder)
-	}
-	return im, nil
-}
-
-// MustSelect is Select for statically known names.
-func MustSelect(name string) *Impl {
-	im, err := Select(name)
-	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("kernels: unknown rung %q (have %v)", name, ladder))
 	}
 	return im
 }
 
 // Names returns the rung names in ladder order (naive first, the
-// default fast path last).
+// fused rung inference runs last).
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	return append([]string(nil), ladder...)
-}
-
-// Default returns the rung used by the autograd fast paths (and so by
-// nn/ddnet inference). The naive rung stays available as the
-// bit-accuracy oracle.
-func Default() *Impl {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[defName]
-}
-
-// SetDefault switches the rung used by the fast paths; it returns an
-// error for unknown names. Intended for benchmarks and A/B tests; not
-// safe to call concurrently with running inference.
-func SetDefault(name string) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[name]; !ok {
-		return fmt.Errorf("kernels: unknown rung %q (have %v)", name, ladder)
-	}
-	defName = name
-	return nil
 }
 
 // BenchShape names one representative DDnet layer shape for the kernel

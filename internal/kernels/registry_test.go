@@ -229,9 +229,14 @@ func TestGatherDeconvTilingRace(t *testing.T) {
 }
 
 func TestRegistrySelection(t *testing.T) {
-	if _, err := Select("no-such-rung"); err == nil {
-		t.Fatal("Select must reject unknown rungs")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("MustSelect must panic on an unknown rung")
+			}
+		}()
+		MustSelect("no-such-rung")
+	}()
 	names := Names()
 	if len(names) < 5 || names[0] != "naive" {
 		t.Fatalf("ladder order wrong: %v", names)
@@ -241,21 +246,6 @@ func TestRegistrySelection(t *testing.T) {
 		if im.Name != n || im.Conv == nil || im.Deconv == nil || im.Desc == "" {
 			t.Fatalf("rung %q incomplete: %+v", n, im)
 		}
-	}
-	old := Default().Name
-	defer func() {
-		if err := SetDefault(old); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := SetDefault("naive"); err != nil {
-		t.Fatal(err)
-	}
-	if Default().Name != "naive" {
-		t.Fatal("SetDefault did not take effect")
-	}
-	if err := SetDefault("no-such-rung"); err == nil {
-		t.Fatal("SetDefault must reject unknown rungs")
 	}
 	// The first four rungs are the paper's ladder, one per Table 7 column.
 	for i, name := range Names()[:4] {

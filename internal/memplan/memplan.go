@@ -106,8 +106,6 @@ type Arena struct {
 	bools   [NumBuckets][][]bool
 	headers []*tensor.Tensor // spare headers (Data == nil) for GetFloats/View
 	scopes  []*Scope
-	live    [NumBuckets]int
-	peak    [NumBuckets]int
 	hits    uint64
 	misses  uint64
 }
@@ -153,13 +151,6 @@ func (a *Arena) keep(b int, t *tensor.Tensor) {
 	sharedPool[b].Put(t)
 }
 
-func (a *Arena) bumpLive(b int) {
-	a.live[b]++
-	if a.live[b] > a.peak[b] {
-		a.peak[b] = a.live[b]
-	}
-}
-
 func setShape(t *tensor.Tensor, shape []int) {
 	if cap(t.Shape) >= len(shape) {
 		t.Shape = t.Shape[:len(shape)]
@@ -200,7 +191,6 @@ func (a *Arena) Get(shape ...int) *tensor.Tensor {
 	} else {
 		a.misses++
 	}
-	a.bumpLive(b)
 	a.mu.Unlock()
 	if t == nil {
 		missCounters[b].Inc()
@@ -237,9 +227,6 @@ func (a *Arena) Release(t *tensor.Tensor) {
 	debugPut(data)
 	t.Data = data
 	a.mu.Lock()
-	if a.live[b] > 0 {
-		a.live[b]--
-	}
 	a.keep(b, t)
 	a.mu.Unlock()
 }
@@ -260,7 +247,6 @@ func (a *Arena) GetFloats(n int) []float32 {
 	} else {
 		a.misses++
 	}
-	a.bumpLive(b)
 	var data []float32
 	if t != nil {
 		data = t.Data
@@ -289,9 +275,6 @@ func (a *Arena) PutFloats(data []float32) {
 	data = data[:BucketSize(b)]
 	debugPut(data)
 	a.mu.Lock()
-	if a.live[b] > 0 {
-		a.live[b]--
-	}
 	t := a.takeHeaderLocked()
 	if t == nil {
 		t = new(tensor.Tensor)
@@ -384,53 +367,6 @@ func (a *Arena) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{Hits: a.hits, Misses: a.misses}
-}
-
-// Plan records the peak number of simultaneously-live buffers per size
-// class over a captured run — the activation footprint of one pipeline
-// pass, used to prewarm fresh arenas so even the first scan after
-// startup runs pool-hot.
-type Plan struct {
-	Count [NumBuckets]int
-}
-
-// Capture resets the arena's peak-live tracking, runs fn, and returns
-// the per-bucket peak as a Plan.
-func (a *Arena) Capture(fn func()) Plan {
-	a.mu.Lock()
-	a.peak = a.live
-	a.mu.Unlock()
-	fn()
-	var p Plan
-	a.mu.Lock()
-	p.Count = a.peak
-	a.mu.Unlock()
-	return p
-}
-
-// Prewarm fills the arena's local free lists up to the plan's
-// per-bucket counts (clamped to the local-list cap), allocating eagerly
-// so the planned working set never misses.
-func (a *Arena) Prewarm(p Plan) {
-	for b := range p.Count {
-		want := p.Count[b]
-		if want > bucketKeep {
-			want = bucketKeep
-		}
-		for {
-			a.mu.Lock()
-			have := len(a.floats[b])
-			a.mu.Unlock()
-			if have >= want {
-				break
-			}
-			t := &tensor.Tensor{Data: make([]float32, BucketSize(b))}
-			debugPut(t.Data)
-			a.mu.Lock()
-			a.floats[b] = append(a.floats[b], t)
-			a.mu.Unlock()
-		}
-	}
 }
 
 // Scope groups arena allocations by lifetime: Get appends to the

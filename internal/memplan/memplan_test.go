@@ -148,33 +148,6 @@ func TestScopeLifetimes(t *testing.T) {
 	sc2.Free(tensor.New(4))
 }
 
-func TestCapturePrewarm(t *testing.T) {
-	a := New()
-	plan := a.Capture(func() {
-		x := a.Get(256)
-		y := a.Get(256)
-		z := a.Get(1024)
-		a.Release(x)
-		a.Release(y)
-		a.Release(z)
-	})
-	if plan.Count[bucketFor(256)] != 2 || plan.Count[bucketFor(1024)] != 1 {
-		t.Fatalf("plan = %v", plan.Count)
-	}
-	fresh := New()
-	fresh.Prewarm(plan)
-	x := fresh.Get(256)
-	y := fresh.Get(256)
-	z := fresh.Get(1024)
-	s := fresh.Stats()
-	if s.Misses != 0 || s.Hits != 3 {
-		t.Fatalf("prewarmed arena stats = %+v", s)
-	}
-	fresh.Release(x)
-	fresh.Release(y)
-	fresh.Release(z)
-}
-
 func withMemDebug(t *testing.T, on bool) {
 	t.Helper()
 	prev := tensor.SetMemDebug(on)

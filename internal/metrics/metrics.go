@@ -124,31 +124,6 @@ func (c Confusion) FPR() float64 {
 	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
-// Specificity is the true-negative rate.
-func (c Confusion) Specificity() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.TN) / float64(c.FP+c.TN)
-}
-
-// Precision is TP/(TP+FP).
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.TPR()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // ROCPoint is one operating point of a receiver operating characteristic
 // curve.
 type ROCPoint struct {

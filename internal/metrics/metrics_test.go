@@ -74,17 +74,11 @@ func TestConfusionCounts(t *testing.T) {
 	if math.Abs(c.FPR()-1.0/3.0) > 1e-9 {
 		t.Fatalf("FPR = %v", c.FPR())
 	}
-	if math.Abs(c.Precision()-2.0/3.0) > 1e-9 {
-		t.Fatalf("precision = %v", c.Precision())
-	}
-	if c.F1() <= 0 || c.F1() > 1 {
-		t.Fatalf("F1 = %v", c.F1())
-	}
 }
 
 func TestConfusionEmptyDenominators(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.TPR() != 0 || c.FPR() != 0 || c.Precision() != 0 || c.F1() != 0 {
+	if c.Accuracy() != 0 || c.TPR() != 0 || c.FPR() != 0 {
 		t.Fatal("empty confusion matrix should report zeros, not NaN")
 	}
 }

@@ -66,8 +66,8 @@ func requireEval(bn *BatchNorm) {
 // FoldConvBN compiles conv(→bn)(→LeakyReLU) into one FoldedConv.
 // bn may be nil (no fold: the epilogue carries just the layer bias, if
 // any, and the activation). Transposed-convolution weights are spatially
-// flipped into the convolution layout once here (the per-call flip
-// deconvGEMM pays is the cold-path fallback). When nothing needs
+// flipped into the convolution layout once here (the layer-wise path
+// pays DeconvGEMM's per-call flip instead). When nothing needs
 // rewriting the packed weights alias the layer's own, so such layers
 // cost no copy.
 func FoldConvBN(conv *Conv2D, bn *BatchNorm, act bool, slope float32) *FoldedConv {

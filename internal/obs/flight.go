@@ -36,7 +36,7 @@ type FlightTrace struct {
 }
 
 // maxActiveFlights bounds the in-progress trace map; traces beyond the
-// cap are not tracked (counted in FlightStats instead). A leaked span
+// cap are not tracked. A leaked span
 // that never Ends can pin at most its own trace entry.
 const maxActiveFlights = 4096
 
@@ -44,13 +44,11 @@ const maxActiveFlights = 4096
 const defaultFlightCapacity = 64
 
 type flightRecorder struct {
-	mu      sync.Mutex
-	active  map[TraceID]*activeFlight
-	ring    []FlightTrace // circular, cap = capacity
-	next    int           // ring write cursor
-	cap     int
-	total   uint64 // completed traces ever recorded
-	dropped uint64 // traces not tracked (active map full)
+	mu     sync.Mutex
+	active map[TraceID]*activeFlight
+	ring   []FlightTrace // circular, cap = capacity
+	next   int           // ring write cursor
+	cap    int
 }
 
 type activeFlight struct {
@@ -68,7 +66,6 @@ func (f *flightRecorder) open(trace TraceID) {
 	a := f.active[trace]
 	if a == nil {
 		if len(f.active) >= maxActiveFlights {
-			f.dropped++
 			f.mu.Unlock()
 			return
 		}
@@ -103,7 +100,6 @@ func (f *flightRecorder) close(r SpanRecord) {
 		}
 	}
 	ft.Root, ft.Start, ft.Dur = root.Name, root.Start, root.Dur
-	f.total++
 	if len(f.ring) < f.cap {
 		f.ring = append(f.ring, ft)
 		f.next = len(f.ring) % f.cap
@@ -133,8 +129,6 @@ func (f *flightRecorder) reset() {
 	f.ring = nil
 	f.next = 0
 	f.cap = defaultFlightCapacity
-	f.total = 0
-	f.dropped = 0
 	f.mu.Unlock()
 }
 
@@ -167,14 +161,6 @@ func FlightTraceByID(id TraceID) (FlightTrace, bool) {
 		}
 	}
 	return FlightTrace{}, false
-}
-
-// FlightStats reports how many traces completed and how many were never
-// tracked because the in-progress map was full.
-func FlightStats() (completed, dropped uint64) {
-	flight.mu.Lock()
-	defer flight.mu.Unlock()
-	return flight.total, flight.dropped
 }
 
 // flightDump is the on-disk schema of a flight-recorder dump.

@@ -79,10 +79,6 @@ func TestFlightRingEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("slot %d = %s, want %s (oldest-first, newest retained)", i, ft.Trace, want)
 		}
 	}
-	completed, dropped := obs.FlightStats()
-	if completed != 5 || dropped != 0 {
-		t.Fatalf("stats = (%d completed, %d dropped), want (5, 0)", completed, dropped)
-	}
 }
 
 // flightDumpFile mirrors the on-disk dump schema.

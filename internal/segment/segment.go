@@ -115,45 +115,3 @@ func forNeighbors(d, h, w, idx int, visit func(n int)) {
 		visit(idx + w*h)
 	}
 }
-
-// Dilate3D grows mask by a box of the given radius (separable passes
-// along x, y, z).
-func Dilate3D(mask []bool, d, h, w, radius int) []bool {
-	out := append([]bool(nil), mask...)
-	for r := 0; r < radius; r++ {
-		out = dilateOnce(out, d, h, w)
-	}
-	return out
-}
-
-// Erode3D shrinks mask by a box of the given radius.
-func Erode3D(mask []bool, d, h, w, radius int) []bool {
-	// Erosion is dilation of the complement.
-	inv := make([]bool, len(mask))
-	for i, m := range mask {
-		inv[i] = !m
-	}
-	inv = Dilate3D(inv, d, h, w, radius)
-	out := make([]bool, len(mask))
-	for i, m := range inv {
-		out[i] = !m
-	}
-	return out
-}
-
-// Close3D applies dilation followed by erosion, bridging small gaps
-// (dense lesions inside lung).
-func Close3D(mask []bool, d, h, w, radius int) []bool {
-	return Erode3D(Dilate3D(mask, d, h, w, radius), d, h, w, radius)
-}
-
-func dilateOnce(mask []bool, d, h, w int) []bool {
-	out := append([]bool(nil), mask...)
-	for idx, m := range mask {
-		if !m {
-			continue
-		}
-		forNeighbors(d, h, w, idx, func(n int) { out[n] = true })
-	}
-	return out
-}

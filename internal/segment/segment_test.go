@@ -183,3 +183,104 @@ func TestFillHolesConsolidation(t *testing.T) {
 		t.Fatalf("consolidation case Dice = %v, want > 0.75", d)
 	}
 }
+
+// The reference morphology: out-of-place dilation, erosion and closing
+// with one allocation per pass. LungsInto runs the in-place closing
+// (Scratch.closeInPlace); these are its oracle.
+
+// Dilate3D grows mask by a box of the given radius (separable passes
+// along x, y, z).
+func Dilate3D(mask []bool, d, h, w, radius int) []bool {
+	out := append([]bool(nil), mask...)
+	for r := 0; r < radius; r++ {
+		out = dilateOnce(out, d, h, w)
+	}
+	return out
+}
+
+// Erode3D shrinks mask by a box of the given radius.
+func Erode3D(mask []bool, d, h, w, radius int) []bool {
+	// Erosion is dilation of the complement.
+	inv := make([]bool, len(mask))
+	for i, m := range mask {
+		inv[i] = !m
+	}
+	inv = Dilate3D(inv, d, h, w, radius)
+	out := make([]bool, len(mask))
+	for i, m := range inv {
+		out[i] = !m
+	}
+	return out
+}
+
+// Close3D applies dilation followed by erosion, bridging small gaps
+// (dense lesions inside lung).
+func Close3D(mask []bool, d, h, w, radius int) []bool {
+	return Erode3D(Dilate3D(mask, d, h, w, radius), d, h, w, radius)
+}
+
+func dilateOnce(mask []bool, d, h, w int) []bool {
+	out := append([]bool(nil), mask...)
+	for idx, m := range mask {
+		if !m {
+			continue
+		}
+		forNeighbors(d, h, w, idx, func(n int) { out[n] = true })
+	}
+	return out
+}
+
+// TestCloseInPlaceMatchesClose3D pins the closing LungsInto runs to the
+// reference Close3D element for element, over every extent 1–9 on each
+// axis and radii 0–3, on empty, full, single-voxel, face-touching and
+// random masks, with a ping-pong buffer full of stale values.
+func TestCloseInPlaceMatchesClose3D(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var s Scratch
+	for d := 1; d <= 9; d++ {
+		for h := 1; h <= 9; h++ {
+			for w := 1; w <= 9; w++ {
+				n := d * h * w
+				at := func(z, y, x int) int { return (z*h+y)*w + x }
+				masks := map[string][]bool{
+					"empty": make([]bool, n), "full": make([]bool, n),
+					"corner": make([]bool, n), "centre": make([]bool, n),
+					"shell": make([]bool, n), "face-centres": make([]bool, n),
+					"sparse": make([]bool, n), "dense": make([]bool, n),
+				}
+				for i := range n {
+					masks["full"][i] = true
+					masks["sparse"][i] = rng.Intn(4) == 0
+					masks["dense"][i] = rng.Intn(4) != 0
+					z, y, x := i/(h*w), i/w%h, i%w
+					masks["shell"][i] = z == 0 || z == d-1 || y == 0 || y == h-1 || x == 0 || x == w-1
+				}
+				masks["corner"][0] = true
+				masks["centre"][at(d/2, h/2, w/2)] = true
+				for _, i := range []int{
+					at(0, h/2, w/2), at(d-1, h/2, w/2), at(d/2, 0, w/2),
+					at(d/2, h-1, w/2), at(d/2, h/2, 0), at(d/2, h/2, w-1),
+				} {
+					masks["face-centres"][i] = true
+				}
+				for name, mask := range masks {
+					for radius := 0; radius <= 3; radius++ {
+						want := Close3D(mask, d, h, w, radius)
+						got := append([]bool(nil), mask...)
+						buf := make([]bool, n) // stale contents, as LungsInto's air buffer has
+						for i := range buf {
+							buf[i] = rng.Intn(2) == 0
+						}
+						s.closeInPlace(got, buf, d, h, w, radius)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s mask %dx%dx%d radius %d: voxel %d = %v, Close3D %v",
+									name, d, h, w, radius, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -69,9 +69,6 @@ func (t *Tensor) Numel() int { return len(t.Data) }
 // Rank reports the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.Shape) != len(o.Shape) {

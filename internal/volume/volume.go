@@ -43,27 +43,6 @@ func (v *Volume) Slice(z int) []float32 {
 	return v.Data[z*v.H*v.W : (z+1)*v.H*v.W]
 }
 
-// SliceRange returns slices [z0, z1) as a volume view sharing storage —
-// the zero-copy extraction the cluster gateway's scatter planner uses to
-// shard a scan across replicas. Writes through the view land in v.
-func (v *Volume) SliceRange(z0, z1 int) *Volume {
-	if z0 < 0 || z1 > v.D || z0 >= z1 {
-		panic(fmt.Sprintf("volume: SliceRange [%d, %d) outside [0, %d)", z0, z1, v.D))
-	}
-	return &Volume{D: z1 - z0, H: v.H, W: v.W, Data: v.Data[z0*v.H*v.W : z1*v.H*v.W]}
-}
-
-// CopySliceRange copies slices [z0, z1) into dst (caller-owned, length
-// (z1-z0)*H*W) — the gather-side counterpart of SliceRange for buffers
-// that must outlive v.
-func (v *Volume) CopySliceRange(dst []float32, z0, z1 int) {
-	src := v.SliceRange(z0, z1).Data
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("volume: CopySliceRange dst has %d values, want %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // At returns the voxel at (z, y, x).
 func (v *Volume) At(z, y, x int) float32 { return v.Data[(z*v.H+y)*v.W+x] }
 
