@@ -5,7 +5,7 @@ GO ?= go
 BENCHTIME ?=
 BENCHFLAGS = -bench . -benchmem -run '^$$' $(if $(BENCHTIME),-benchtime=$(BENCHTIME))
 
-.PHONY: build test race vet crossarch fmt lint lint-tools chaos cluster-chaos cover alloc bench-smoke bench benchcheck loc ci clean
+.PHONY: build test race vet crossarch fmt lint lint-tools chaos cluster-chaos cover alloc fuzz bench-smoke bench benchcheck loc ci clean
 
 # Pinned static-analysis tool versions; `make lint-tools` installs them
 # (CI does this — it needs network, so it is not part of `make lint`).
@@ -116,10 +116,26 @@ cover:
 # Allocation gate: the AllocsPerRun tests asserting the warm inference
 # hot paths (arena get/release, DDnet enhance, classifier predict, and
 # the whole-pipeline enhance/classify) allocate exactly zero bytes per
-# operation in steady state. Deterministic, so it blocks CI outright —
-# no threshold, no noise floor.
+# operation in steady state, and that the scan wire codec allocates
+# nothing but the decoded voxels. Deterministic, so it blocks CI
+# outright — no threshold, no noise floor.
 alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/memplan/ ./internal/ddnet/ ./internal/classify/ ./internal/core/
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/memplan/ ./internal/ddnet/ ./internal/classify/ ./internal/core/ ./internal/serve/
+
+# Fuzzing: every native Fuzz* target under internal/, one after the
+# other for FUZZTIME each (go test -fuzz takes one target per run). The
+# seed corpora already run as plain tests in `make test`; the nightly
+# lane fuzzes longer. A failing input is written to the package's
+# testdata/fuzz/ directory, where it becomes a regression seed.
+FUZZTIME ?= 10s
+
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t ./$$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+		done; \
+	done
 
 # bench/ is its own module (the BENCHMARK.json yardstick), so neither
 # `go build ./...` nor `go test ./...` compiles it and a signature it

@@ -44,16 +44,16 @@ func (g *Gateway) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	serve.LimitBody(w, r, g.maxVoxels)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, serve.BodyErrorStatus(err), "read body: %v", err)
-		return
-	}
 	var req serve.ScanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+	wire, err := serve.ReadScan(r.Body, &req)
+	if err != nil {
+		httpError(w, serve.BodyErrorStatus(err), "bad json: %v", err)
 		return
 	}
+	// The body is forwarded as it came and never released to the pool:
+	// net/http may still read a request body after Do returns (a
+	// cancelled hedge), so no later scan may reuse these bytes.
+	body := wire.B
 	if code, err := req.CheckDims(g.maxVoxels); err != nil {
 		httpError(w, code, "%v", err)
 		return

@@ -758,3 +758,36 @@ func TestGatewayWrappingDimensionsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingDataRejected: on every endpoint that reads a scan body —
+// a replica's /v1/scan and /v1/enhance and the gateway's /v1/scan — a
+// body with anything but whitespace after the scan object is refused
+// with 400, and the same object alone is admitted.
+func TestTrailingDataRejected(t *testing.T) {
+	rep, rts := startReplica(t, serve.Config{Enhance: func(v *volume.Volume) *volume.Volume { return v }})
+	g, _ := startGateway(t, Config{Replicas: []string{rts.URL}, HealthInterval: time.Hour})
+	const scan = `{"d":1,"h":1,"w":2,"data":[1,2]}`
+	for _, ep := range []struct {
+		name, path string
+		h          http.Handler
+	}{
+		{"replica", "/v1/scan", rep.Handler()},
+		{"replica", "/v1/enhance", rep.Handler()},
+		{"gateway", "/v1/scan", g.Handler()},
+	} {
+		for body, admit := range map[string]bool{
+			scan:                  true,
+			" " + scan + "\r\n\t": true,
+			scan + "garbage":      false,
+			scan + scan:           false,
+			scan + " }":           false,
+			scan + "\x00":         false,
+		} {
+			rec := httptest.NewRecorder()
+			ep.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(body)))
+			if admitted := rec.Code/100 == 2; admitted != admit || !admit && rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s %q: answered %d, want admitted=%v (refusals 400)", ep.name, ep.path, body, rec.Code, admit)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -37,9 +36,10 @@ import (
 // p95, so a replica dying mid-scan costs one chunk of work, not the
 // scan. If a chunk exhausts its budget anyway, handleScan falls back to
 // the whole unsharded path — sharding never adds a client-visible
-// failure mode. Per-slice forwards are independent and JSON float32
-// round-trips are exact, so the sharded result is bit-identical to the
-// single-replica one (regression-tested across chunk sizes).
+// failure mode. Per-slice forwards are independent, and AppendScan
+// writes encoding/json's bytes — shortest-form float32 literals that
+// ReadScan parses back exactly — so the sharded result is bit-identical
+// to the single-replica one (regression-tested across chunk sizes).
 
 // chunkRange is one scatter unit: slices [z0, z1) of the scan.
 type chunkRange struct {
@@ -150,7 +150,7 @@ func (g *Gateway) doSharded(ctx context.Context, req *serve.ScanRequest) attempt
 		DeadlineMS:  req.DeadlineMS,
 		PreEnhanced: true,
 	}
-	body, err := json.Marshal(&creq)
+	body, err := encodeScan(&creq)
 	if err != nil {
 		return attemptResult{err: err}
 	}
@@ -233,15 +233,13 @@ func (g *Gateway) scatterEnhance(ctx context.Context, req *serve.ScanRequest) ([
 // attempts consumed (re-dispatch accounting).
 func (g *Gateway) enhanceChunk(ctx context.Context, req *serve.ScanRequest, c chunkRange) ([]float32, int, error) {
 	hw := req.H * req.W
-	body, err := json.Marshal(&serve.ScanRequest{
-		D: c.z1 - c.z0, H: req.H, W: req.W,
-		Data: req.Data[c.z0*hw : c.z1*hw],
-	})
+	voxels := req.Data[c.z0*hw : c.z1*hw]
+	body, err := encodeScan(&serve.ScanRequest{D: c.z1 - c.z0, H: req.H, W: req.W, Data: voxels})
 	if err != nil {
 		return nil, 1, err
 	}
 	res := g.doCall(ctx, "", g.chunkLat, func(ctx context.Context, rep *replica, hedged bool) attemptResult {
-		return g.enhanceReplica(ctx, rep, body, c, hedged)
+		return g.enhanceReplica(ctx, rep, body, c, len(voxels), hedged)
 	})
 	if res.err != nil {
 		return nil, res.attempts, res.err
@@ -253,12 +251,22 @@ func (g *Gateway) enhanceChunk(ctx context.Context, req *serve.ScanRequest, c ch
 	return res.chunk, res.attempts, nil
 }
 
+// encodeScan is the body of an outbound scan or chunk request. It is
+// not pooled: net/http may read a request body after Do returns (a
+// cancelled hedge), so the bytes are left to the GC. The capacity fits
+// a typical HU literal and its comma per voxel; longer ones grow it.
+func encodeScan(req *serve.ScanRequest) ([]byte, error) {
+	return serve.AppendScan(make([]byte, 0, 64+12*len(req.Data)), req)
+}
+
 // enhanceReplica performs one chunk-range enhance attempt against one
 // replica — the chunk-sized sibling of scanReplica. Transport failures
 // feed the same ejection state machine, backpressure (429/503) surfaces
 // as a retryable error with the advertised wait, and latency feeds the
-// chunk hedge profile.
-func (g *Gateway) enhanceReplica(ctx context.Context, rep *replica, body []byte, c chunkRange, hedged bool) attemptResult {
+// chunk hedge profile. The reply is read through the bound a request
+// of the chunk's voxels gets, so a replica streaming an endless reply
+// fails the attempt instead of being buffered.
+func (g *Gateway) enhanceReplica(ctx context.Context, rep *replica, body []byte, c chunkRange, voxels int, hedged bool) attemptResult {
 	res := attemptResult{rep: rep, hedged: hedged}
 	rep.acquire()
 	defer rep.release()
@@ -295,9 +303,10 @@ func (g *Gateway) enhanceReplica(ctx context.Context, rep *replica, body []byte,
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var er serve.EnhanceResponse
-		err := json.NewDecoder(resp.Body).Decode(&er)
+		var er serve.ScanRequest
+		wire, err := serve.ReadScan(http.MaxBytesReader(nil, resp.Body, serve.MaxBodyBytes(voxels)), &er)
 		resp.Body.Close()
+		wire.Release()
 		if err != nil {
 			res.err = fmt.Errorf("replica %s: chunk decode: %w", rep.name, err)
 			return res

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -434,5 +435,55 @@ func TestShardedTraceTree(t *testing.T) {
 	if strings.Join(gotEdges, "\n") != strings.Join(wantEdges, "\n") {
 		t.Fatalf("sharded trace tree:\n%s\nwant:\n%s",
 			strings.Join(gotEdges, "\n"), strings.Join(wantEdges, "\n"))
+	}
+}
+
+// TestEndlessChunkReplyFallsBack: a replica that answers a chunk with
+// an endless 200 reply is read only up to the bound a request of the
+// chunk's voxels gets. The chunk fails there, and the scan falls back
+// to the unsharded path instead of buffering the stream without limit.
+func TestEndlessChunkReplyFallsBack(t *testing.T) {
+	const streamCap = 32 << 20 // far past the bound and any socket buffer
+	var finished atomic.Int64
+	endless := func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		src, buf := &endlessScan{}, make([]byte, 32<<10)
+		for sent := 0; sent < streamCap; sent += len(buf) {
+			src.Read(buf)
+			if _, err := w.Write(buf); err != nil {
+				return // the gateway hung up
+			}
+		}
+		finished.Add(1)
+	}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s, _ := startReplica(t, serve.Config{})
+		mux := http.NewServeMux()
+		mux.Handle("/", s.Handler())
+		mux.HandleFunc("POST /v1/enhance", endless)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	_, gw := startGateway(t, Config{
+		Replicas:         urls,
+		ShardSlices:      1,
+		ShardChunkSlices: 1,
+		DisableHedging:   true,
+		HealthInterval:   time.Hour,
+	})
+
+	fallbacksBefore := shardFallbacksTotal.Value()
+	resp, view := postScan(t, gw.URL, scanBody(t, uniqueVolumes(1)[0]))
+	if resp.StatusCode != http.StatusOK || view.State != serve.StateDone {
+		t.Fatalf("scan: status %d view %+v", resp.StatusCode, view)
+	}
+	if shardFallbacksTotal.Value() == fallbacksBefore {
+		t.Fatal("the scan did not fall back to the unsharded path")
+	}
+	if n := finished.Load(); n != 0 {
+		t.Fatalf("the gateway read %d endless chunk replies to the %d MiB end", n, streamCap>>20)
 	}
 }

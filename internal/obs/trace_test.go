@@ -174,3 +174,33 @@ func TestDisabledCtxPathIsInert(t *testing.T) {
 		t.Fatal("ContextWithSpan(nil) must be a no-op")
 	}
 }
+
+// FuzzParseTraceparent: the parser runs on a header of every request, so
+// no input may panic it, and whatever it accepts is a 55-byte W3C value
+// whose non-zero ids render back to the header's own hex digits.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := mkSpanContext().Traceparent()
+	for _, s := range []string{
+		valid, "01" + valid[2:], valid[:53] + "00", strings.ToUpper(valid),
+		"", valid[:54], valid + "x", "ff" + valid[2:],
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		strings.Repeat("-", 55), strings.Repeat("0", 55),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := obs.ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if len(s) != 55 || strings.EqualFold(s[:2], "ff") || sc.Trace.IsZero() || sc.Span.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid header as %+v", s, sc)
+		}
+		if !strings.EqualFold(s[3:35], sc.Trace.String()) || !strings.EqualFold(s[36:52], sc.Span.String()) {
+			t.Fatalf("ParseTraceparent(%q) = %s/%s, not the header's ids", s, sc.Trace, sc.Span)
+		}
+		if again, ok := obs.ParseTraceparent(sc.Traceparent()); !ok || again != sc {
+			t.Fatalf("%q does not parse back to %+v", sc.Traceparent(), sc)
+		}
+	})
+}

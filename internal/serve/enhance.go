@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -10,17 +9,6 @@ import (
 	"computecovid19/internal/obs"
 	"computecovid19/internal/volume"
 )
-
-// EnhanceResponse is the POST /v1/enhance reply: the enhanced chunk in
-// the same row-major layout as the request. Go encodes float32 values in
-// shortest-form decimal, so a volume round-trips the wire bit-exactly —
-// the property the gateway's bit-identical sharding guarantee rests on.
-type EnhanceResponse struct {
-	D    int       `json:"d"`
-	H    int       `json:"h"`
-	W    int       `json:"w"`
-	Data []float32 `json:"data"`
-}
 
 // handleEnhance is the chunk-range enhancement endpoint — the replica
 // side of the gateway's scatter/gather sharding. It synchronously runs
@@ -50,10 +38,12 @@ func (s *Server) handleEnhance(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ScanRequest
 	LimitBody(w, r, s.cfg.MaxVoxels)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := ReadScan(r.Body, &req)
+	if err != nil {
 		httpError(w, BodyErrorStatus(err), "bad json: %v", err)
 		return
 	}
+	body.Release()
 	if code, err := req.CheckDims(s.cfg.MaxVoxels); err != nil {
 		httpError(w, code, "%v", err)
 		return
@@ -80,7 +70,7 @@ func (s *Server) handleEnhance(w http.ResponseWriter, r *http.Request) {
 
 	enhanceChunkSeconds.Observe(time.Since(start).Seconds())
 	enhanceChunksTotal.Inc()
-	writeJSON(w, http.StatusOK, EnhanceResponse{D: out.D, H: out.H, W: out.W, Data: out.Data})
+	writeScan(w, &ScanRequest{D: out.D, H: out.H, W: out.W, Data: out.Data})
 	if recycle {
 		s.cfg.Pipeline.RecycleVolume(out)
 	}

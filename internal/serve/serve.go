@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -226,22 +225,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// ScanRequest is the POST /v1/scan body: a D×H×W volume in Hounsfield
-// units, row-major slice by slice, plus an optional per-request deadline.
-// PreEnhanced marks a volume that already went through Enhancement AI
-// (the gateway's sharded scatter/gather path submits these after
-// reassembly); the worker skips the enhancement stage and runs
-// segment+classify directly. The flag is part of the cache identity, so
-// a raw volume and the byte-identical pre-enhanced one never collide.
-type ScanRequest struct {
-	D           int       `json:"d"`
-	H           int       `json:"h"`
-	W           int       `json:"w"`
-	Data        []float32 `json:"data"`
-	DeadlineMS  int       `json:"deadline_ms,omitempty"`
-	PreEnhanced bool      `json:"pre_enhanced,omitempty"`
-}
-
 // Handler returns the HTTP API:
 //
 //	POST /v1/scan      submit a volume; 202 + job id (200 on cache hit)
@@ -309,12 +292,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ScanRequest
 	LimitBody(w, r, s.cfg.MaxVoxels)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := ReadScan(r.Body, &req)
+	if err != nil {
 		code := BodyErrorStatus(err)
 		httpError(w, code, "bad json: %v", err)
 		endHere(code)
 		return
 	}
+	body.Release()
 	if code, err := req.CheckDims(s.cfg.MaxVoxels); err != nil {
 		httpError(w, code, "%v", err)
 		endHere(code)
@@ -436,68 +421,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
-}
-
-// DefaultMaxVoxels is the admission limit when Config.MaxVoxels is unset.
-const DefaultMaxVoxels = 1 << 26
-
-// A volume crosses the wire as a JSON array of floats. One voxel costs
-// at most bodyBytesPerVoxel bytes — a float64-precision literal with
-// sign and exponent is 24 ("-1.2345678901234567e-100"), plus its comma
-// and room for whitespace — and the rest of a ScanRequest (field names,
-// dimensions, deadline) fits in bodyEnvelopeBytes.
-const (
-	bodyBytesPerVoxel = 32
-	bodyEnvelopeBytes = 4096
-)
-
-// MaxBodyBytes is the largest request body a volume of maxVoxels voxels
-// can need.
-func MaxBodyBytes(maxVoxels int) int64 {
-	return bodyEnvelopeBytes + int64(maxVoxels)*bodyBytesPerVoxel
-}
-
-// LimitBody caps how much of the request body a handler will read at
-// MaxBodyBytes(maxVoxels), so an oversized or endless body is cut off
-// at the bound instead of being buffered whole before the MaxVoxels
-// check can reject it. Reads past the bound fail with an error
-// BodyErrorStatus maps to 413.
-func LimitBody(w http.ResponseWriter, r *http.Request, maxVoxels int) {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes(maxVoxels))
-}
-
-// CheckDims validates the volume a request declares — every dimension
-// positive, at most maxVoxels voxels, exactly one data value per voxel
-// — and returns the HTTP status to refuse it with (400, or 413 over
-// the limit). The voxel count is bounded before each multiplication:
-// a product of attacker-chosen dimensions can wrap to any value,
-// including len(Data), and the dimensions then size allocations.
-func (r *ScanRequest) CheckDims(maxVoxels int) (status int, err error) {
-	if r.D <= 0 || r.H <= 0 || r.W <= 0 {
-		return http.StatusBadRequest, fmt.Errorf("dimensions must be positive, got %dx%dx%d", r.D, r.H, r.W)
-	}
-	voxels := 1
-	for _, n := range [...]int{r.D, r.H, r.W} {
-		if n > maxVoxels/voxels {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("volume %dx%dx%d exceeds the limit of %d voxels", r.D, r.H, r.W, maxVoxels)
-		}
-		voxels *= n
-	}
-	if len(r.Data) != voxels {
-		return http.StatusBadRequest, fmt.Errorf("data has %d values, want %d", len(r.Data), voxels)
-	}
-	return 0, nil
-}
-
-// BodyErrorStatus is the status for a failed read or decode of a
-// LimitBody-bounded body: 413 when the bound was hit, 400 otherwise.
-func BodyErrorStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -79,15 +79,6 @@ func (v *Volume) Normalized(lo, hi float64) *Volume {
 	return out
 }
 
-// Denormalized maps a [0,1] volume back to the HU window [lo, hi].
-func (v *Volume) Denormalized(lo, hi float64) *Volume {
-	out := New(v.D, v.H, v.W)
-	for i, x := range v.Data {
-		out.Data[i] = float32(ctsim.DenormalizeHU(float64(x), lo, hi))
-	}
-	return out
-}
-
 // ApplyMask zeroes voxels where mask is false (mask length D*H*W),
 // producing the segmented volume the classifier consumes (§3.2).
 func (v *Volume) ApplyMask(mask []bool) *Volume {
@@ -101,20 +92,6 @@ func (v *Volume) ApplyMask(mask []bool) *Volume {
 		}
 	}
 	return out
-}
-
-// MinMax returns the smallest and largest voxel values.
-func (v *Volume) MinMax() (float32, float32) {
-	lo, hi := v.Data[0], v.Data[0]
-	for _, x := range v.Data[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // SliceImage renders slice z as an 8-bit grayscale image over the value
@@ -147,21 +124,4 @@ func (v *Volume) SavePNG(path string, z int, lo, hi float64) error {
 		return err
 	}
 	return f.Close()
-}
-
-// AbsDiff returns |v - o| voxelwise — the paper's Figure 12 difference
-// maps.
-func (v *Volume) AbsDiff(o *Volume) *Volume {
-	if v.D != o.D || v.H != o.H || v.W != o.W {
-		panic("volume: AbsDiff shape mismatch")
-	}
-	out := New(v.D, v.H, v.W)
-	for i := range v.Data {
-		d := v.Data[i] - o.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		out.Data[i] = d
-	}
-	return out
 }

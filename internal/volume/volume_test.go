@@ -5,7 +5,52 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"computecovid19/internal/ctsim"
 )
+
+// The three helpers below are the test metrics and round-trip oracle of
+// this file; no program calls them.
+
+// Denormalized maps a [0,1] volume back to the HU window [lo, hi].
+func (v *Volume) Denormalized(lo, hi float64) *Volume {
+	out := New(v.D, v.H, v.W)
+	for i, x := range v.Data {
+		out.Data[i] = float32(ctsim.DenormalizeHU(float64(x), lo, hi))
+	}
+	return out
+}
+
+// MinMax returns the smallest and largest voxel values.
+func (v *Volume) MinMax() (float32, float32) {
+	lo, hi := v.Data[0], v.Data[0]
+	for _, x := range v.Data[1:] {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
+// AbsDiff returns |v - o| voxelwise — the paper's Figure 12 difference
+// maps.
+func (v *Volume) AbsDiff(o *Volume) *Volume {
+	if v.D != o.D || v.H != o.H || v.W != o.W {
+		panic("volume: AbsDiff shape mismatch")
+	}
+	out := New(v.D, v.H, v.W)
+	for i := range v.Data {
+		d := v.Data[i] - o.Data[i]
+		if d < 0 {
+			d = -d
+		}
+		out.Data[i] = d
+	}
+	return out
+}
 
 func TestVolumeAccessors(t *testing.T) {
 	v := New(2, 3, 4)
