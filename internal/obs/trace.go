@@ -77,27 +77,28 @@ func (sc SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex>-<16 hex>-<2 hex>"). It accepts any version byte and
-// ignores the flags, per the spec's forward-compatibility rules, and
-// rejects all-zero trace or span ids.
+// ("00-<32 hex>-<16 hex>-<2 hex>", lowercase hex only). It accepts any
+// version byte but ff and ignores the flags, per the spec's
+// forward-compatibility rules, and rejects all-zero trace or span ids
+// and uppercase hex digits, which the spec's grammar does not allow.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	var sc SpanContext
-	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+	if len(s) != 55 || s[:2] == "ff" {
 		return sc, false
 	}
-	var version [1]byte
-	if _, err := hex.Decode(version[:], []byte(s[0:2])); err != nil || version[0] == 0xff {
-		return sc, false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if i == 2 || i == 35 || i == 52 {
+			if c != '-' {
+				return sc, false
+			}
+		} else if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return sc, false
+		}
 	}
-	if _, err := hex.Decode(sc.Trace[:], []byte(s[3:35])); err != nil {
-		return sc, false
-	}
-	if _, err := hex.Decode(sc.Span[:], []byte(s[36:52])); err != nil {
-		return sc, false
-	}
-	if _, err := hex.Decode(version[:], []byte(s[53:55])); err != nil {
-		return sc, false
-	}
+	// Every digit is lowercase hex now, so neither decode can fail.
+	hex.Decode(sc.Trace[:], []byte(s[3:35]))
+	hex.Decode(sc.Span[:], []byte(s[36:52]))
 	if sc.Trace.IsZero() || sc.Span.IsZero() {
 		return sc, false
 	}

@@ -46,6 +46,12 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"zero trace id":  "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
 		"zero span id":   "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
 		"all whitespace": strings.Repeat(" ", 55),
+		"uppercase":      "00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"upper trace":    "00-4bf92f3577b34da6a3ce929d0e0e473F-00f067aa0ba902b7-01",
+		"upper span":     "00-4bf92f3577b34da6a3ce929d0e0e4736-00F067aa0ba902b7-01",
+		"upper version":  "0A" + valid[2:],
+		"upper flags":    valid[:53] + "0F",
+		"version FF":     "FF" + valid[2:],
 	}
 	for name, in := range cases {
 		if _, ok := obs.ParseTraceparent(in); ok {
@@ -177,11 +183,13 @@ func TestDisabledCtxPathIsInert(t *testing.T) {
 
 // FuzzParseTraceparent: the parser runs on a header of every request, so
 // no input may panic it, and whatever it accepts is a 55-byte W3C value
-// whose non-zero ids render back to the header's own hex digits.
+// whose non-zero ids render back to exactly the header's own lowercase
+// hex digits.
 func FuzzParseTraceparent(f *testing.F) {
 	valid := mkSpanContext().Traceparent()
 	for _, s := range []string{
 		valid, "01" + valid[2:], valid[:53] + "00", strings.ToUpper(valid),
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
 		"", valid[:54], valid + "x", "ff" + valid[2:],
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
 		strings.Repeat("-", 55), strings.Repeat("0", 55),
@@ -193,10 +201,10 @@ func FuzzParseTraceparent(f *testing.F) {
 		if !ok {
 			return
 		}
-		if len(s) != 55 || strings.EqualFold(s[:2], "ff") || sc.Trace.IsZero() || sc.Span.IsZero() {
+		if len(s) != 55 || s[:2] == "ff" || sc.Trace.IsZero() || sc.Span.IsZero() {
 			t.Fatalf("ParseTraceparent(%q) accepted an invalid header as %+v", s, sc)
 		}
-		if !strings.EqualFold(s[3:35], sc.Trace.String()) || !strings.EqualFold(s[36:52], sc.Span.String()) {
+		if s[3:35] != sc.Trace.String() || s[36:52] != sc.Span.String() || s != strings.ToLower(s) {
 			t.Fatalf("ParseTraceparent(%q) = %s/%s, not the header's ids", s, sc.Trace, sc.Span)
 		}
 		if again, ok := obs.ParseTraceparent(sc.Traceparent()); !ok || again != sc {
