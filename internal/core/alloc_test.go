@@ -107,9 +107,17 @@ func TestEnhanceVolumePooledBitIdentical(t *testing.T) {
 	requireSameVolumeBits(t, want, out, "memdebug")
 }
 
+// planBudget is the largest |Δprobability| allowed between the warm
+// pipeline's classifier and the graph forward. A warm classifier runs a
+// compiled plan, whose BatchNorm folding reassociates each layer's
+// arithmetic by a few float32 ULPs; a wrong fold moves the probability
+// by far more.
+const planBudget = 1e-6
+
 // TestClassifyPooledBitIdentical pins the pooled segmentation +
 // classification tail to the pre-pooled segment.Apply + Normalized +
-// Predict composition: identical probability bits and identical mask.
+// Predict composition: the identical mask, and the probability within
+// planBudget.
 func TestClassifyPooledBitIdentical(t *testing.T) {
 	p := pooledTestPipeline(23)
 	v := pooledTestVolume(rand.New(rand.NewSource(24)), 8, 32, 32)
@@ -118,10 +126,10 @@ func TestClassifyPooledBitIdentical(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		r := p.Classify(v)
-		if r.Probability != wantProb {
-			t.Fatalf("%s: probability %v != %v", label, r.Probability, wantProb)
+		if d := math.Abs(r.Probability - wantProb); d > planBudget {
+			t.Fatalf("%s: probability %v, graph %v: |Δ| %.3g > %g", label, r.Probability, wantProb, d, planBudget)
 		}
-		if r.Positive != (wantProb >= p.Threshold) {
+		if r.Positive != (r.Probability >= p.Threshold) {
 			t.Fatalf("%s: positive call mismatch", label)
 		}
 		if len(r.LungMask) != len(wantMask) {
