@@ -91,27 +91,3 @@ func Dice(a, b []bool) float64 {
 	}
 	return 2 * float64(inter) / float64(sum)
 }
-
-func forNeighbors(d, h, w, idx int, visit func(n int)) {
-	x := idx % w
-	y := (idx / w) % h
-	z := idx / (w * h)
-	if x > 0 {
-		visit(idx - 1)
-	}
-	if x < w-1 {
-		visit(idx + 1)
-	}
-	if y > 0 {
-		visit(idx - w)
-	}
-	if y < h-1 {
-		visit(idx + w)
-	}
-	if z > 0 {
-		visit(idx - w*h)
-	}
-	if z < d-1 {
-		visit(idx + w*h)
-	}
-}

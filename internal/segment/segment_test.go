@@ -219,6 +219,31 @@ func Close3D(mask []bool, d, h, w, radius int) []bool {
 	return Erode3D(Dilate3D(mask, d, h, w, radius), d, h, w, radius)
 }
 
+// forNeighbors visits the in-volume 6-neighbours of voxel idx.
+func forNeighbors(d, h, w, idx int, visit func(n int)) {
+	x := idx % w
+	y := (idx / w) % h
+	z := idx / (w * h)
+	if x > 0 {
+		visit(idx - 1)
+	}
+	if x < w-1 {
+		visit(idx + 1)
+	}
+	if y > 0 {
+		visit(idx - w)
+	}
+	if y < h-1 {
+		visit(idx + w)
+	}
+	if z > 0 {
+		visit(idx - w*h)
+	}
+	if z < d-1 {
+		visit(idx + w*h)
+	}
+}
+
 func dilateOnce(mask []bool, d, h, w int) []bool {
 	out := append([]bool(nil), mask...)
 	for idx, m := range mask {
@@ -233,51 +258,56 @@ func dilateOnce(mask []bool, d, h, w int) []bool {
 // TestCloseInPlaceMatchesClose3D pins the closing LungsInto runs to the
 // reference Close3D element for element, over every extent 1–9 on each
 // axis and radii 0–3, on empty, full, single-voxel, face-touching and
-// random masks, with a ping-pong buffer full of stale values.
+// random masks. One Scratch serves every call, so its bitsets hold stale
+// words from a larger or different extent each time; rows up to 130
+// voxels wide (three words, the last one partly padding) run too.
 func TestCloseInPlaceMatchesClose3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s Scratch
+	var extents [][3]int
 	for d := 1; d <= 9; d++ {
 		for h := 1; h <= 9; h++ {
 			for w := 1; w <= 9; w++ {
-				n := d * h * w
-				at := func(z, y, x int) int { return (z*h+y)*w + x }
-				masks := map[string][]bool{
-					"empty": make([]bool, n), "full": make([]bool, n),
-					"corner": make([]bool, n), "centre": make([]bool, n),
-					"shell": make([]bool, n), "face-centres": make([]bool, n),
-					"sparse": make([]bool, n), "dense": make([]bool, n),
-				}
-				for i := range n {
-					masks["full"][i] = true
-					masks["sparse"][i] = rng.Intn(4) == 0
-					masks["dense"][i] = rng.Intn(4) != 0
-					z, y, x := i/(h*w), i/w%h, i%w
-					masks["shell"][i] = z == 0 || z == d-1 || y == 0 || y == h-1 || x == 0 || x == w-1
-				}
-				masks["corner"][0] = true
-				masks["centre"][at(d/2, h/2, w/2)] = true
-				for _, i := range []int{
-					at(0, h/2, w/2), at(d-1, h/2, w/2), at(d/2, 0, w/2),
-					at(d/2, h-1, w/2), at(d/2, h/2, 0), at(d/2, h/2, w-1),
-				} {
-					masks["face-centres"][i] = true
-				}
-				for name, mask := range masks {
-					for radius := 0; radius <= 3; radius++ {
-						want := Close3D(mask, d, h, w, radius)
-						got := append([]bool(nil), mask...)
-						buf := make([]bool, n) // stale contents, as LungsInto's air buffer has
-						for i := range buf {
-							buf[i] = rng.Intn(2) == 0
-						}
-						s.closeInPlace(got, buf, d, h, w, radius)
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s mask %dx%dx%d radius %d: voxel %d = %v, Close3D %v",
-									name, d, h, w, radius, i, got[i], want[i])
-							}
-						}
+				extents = append(extents, [3]int{d, h, w})
+			}
+		}
+	}
+	extents = append(extents, [3]int{2, 3, 63}, [3]int{2, 3, 64}, [3]int{3, 2, 65},
+		[3]int{2, 2, 127}, [3]int{2, 2, 128}, [3]int{3, 3, 130})
+	for _, e := range extents {
+		d, h, w := e[0], e[1], e[2]
+		n := d * h * w
+		at := func(z, y, x int) int { return (z*h+y)*w + x }
+		masks := map[string][]bool{
+			"empty": make([]bool, n), "full": make([]bool, n),
+			"corner": make([]bool, n), "centre": make([]bool, n),
+			"shell": make([]bool, n), "face-centres": make([]bool, n),
+			"sparse": make([]bool, n), "dense": make([]bool, n),
+		}
+		for i := range n {
+			masks["full"][i] = true
+			masks["sparse"][i] = rng.Intn(4) == 0
+			masks["dense"][i] = rng.Intn(4) != 0
+			z, y, x := i/(h*w), i/w%h, i%w
+			masks["shell"][i] = z == 0 || z == d-1 || y == 0 || y == h-1 || x == 0 || x == w-1
+		}
+		masks["corner"][0] = true
+		masks["centre"][at(d/2, h/2, w/2)] = true
+		for _, i := range []int{
+			at(0, h/2, w/2), at(d-1, h/2, w/2), at(d/2, 0, w/2),
+			at(d/2, h-1, w/2), at(d/2, h/2, 0), at(d/2, h/2, w-1),
+		} {
+			masks["face-centres"][i] = true
+		}
+		for name, mask := range masks {
+			for radius := 0; radius <= 3; radius++ {
+				want := Close3D(mask, d, h, w, radius)
+				got := append([]bool(nil), mask...)
+				s.closeInPlace(got, d, h, w, radius)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s mask %dx%dx%d radius %d: voxel %d = %v, Close3D %v",
+							name, d, h, w, radius, i, got[i], want[i])
 					}
 				}
 			}
