@@ -9,6 +9,8 @@ package classify
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"computecovid19/internal/ag"
 	"computecovid19/internal/nn"
@@ -50,6 +52,11 @@ type Classifier struct {
 	// so the checkpoint — order; the linear head follows them.
 	units []unit
 	fc    *nn.Linear
+
+	// Compiled plan (plan.go), one entry per unit. Nil until Warm;
+	// dropped on SetTraining(true). planMu serializes compilation.
+	planMu sync.Mutex
+	plan   atomic.Pointer[[]folded]
 }
 
 // New constructs a classifier with Gaussian-initialized weights drawn
@@ -87,8 +94,15 @@ func (c *Classifier) trunkParams() []*ag.Value {
 // Params returns every trainable parameter, in walk order.
 func (c *Classifier) Params() []*ag.Value { return append(c.trunkParams(), c.fc.Params()...) }
 
-// SetTraining toggles batch-norm behaviour network-wide.
+// SetTraining toggles batch-norm behaviour network-wide. Entering
+// training mode drops any compiled plan: its folded weights bake in
+// statistics and weights that are about to change. Leaving it compiles
+// nothing (that is Warm's job), so the SetTraining(false) on every
+// inference entry point stays a pure read.
 func (c *Classifier) SetTraining(train bool) {
+	if train {
+		c.plan.Store(nil)
+	}
 	for _, u := range c.units {
 		if u.bn != nil {
 			u.bn.SetTraining(train)

@@ -12,14 +12,14 @@ import (
 // pooled is the tape-free inference backend of walk: every activation
 // comes from a memplan.Scope and goes back the moment its last reader
 // has run. walk reaches its backend through an interface, so a
-// per-forward value would escape to the heap; pooleds are recycled
-// through pooledPool instead.
+// per-forward value would escape to the heap; backends are recycled
+// through plannedPool instead (a *planned carries a pooled).
 type pooled struct {
 	units []unit
 	sc    *memplan.Scope
 }
 
-var pooledPool = sync.Pool{New: func() any { return new(pooled) }}
+var plannedPool = sync.Pool{New: func() any { return new(planned) }}
 
 // apply runs the convolution, then BN and ReLU — in place on the fresh
 // BN output, which has no other reader (ReLU is LeakyReLU with slope 0,
@@ -50,19 +50,25 @@ func (p *pooled) concat(vs [maxFanIn]*tensor.Tensor, n int) *tensor.Tensor {
 
 func (p *pooled) free(x *tensor.Tensor) { p.sc.Free(x) }
 
-// PredictPooled is Predict on the pooled backend: every activation
-// comes from mem, so a warm arena makes classification a
+// PredictPooled is Predict without a tape: every activation comes from
+// mem, so a warm arena makes classification a
 // zero-steady-state-allocation operation. The volume's storage is
-// aliased read-only (never pooled). Bit identity with Predict is
-// pinned by TestPredictPooledBitIdentical.
+// aliased read-only (never pooled). A warmed classifier runs its
+// compiled plan (plan.go), within TestPlanMatchesPooled's budget of the
+// pooled backend; otherwise the pooled backend runs, bit-identical to
+// Predict (TestPredictPooledBitIdentical).
 func (c *Classifier) PredictPooled(mem *memplan.Arena, v *volume.Volume) float64 {
 	c.SetTraining(false)
 	sc := mem.NewScope()
-	p := pooledPool.Get().(*pooled)
-	*p = pooled{units: c.units, sc: sc}
-	h := walk[*tensor.Tensor](c.Cfg, p, sc.View(v.Data, 1, 1, v.D, v.H, v.W))
-	*p = pooled{}
-	pooledPool.Put(p)
+	p := plannedPool.Get().(*planned)
+	*p = planned{pooled: pooled{units: c.units, sc: sc}}
+	var b backend[*tensor.Tensor] = &p.pooled
+	if pl := c.plan.Load(); pl != nil {
+		p.plan, b = *pl, p
+	}
+	h := walk(c.Cfg, b, sc.View(v.Data, 1, 1, v.D, v.H, v.W))
+	*p = planned{}
+	plannedPool.Put(p)
 	feats := ag.EvalGlobalAvgPool3D(sc, h)
 	sc.Free(h)
 	logit := c.fc.Infer(sc, feats)

@@ -74,20 +74,26 @@ func TestPredictPooledBitIdentical(t *testing.T) {
 }
 
 // TestAllocsWarmPredict pins zero steady-state heap allocations for a
-// warm pooled classification, on one proc and on two — where every
-// convolution's column tiles go to the worker pool.
+// warm classification on the pooled backend and on the compiled plan,
+// on one proc and on two — where every convolution's column tiles and
+// the plan's BatchNorm planes go to the worker pool.
 func TestAllocsWarmPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := New(rng, SmallConfig())
 	v := evalTestVolume(rng, 16, 16, 16)
 	mem := memplan.New()
 	warm := func() { c.PredictPooled(mem, v) }
-	for _, procs := range []int{1, 2} {
-		if procs > 1 && memplan.RaceEnabled {
-			continue // every tile dispatch recycles its job through a sync.Pool
+	for _, backend := range []string{"pooled", "plan"} {
+		if backend == "plan" {
+			c.Warm()
 		}
-		if n := memplan.AllocsPerRun(procs, 10, warm); n != 0 {
-			t.Fatalf("warm PredictPooled on %d procs allocates %v allocs/op, want 0", procs, n)
+		for _, procs := range []int{1, 2} {
+			if procs > 1 && memplan.RaceEnabled {
+				continue // every tile dispatch recycles its job through a sync.Pool
+			}
+			if n := memplan.AllocsPerRun(procs, 10, warm); n != 0 {
+				t.Fatalf("warm PredictPooled (%s) on %d procs allocates %v allocs/op, want 0", backend, procs, n)
+			}
 		}
 	}
 }

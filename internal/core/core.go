@@ -180,9 +180,10 @@ func (p *Pipeline) ClassifyCtx(ctx context.Context, enhanced *volume.Volume) Res
 // classifyEnhanced is the shared segmentation + classification tail. It
 // runs entirely from pooled memory — the lung mask comes from the
 // pipeline arena (hand it back with RecycleResult) and the masked,
-// windowed classifier input lives in reusable scan scratch — and is
-// bit-identical to segment.Apply + Volume.Normalized + Predict (pinned
-// by TestClassifyPooledBitIdentical).
+// windowed classifier input lives in reusable scan scratch. Its mask is
+// bit-identical to segment.Apply's, and its probability, on a warm
+// pipeline's compiled classifier plan, within 1e-6 of
+// Volume.Normalized + Predict (TestClassifyPooledBitIdentical).
 func (p *Pipeline) classifyEnhanced(enhanced *volume.Volume, sp *obs.Span) Result {
 	s := p.getScratch()
 
@@ -227,16 +228,16 @@ func (p *Pipeline) classifyEnhanced(enhanced *volume.Volume, sp *obs.Span) Resul
 // model state. nn.BatchNorm.SetTraining skips redundant writes, so after
 // Warm the per-call SetTraining(false) in ddnet.Enhance and
 // classify.Predict is a pure read — worker pools may share one set of
-// weights without racing. Warming the enhancer also compiles its fused
-// execution plan (BN folding, weight packing — ddnet.Warm), so the
-// epilogue-fused forward is what concurrent callers run. Serving
-// replicas must call Warm before going concurrent.
+// weights without racing. Warming also compiles both networks' fused
+// execution plans (BN folding, weight packing — ddnet.Warm and
+// classify.Warm), so the epilogue-fused forwards are what concurrent
+// callers run. Serving replicas must call Warm before going concurrent.
 func (p *Pipeline) Warm() {
 	if p.Enhancer != nil {
 		p.Enhancer.Warm()
 	}
 	if p.Classifier != nil {
-		p.Classifier.SetTraining(false)
+		p.Classifier.Warm()
 	}
 }
 

@@ -66,7 +66,7 @@ var evalPool = sync.Pool{New: func() any { return new(eval) }}
 // compiled plan, conv → BN → in-place activation passes otherwise.
 func (e *eval) Conv(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
 	if e.plan != nil {
-		return evalFolded(e.sc, x, e.plan[l.Index].conv, e.workers)
+		return e.plan[l.Index].conv.Infer(e.sc, x, e.workers)
 	}
 	u := &e.m.units[l.Index]
 	c := u.conv.Infer(e.sc, x, e.workers)
@@ -84,7 +84,7 @@ func (e *eval) Conv(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
 // (safe because the BN output is fresh and has no other reader).
 func (e *eval) BNAct(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
 	if e.plan != nil {
-		return evalBNAct(e.sc, x, e.plan[l.Index].bn, e.workers)
+		return e.plan[l.Index].bn.Infer(e.sc, x, e.workers)
 	}
 	y := e.m.units[l.Index].bn.Infer(e.sc, x)
 	ag.EvalLeakyReLUInPlace(y, e.m.Cfg.Slope)

@@ -1,11 +1,6 @@
 package ddnet
 
-import (
-	"computecovid19/internal/kernels"
-	"computecovid19/internal/memplan"
-	"computecovid19/internal/nn"
-	"computecovid19/internal/tensor"
-)
+import "computecovid19/internal/nn"
 
 // The fused execution plan is compiled once at Warm time and replaces
 // the layer-by-layer eval forward with BN-folded, epilogue-fused
@@ -67,36 +62,4 @@ func (m *DDnet) compilePlan() []folded {
 		}
 	}
 	return pl
-}
-
-// evalFolded runs one packed convolution (or pre-flipped transposed
-// convolution) with its fused epilogue on workers kernel workers, batch
-// elements in series like ag.EvalConv2D.
-func evalFolded(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedConv, workers int) *tensor.Tensor {
-	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
-	out := sc.Get(n, f.OutC, h, wd)
-	ks := kernels.ConvShape{InC: f.InC, H: h, W: wd, OutC: f.OutC, K: f.K}
-	ep := f.Epilogue()
-	plane := f.InC * h * wd
-	oplane := f.OutC * h * wd
-	for ni := 0; ni < n; ni++ {
-		kernels.ConvFused(x.Data[ni*plane:(ni+1)*plane], f.W,
-			out.Data[ni*oplane:(ni+1)*oplane], ks, workers, ep)
-	}
-	return out
-}
-
-// evalBNAct runs the single-pass folded BatchNorm+LeakyReLU
-// out-of-place on workers kernel workers (the input is the dense concat,
-// which other layers still read).
-func evalBNAct(sc *memplan.Scope, x *tensor.Tensor, f *nn.FoldedBN, workers int) *tensor.Tensor {
-	n, c := x.Shape[0], x.Shape[1]
-	hw := x.Shape[2] * x.Shape[3]
-	out := sc.Get(x.Shape...)
-	chw := c * hw
-	for ni := 0; ni < n; ni++ {
-		kernels.BNActInfer(x.Data[ni*chw:(ni+1)*chw], out.Data[ni*chw:(ni+1)*chw],
-			c, hw, f.Scale, f.Shift, f.Slope, workers)
-	}
-	return out
 }

@@ -3,8 +3,10 @@ package nn
 import (
 	"math"
 
+	"computecovid19/internal/ag"
 	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
+	"computecovid19/internal/tensor"
 )
 
 // Plan compilation: inference-mode BatchNorm is an affine map per
@@ -13,22 +15,23 @@ import (
 // convolution with rescaled weights and a bias, and a BN that cannot
 // fold into a neighbouring convolution still collapses its two passes
 // (normalize, activate) into one precomputed scale/shift sweep. The
-// folds below run once at Pipeline.Warm time (ddnet's plan compiler);
-// the fused kernels consume the packed buffers every forward after
-// that. Folding happens in float64 and narrows once, mirroring the
+// folds below run once at Pipeline.Warm time, in both networks' plan
+// compilers (ddnet.Warm and classify.Warm, 2D and 3D layers through the
+// one fold); the fused kernels consume the packed buffers every forward
+// after that. Folding happens in float64 and narrows once, mirroring the
 // float64 round-trip BatchNorm.Infer performs per call; agreement with
-// the unfolded composition is property-tested against the ladder's
-// documented ULP budget.
+// the unfolded composition is tested against each network's budget.
 
 // FoldedConv is one plan-compiled convolution layer: packed weights in
-// the (OutC, InC, K, K) layout the GEMM path consumes — BN-rescaled
-// when a fold happened, spatially pre-flipped for transposed
-// convolutions — plus the fused epilogue (bias and activation). Packed
-// buffers are drawn from memplan at compile time and simply dropped on
-// plan invalidation (never recycled, so an in-flight forward on a
-// stale plan can never read a reused buffer).
+// the (OutC, InC, K, K) — for a 3D layer (OutC, InC, K, K, K) — layout
+// the GEMM path consumes, BN-rescaled when a fold happened and
+// spatially pre-flipped for transposed convolutions, plus the fused
+// epilogue (bias and activation). Packed buffers are drawn from memplan
+// at compile time and simply dropped on plan invalidation (never
+// recycled, so an in-flight forward on a stale plan can never read a
+// reused buffer).
 type FoldedConv struct {
-	W     []float32 // (OutC, InC, K, K), pre-flipped for deconvs
+	W     []float32 // (OutC, InC, K, K[, K]), pre-flipped for deconvs
 	Bias  []float32 // folded per-output-channel bias; nil when none
 	Act   bool      // fused LeakyReLU
 	Slope float32
@@ -37,9 +40,25 @@ type FoldedConv struct {
 	K     int
 }
 
-// Epilogue returns the kernels-level epilogue of the folded layer.
-func (f *FoldedConv) Epilogue() kernels.Epilogue {
-	return kernels.Epilogue{Bias: f.Bias, Act: f.Act, Slope: f.Slope}
+// Infer runs the folded layer — one ConvFused call per batch element,
+// in series — on a rank-4 (N, InC, H, W) or rank-5 (N, InC, D, H, W) x
+// with workers kernel workers (0: the default count).
+func (f *FoldedConv) Infer(sc *memplan.Scope, x *tensor.Tensor, workers int) *tensor.Tensor {
+	r, n := x.Rank(), x.Shape[0]
+	ks := kernels.ConvShape{InC: f.InC, H: x.Shape[r-2], W: x.Shape[r-1], OutC: f.OutC, K: f.K}
+	var out *tensor.Tensor
+	if r == 5 {
+		ks.D = x.Shape[2]
+		out = sc.Get(n, f.OutC, ks.D, ks.H, ks.W)
+	} else {
+		out = sc.Get(n, f.OutC, ks.H, ks.W)
+	}
+	ep := kernels.Epilogue{Bias: f.Bias, Act: f.Act, Slope: f.Slope}
+	in, o := ks.InLen(), ks.OutLen()
+	for ni := 0; ni < n; ni++ {
+		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], f.W, out.Data[ni*o:(ni+1)*o], ks, workers, ep)
+	}
+	return out
 }
 
 // FoldedBN is a plan-compiled BatchNorm(+LeakyReLU) for positions where
@@ -48,6 +67,21 @@ func (f *FoldedConv) Epilogue() kernels.Epilogue {
 type FoldedBN struct {
 	Scale, Shift []float32
 	Slope        float32
+}
+
+// Infer runs the single-pass BatchNorm+LeakyReLU on an (N, C,
+// spatial...) x with workers workers (0: the default count), out of
+// place: x may have other readers (it is a dense concat in both
+// networks).
+func (f *FoldedBN) Infer(sc *memplan.Scope, x *tensor.Tensor, workers int) *tensor.Tensor {
+	n, c := x.Shape[0], x.Shape[1]
+	out := sc.Get(x.Shape...)
+	chw := len(x.Data) / n
+	for ni := 0; ni < n; ni++ {
+		kernels.BNActInfer(x.Data[ni*chw:(ni+1)*chw], out.Data[ni*chw:(ni+1)*chw],
+			c, chw/c, f.Scale, f.Shift, f.Slope, workers)
+	}
+	return out
 }
 
 // bnAffine returns channel ci's inference affine in float64.
@@ -63,32 +97,44 @@ func requireEval(bn *BatchNorm) {
 	}
 }
 
-// FoldConvBN compiles conv(→bn)(→LeakyReLU) into one FoldedConv.
-// bn may be nil (no fold: the epilogue carries just the layer bias, if
-// any, and the activation). Transposed-convolution weights are spatially
-// flipped into the convolution layout once here (the layer-wise path
-// pays DeconvGEMM's per-call flip instead). When nothing needs
-// rewriting the packed weights alias the layer's own, so such layers
-// cost no copy.
-func FoldConvBN(conv *Conv2D, bn *BatchNorm, act bool, slope float32) *FoldedConv {
+// Conv is a convolution layer a plan can fold: a Conv2D (either
+// direction) or a Conv3D.
+type Conv interface {
+	// weights returns the weight, the bias (nil when none) and whether
+	// the weight has the transposed (InC, OutC, ...) layout.
+	weights() (w, b *ag.Value, transposed bool)
+}
+
+func (l *Conv2D) weights() (w, b *ag.Value, transposed bool) { return l.W, l.B, l.Transposed }
+func (l *Conv3D) weights() (w, b *ag.Value, transposed bool) { return l.W, l.B, false }
+
+// FoldConvBN compiles conv(→bn)(→LeakyReLU) into one FoldedConv, for
+// 2D and 3D layers alike. bn may be nil (no fold: the epilogue carries
+// just the layer bias, if any, and the activation).
+// Transposed-convolution weights are spatially flipped into the
+// convolution layout once here (the layer-wise path pays DeconvGEMM's
+// per-call flip instead). When nothing needs rewriting the packed
+// weights alias the layer's own, so such layers cost no copy.
+func FoldConvBN(conv Conv, bn *BatchNorm, act bool, slope float32) *FoldedConv {
 	requireEval(bn)
-	outC, inC, k := conv.W.T.Shape[0], conv.W.T.Shape[1], conv.W.T.Shape[2]
-	if conv.Transposed {
+	w, b, transposed := conv.weights()
+	outC, inC, k := w.T.Shape[0], w.T.Shape[1], w.T.Shape[2]
+	if transposed {
 		outC, inC = inC, outC
 	}
-	f := &FoldedConv{Act: act, Slope: slope, InC: inC, OutC: outC, K: k, W: conv.W.T.Data}
-	if conv.Transposed {
-		f.W = memplan.GetFloats(len(conv.W.T.Data))
-		kernels.FlipDeconvWeights(conv.W.T.Data, f.W, kernels.ConvShape{InC: inC, OutC: outC, K: k})
+	f := &FoldedConv{Act: act, Slope: slope, InC: inC, OutC: outC, K: k, W: w.T.Data}
+	if transposed {
+		f.W = memplan.GetFloats(len(w.T.Data))
+		kernels.FlipDeconvWeights(w.T.Data, f.W, kernels.ConvShape{InC: inC, OutC: outC, K: k})
 	} else if bn != nil {
-		f.W = memplan.GetFloats(len(conv.W.T.Data))
-		copy(f.W, conv.W.T.Data)
+		f.W = memplan.GetFloats(len(w.T.Data))
+		copy(f.W, w.T.Data)
 	}
-	if bn == nil && conv.B == nil {
+	if bn == nil && b == nil {
 		return f
 	}
 	f.Bias = memplan.GetFloats(outC)
-	row := inC * k * k
+	row := len(w.T.Data) / outC
 	for co := 0; co < outC; co++ {
 		var scale, shift float64 = 1, 0
 		if bn != nil {
@@ -97,8 +143,8 @@ func FoldConvBN(conv *Conv2D, bn *BatchNorm, act bool, slope float32) *FoldedCon
 				f.W[i] = float32(float64(f.W[i]) * scale)
 			}
 		}
-		if conv.B != nil {
-			shift += float64(conv.B.T.Data[co]) * scale
+		if b != nil {
+			shift += float64(b.T.Data[co]) * scale
 		}
 		f.Bias[co] = float32(shift)
 	}
