@@ -29,8 +29,8 @@ test:
 # the cluster gateway (router, hedges, prober), DDnet's eval forward
 # (the differential oracle, the fused plan, and concurrent warm
 # forwards sharing the table cache and recycled backends), the
-# classifier's pooled backend (its oracle over arenas and worker
-# counts), and ag's convolutions and plane ops (the Conv3D GEMM
+# classifier's pooled and plan backends (their oracles over arenas and
+# worker counts), and ag's convolutions and plane ops (the Conv3D GEMM
 # lowering and the max pools and up-sample against their direct loop
 # nests on 1, 2 and 4 procs, the graph/eval equality on 1 and 4, the
 # max-pool backward, the caller-side operand checks, and the
@@ -40,7 +40,7 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/parallel/... ./internal/kernels/... ./internal/memplan/... ./internal/distrib/... ./internal/serve/... ./internal/cluster/...
 	$(GO) test -race -run 'Pooled|Concurrent|Allocs|Split' ./internal/core/
 	$(GO) test -race -run 'Oracle|Warm|Fused|Plan' ./internal/ddnet/
-	$(GO) test -race -run 'Pooled|Oracle' ./internal/classify/
+	$(GO) test -race -run 'Pooled|Oracle|Plan' ./internal/classify/
 	$(GO) test -race -run 'Conv|Grad|Pool|Share|Upsample' ./internal/ag/
 
 # vet includes asmdecl, which checks the frame offsets and argument
@@ -51,11 +51,13 @@ vet:
 # The GEMM micro-kernels are amd64 assembly; every other GOARCH runs
 # gemmRow's Go loop alone. GOARCH=386 runs that fallback natively on an
 # amd64 host (kernels holds the bit-for-bit micro-kernel and staged
-# oracle tests, ag the Conv3D lowering onto it, and ddnet and classify
-# the networks' output and training bit pins, end to end), and the
-# arm64 vet type-checks the whole tree without the assembly.
+# oracle tests, ag the Conv3D lowering onto it, ddnet and classify the
+# networks' output and training bit pins and plan budgets, end to end,
+# segment the bitset closing's mask pins on 32-bit ints, and core the
+# whole classify tail), and the arm64 vet type-checks the whole tree
+# without the assembly.
 crossarch:
-	GOARCH=386 $(GO) test ./internal/kernels/ ./internal/ag/ ./internal/ddnet/ ./internal/classify/
+	GOARCH=386 $(GO) test ./internal/kernels/ ./internal/ag/ ./internal/ddnet/ ./internal/classify/ ./internal/segment/ ./internal/core/
 	GOARCH=arm64 $(GO) vet ./...
 
 # Fail when any file is not gofmt-clean (CI lint job).
