@@ -23,7 +23,7 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages: the obs metric registry
-# and span buffer, the parallel-for pool, the kernel-registry tiling,
+# and span buffer, the parallel-for pool, the kernel ladder's tiling,
 # the memplan arena, the DDP trainer, the pooled pipeline, the
 # inference server (worker pool + micro-batcher + admission control),
 # the cluster gateway (router, hedges, prober), DDnet's eval forward
@@ -154,9 +154,10 @@ bench-smoke:
 ci: build lint crossarch test race chaos cluster-chaos alloc bench-smoke cover
 
 # Disabled-telemetry overhead (must stay in the single-digit ns/op
-# range), the parallel-for overhead benchmark, the kernel
-# optimization-ladder rungs, and the pooled pipeline hot paths (whose
-# allocs/op must stay 0 — see `make alloc`).
+# range), the parallel-for overhead benchmark, the kernel benchmarks
+# (the four Table 7 rungs and the ConvFused GEMM as "fused", by
+# BenchmarkConvRungs/BenchmarkDeconvRungs), and the pooled pipeline hot
+# paths (whose allocs/op must stay 0 — see `make alloc`).
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/obs/
 	$(GO) test $(BENCHFLAGS) ./internal/parallel/

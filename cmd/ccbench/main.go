@@ -35,7 +35,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file on exit")
 	metricsPath := flag.String("metrics", "", "write metrics on exit (.json = JSON dump, else Prometheus text)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	kernelsOut := flag.String("kernelsout", "", "write the kernel ladder benchmark's machine-readable report here (BENCH_kernels.json)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -70,7 +69,6 @@ func main() {
 		{"turnaround", func() string { return experiments.Turnaround(cfg) }},
 		{"ablation", func() string { return experiments.Ablation(cfg) }},
 		{"dimensionality", func() string { return experiments.Dimensionality(cfg) }},
-		{"kernels", func() string { return experiments.KernelsBench(cfg, *kernelsOut) }},
 	}
 	names := make([]string, len(items))
 	for i, it := range items {

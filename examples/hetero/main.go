@@ -23,8 +23,8 @@ func main() {
 	fmt.Printf("%-30s %10s %10s %10s %10s\n", "platform", "Baseline", "+REF", "+PF", "+LU")
 	for _, p := range device.Catalog() {
 		fmt.Printf("%-30s", p.Name)
-		for _, name := range kernels.Names()[:4] { // the paper's Table 7 ladder
-			fmt.Printf(" %10.2f", p.Project(cc, kernels.MustSelect(name).Variant, false).Total())
+		for v := kernels.Baseline; v <= kernels.REFPFLU; v++ { // the paper's Table 7 ladder
+			fmt.Printf(" %10.2f", p.Project(cc, v, false).Total())
 		}
 		fmt.Println()
 	}
@@ -36,11 +36,10 @@ func main() {
 	const size = 64
 	rng := rand.New(rand.NewSource(1))
 	fmt.Printf("measured on this machine (Go kernels, DDnet at %d²):\n", size)
-	for _, name := range kernels.Names()[:4] {
-		im := kernels.MustSelect(name)
-		t := kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, im, 0, rng)
+	for v := kernels.Baseline; v <= kernels.REFPFLU; v++ {
+		t := kernels.RunDDnet(ddnet.PaperConfig().Arch(), size, v, 0, rng)
 		fmt.Printf("  %-26s conv %7.3fs  deconv %7.3fs  other %6.3fs  total %7.3fs\n",
-			im.Variant, t.Conv.Seconds(), t.Deconv.Seconds(), t.Other.Seconds(), t.Total().Seconds())
+			v, t.Conv.Seconds(), t.Deconv.Seconds(), t.Other.Seconds(), t.Total().Seconds())
 	}
 	fmt.Println("\nthe scatter→gather deconvolution refactoring (REF) dominates, as in the paper's Table 7")
 }

@@ -10,14 +10,13 @@ import (
 )
 
 // naiveConv2D is the reference for the 2D graph convolutions: the
-// kernels "naive" rung's direct loops run image by image, plus the bias.
+// kernels Baseline rung's direct loops run image by image, plus the bias.
 // w is (Cout, Cin, K, K), or (Cin, Cout, K, K) when transposed.
 func naiveConv2D(x, w *tensor.Tensor, b *Value, transposed bool) *tensor.Tensor {
-	naive := kernels.MustSelect("naive")
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout, run := w.Shape[0], naive.Conv
+	cout, run := w.Shape[0], kernels.Baseline.Conv
 	if transposed {
-		cout, run = w.Shape[1], naive.Deconv
+		cout, run = w.Shape[1], kernels.Baseline.Deconv
 	}
 	s := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: w.Shape[2]}
 	want := make([]float32, n*s.OutLen())
@@ -34,7 +33,7 @@ func naiveConv2D(x, w *tensor.Tensor, b *Value, transposed bool) *tensor.Tensor 
 
 // TestConv2DFastMatchesDirect compares the 2D graph convolutions, whose
 // forward is the implicit GEMM (kernels.ConvFused), with the
-// direct loops of the "naive" rung: every kernel size the networks use
+// direct loops of the Baseline rung: every kernel size the networks use
 // and one more, batch 1 and 2, with and without bias.
 func TestConv2DFastMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -151,7 +151,7 @@ func (m *DDnet) NumDeconvLayers() int { return 2 * m.Cfg.Stages }
 
 // startForward opens the "ddnet/forward → kernels/rung" span pair every
 // forward runs under; the walk hangs its per-stage spans beneath the
-// rung span, which names the ladder point that produced the timing:
+// rung span, which names the kernel path that produced the timing:
 // "fused" on the compiled plan, "gemm" on the layer-wise forwards.
 func startForward(ctx context.Context, fused bool) (sp, ksp *obs.Span) {
 	_, sp = obs.StartCtx(ctx, "ddnet/forward")

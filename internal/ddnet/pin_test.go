@@ -152,16 +152,16 @@ func TestPinPaperTables(t *testing.T) {
 		Deconv: kernels.Counters{Loads: 0x639c00000, Stores: 0xc30000, Flops: 0x639c00000},
 		Other:  kernels.Counters{Loads: 0x157fc000, Stores: 0x6e3c000, Flops: 0x18128000},
 	}
-	if got := kernels.DDnetCounts(kernels.PaperArch(), 512); got != wantCounts {
-		t.Errorf("DDnetCounts(PaperArch, 512):\n got %+v\nwant %+v", got, wantCounts)
+	if got := kernels.DDnetCounts(PaperConfig().Arch(), 512); got != wantCounts {
+		t.Errorf("DDnetCounts(PaperConfig, 512):\n got %+v\nwant %+v", got, wantCounts)
 	}
 	wantTiny := kernels.ClassCounts{
 		Conv:   kernels.Counters{Loads: 0x10a8000, Stores: 0x23800, Flops: 0x10a8000},
 		Deconv: kernels.Counters{Loads: 0x1b60000, Stores: 0x17000, Flops: 0x1b60000},
 		Other:  kernels.Counters{Loads: 0x1a6800, Stores: 0x84800, Flops: 0x1f4000},
 	}
-	if got := kernels.DDnetCounts(kernels.TinyArch(), 64); got != wantTiny {
-		t.Errorf("DDnetCounts(TinyArch, 64):\n got %+v\nwant %+v", got, wantTiny)
+	if got := kernels.DDnetCounts(TinyConfig().Arch(), 64); got != wantTiny {
+		t.Errorf("DDnetCounts(TinyConfig, 64):\n got %+v\nwant %+v", got, wantTiny)
 	}
 }
 

@@ -1,59 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestKernelsBenchReport checks the BENCH_kernels.json contract: one
-// entry per registry rung in ladder order, naive normalized to 1.0x,
-// and plausible positive timings throughout. It does not assert
-// speedup magnitudes — CI machines are too noisy for that; the
-// committed BENCH_kernels.json records a representative full run.
-func TestKernelsBenchReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_kernels.json")
-	rendered := KernelsBench(QuickConfig(), out)
-	for _, want := range []string{"naive", "gemm", "growth 5x5", "ddnet"} {
-		if !strings.Contains(rendered, want) {
-			t.Fatalf("kernels bench output missing %q:\n%s", want, rendered)
-		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep KernelsReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bench != "kernels" || len(rep.Rungs) < 5 {
-		t.Fatalf("report malformed: bench=%q rungs=%d", rep.Bench, len(rep.Rungs))
-	}
-	if rep.Rungs[0].Rung != "naive" {
-		t.Fatalf("first rung = %q, want the naive baseline", rep.Rungs[0].Rung)
-	}
-	for _, rr := range rep.Rungs {
-		if rr.DDnetSeconds <= 0 || rr.DDnetSpeedupVsNaive <= 0 {
-			t.Fatalf("rung %q has non-positive DDnet numbers: %+v", rr.Rung, rr)
-		}
-		if len(rr.Layers) != len(rep.Rungs[0].Layers) {
-			t.Fatalf("rung %q layer count mismatch", rr.Rung)
-		}
-		for _, l := range rr.Layers {
-			if l.Seconds <= 0 || l.GFLOPS <= 0 || l.SpeedupVsNaive <= 0 {
-				t.Fatalf("rung %q layer %q has non-positive numbers: %+v", rr.Rung, l.Layer, l)
-			}
-		}
-	}
-	for _, l := range rep.Rungs[0].Layers {
-		if l.SpeedupVsNaive != 1 {
-			t.Fatalf("naive layer %q speedup = %v, want exactly 1", l.Layer, l.SpeedupVsNaive)
-		}
-	}
-}
 
 func TestTable1Renders(t *testing.T) {
 	out := Table1(QuickConfig())

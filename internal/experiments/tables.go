@@ -226,7 +226,8 @@ func Table4(cfg Config) string {
 	return body
 }
 
-// measuredInferenceNote times this machine's actual Go kernels at a
+// measuredInferenceNote times this machine's Go port of the paper's
+// best OpenCL kernels (the REFPFLU rung, not the GEMM a scan runs) at a
 // reduced size and reports them alongside the projections.
 func measuredInferenceNote(cfg Config) string {
 	size := 128
@@ -234,9 +235,9 @@ func measuredInferenceNote(cfg Config) string {
 		size = 64
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tm := kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, kernels.MustSelect("ref+pf+lu"), 0, rng)
-	return fmt.Sprintf("Measured on this machine (Go kernels, paper DDnet at %d×%d): conv %.3fs deconv %.3fs other %.3fs total %.3fs\n",
-		size, size, tm.Conv.Seconds(), tm.Deconv.Seconds(), tm.Other.Seconds(), tm.Total().Seconds())
+	tm := kernels.RunDDnet(ddnet.PaperConfig().Arch(), size, kernels.REFPFLU, 0, rng)
+	return fmt.Sprintf("Measured on this machine (Go kernels, %s, paper DDnet at %d×%d): conv %.3fs deconv %.3fs other %.3fs total %.3fs\n",
+		kernels.REFPFLU, size, size, tm.Conv.Seconds(), tm.Deconv.Seconds(), tm.Other.Seconds(), tm.Total().Seconds())
 }
 
 // Table5 renders the per-kernel event times (paper Table 5).
@@ -296,8 +297,8 @@ func Table7Data() map[string][4]float64 {
 	out := map[string][4]float64{}
 	for _, p := range device.Catalog() {
 		var row [4]float64
-		for i, name := range kernels.Names()[:4] { // the paper's ladder
-			row[i] = p.Project(cc, kernels.MustSelect(name).Variant, false).Total()
+		for v := kernels.Baseline; v <= kernels.REFPFLU; v++ {
+			row[v] = p.Project(cc, v, false).Total()
 		}
 		out[p.Name] = row
 	}
@@ -332,8 +333,8 @@ func Table7(cfg Config) string {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var measured [4]time.Duration
-	for i, name := range kernels.Names()[:4] {
-		measured[i] = kernels.RunDDnetImpl(ddnet.PaperConfig().Arch(), size, kernels.MustSelect(name), 0, rng).Total()
+	for v := kernels.Baseline; v <= kernels.REFPFLU; v++ {
+		measured[v] = kernels.RunDDnet(ddnet.PaperConfig().Arch(), size, v, 0, rng).Total()
 	}
 	note := fmt.Sprintf("Measured on this machine (Go kernels, %d×%d): Baseline %.3fs, +REF %.3fs, +PF %.3fs, +LU %.3fs\n",
 		size, size, measured[0].Seconds(), measured[1].Seconds(), measured[2].Seconds(), measured[3].Seconds())

@@ -5,8 +5,8 @@ import "computecovid19/internal/parallel"
 // The convolution rungs compute a stride-1 "same" convolution
 // out = w ⊛ x on CHW buffers. Weights are laid out (OutC, InC, K, K).
 // The work is distributed across workers (<=0 means GOMAXPROCS),
-// mirroring the OpenCL NDRange mapping. Rungs are looked up through the
-// registry (MustSelect).
+// mirroring the OpenCL NDRange mapping. Variant.Conv selects one by
+// Table 7 column.
 
 // convBaseline recomputes every offset in the innermost loops and reads
 // the shape struct each iteration — the straight port of the naive

@@ -9,13 +9,12 @@ import (
 	"computecovid19/internal/parallel"
 )
 
-// The fused rung keeps the gemm rung's implicit GEMM and adds a
-// per-output-channel epilogue — bias add plus optional LeakyReLU —
-// applied in the micro-kernel's registers: the bias seeds the
-// accumulators and the activation runs on them before the one store,
-// so the epilogue costs no pass over memory at all. The padded input
-// the GEMM reads is the panel, gemmBlock's 4-channel × 16-column
-// register block is the compute-unit replication, and the AVX width is
+// ConvFused is the implicit GEMM (gemm.go) with a per-output-channel
+// epilogue — bias add plus optional LeakyReLU — applied in the
+// micro-kernel's registers: the bias seeds the accumulators and the
+// activation runs on them before the one store, so the epilogue costs
+// no pass over memory at all. The padded input the GEMM reads is the
+// panel, gemmBlock's 4-channel × 16-column register block is the compute-unit replication, and the AVX width is
 // the vector width (gemm.go). On the unfused path every layer pays two
 // extra full feature-map passes (BatchNorm read+write, activation
 // read+write) after the convolution; with inference-mode BatchNorm
@@ -27,8 +26,8 @@ import (
 
 // Epilogue is the fused per-output-channel post-processing of ConvFused:
 // out[c][·] = act(Σ + Bias[c]), with act = LeakyReLU(Slope) when Act is
-// set. A nil Bias adds nothing; the zero Epilogue makes ConvFused
-// exactly convGEMM.
+// set. A nil Bias adds nothing; with the zero Epilogue ConvFused is the
+// plain convolution.
 type Epilogue struct {
 	// Bias is added per output channel, seeding the accumulator (bias
 	// and partial products commute bit-exactly only when the bias seeds

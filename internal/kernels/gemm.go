@@ -2,7 +2,7 @@ package kernels
 
 import "computecovid19/internal/memplan"
 
-// The gemm rung restructures convolution the way cuDNN-class CPU/GPU
+// The implicit GEMM restructures convolution the way cuDNN-class CPU/GPU
 // backends do: each output pixel's receptive field is a column of a
 // patch matrix, and the convolution becomes one dense matrix multiply
 // (weights-as-rows × patches-as-columns). The patch matrix is never
@@ -33,7 +33,7 @@ import "computecovid19/internal/memplan"
 //     bit; other architectures run gemmRow's Go loop.
 //
 // Work is distributed over column tiles, not output channels, so the
-// rung parallelizes cleanly even for the decoder's single-channel
+// GEMM parallelizes cleanly even for the decoder's single-channel
 // final layer.
 
 // gemmScratchFloats caps a worker's OutC × tile output scratch at 64 Ki
@@ -62,27 +62,20 @@ func gemmTile(t, nTiles, cols int) (q0, q1 int) {
 	return 16 * (t * blocks / nTiles), min(cols, 16*((t+1)*blocks/nTiles))
 }
 
-// convGEMM computes a stride-1 "same" convolution with weights in
-// (OutC, InC, K, K) layout via the implicit GEMM: ConvFused with the
-// zero epilogue, which adds nothing.
-func convGEMM(x, w, out []float32, s ConvShape, workers int) {
-	ConvFused(x, w, out, s, workers, Epilogue{})
-}
-
 // DeconvGEMM computes a stride-1 "same" transposed convolution with
 // weights in (InC, OutC, K, K) layout. For stride 1 a transposed
 // convolution is exactly a convolution with the spatially flipped
 // filter, so the weights are transformed into the (OutC, InC, K, K)
-// flipped layout and the GEMM path does the rest. It pays the flip on
-// every call into pooled scratch; it is the transposed op of the graph
-// and unwarmed eval forwards (ag.EvalConv2D). Warm inference goes
+// flipped layout and ConvFused with the zero epilogue does the rest. It
+// pays the flip on every call into pooled scratch; it is the transposed
+// op of the graph and unwarmed eval forwards (ag.EvalConv2D). Warm inference goes
 // through the fused execution plan, which runs FlipDeconvWeights once
 // at plan-compile time and feeds the cached panel to ConvFused instead.
 func DeconvGEMM(x, w, out []float32, s ConvShape, workers int) {
 	// Pooled scratch; FlipDeconvWeights writes every element.
 	wc := memplan.GetFloats(s.OutC * s.InC * s.K * s.K)
 	FlipDeconvWeights(w, wc, s)
-	convGEMM(x, wc, out, s, workers)
+	ConvFused(x, wc, out, s, workers, Epilogue{})
 	memplan.PutFloats(wc)
 }
 
@@ -127,7 +120,7 @@ func padInput(x, xp []float32, s ConvShape) {
 
 // tapOffsets writes offs[t] for every filter tap t = ((ci·KD+kz)·K+ky)·K+kx
 // (KD = 1 and kz = 0 for a 2D layer) — the reduction order of every
-// rung — as the distance from an output pixel's column to the element
+// kernel — as the distance from an output pixel's column to the element
 // the tap reads, in the padded input of padInput. For K = 1 nothing is
 // padded and offs[ci] = ci·cols: the input itself is the panel.
 func tapOffsets(offs []int32, s ConvShape) {
@@ -152,10 +145,9 @@ func tapOffsets(offs []int32, s ConvShape) {
 // Σ_t wrow[t]·x[offs[t]+j]. The reduction is unrolled ×4 (the LU rung,
 // applied along the channel × tap dimension); each output element
 // keeps a single accumulator updated in ascending-t order, matching the
-// naive kernels' summation order. The plain gemm rung passes bias 0,
-// which seeds the accumulator with the same exact zero as before; the
-// fused rung seeds it with the folded bias, saving the separate bias
-// pass.
+// naive kernels' summation order. The zero epilogue passes bias 0, an
+// exact zero seed; a folded layer passes its bias, saving the separate
+// bias pass.
 //
 // On amd64 gemmQuad and gemmTap (gemm_amd64.s) do the first n &^ 3
 // columns four at a time and the Go loops below finish the n mod 4

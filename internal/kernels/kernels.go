@@ -6,9 +6,9 @@
 // eval ops in ag, DDnet and the classifier through them, and the
 // Table 5 timer. Max pooling (2D and 3D), un-pooling, batch
 // normalization and leaky ReLU are one plane loop each (planes.go).
-// The convolution and deconvolution also come in the optimization
-// variants of Table 7, rungs of a registry whose fast rungs run one
-// implicit GEMM:
+// The convolution and deconvolution also come in the four optimization
+// variants of Table 7, the paper's ladder, keyed by Variant
+// (Variant.Conv, Variant.Deconv):
 //
 //	Baseline   naive loops; the deconvolution uses the scatter
 //	           formulation with per-tap integer divisions and recurring
@@ -21,15 +21,18 @@
 //	LU         §4.2.2 loop unrolling: the multiply-add loop unrolled by
 //	           the filter width (fully unrolled for k ≤ 5)
 //
+// Inference runs none of them: every forward convolution calls the
+// implicit GEMM (ConvFused, DeconvGEMM), which is not a ladder point.
+// The Table 4/5/7 timer (RunDDnet) runs the variants side by side.
+//
 // The package also provides the analytic operation counters behind
 // Table 6 (global loads, stores, floating-point operations), validated
 // against instrumented kernels in the tests.
 package kernels
 
-// Variant is an optimization level from Table 7 — the column key of the
-// paper's projection model (device.Project). The kernels themselves are
-// selected by rung name through the registry; the first four rungs
-// (Names()[:4]) are the paper's ladder and each Impl names its Variant.
+// Variant is an optimization level from Table 7: the column key of the
+// paper's projection model (device.Project) and the one name of a
+// ladder rung. Iterate the ladder as for v := Baseline; v <= REFPFLU; v++.
 type Variant int
 
 // Optimization ladder (cumulative, matching the Table 7 columns).
@@ -56,6 +59,29 @@ func (v Variant) String() string {
 	}
 }
 
+// rungs holds each Variant's kernel pair, indexed by the Variant.
+var rungs = [...]struct {
+	conv, deconv func(x, w, out []float32, s ConvShape, workers int)
+}{
+	Baseline: {convBaseline, deconvScatter},
+	REF:      {convBaseline, deconvGather},
+	REFPF:    {convPrefetch, deconvGatherPrefetch},
+	REFPFLU:  {convUnrolled, deconvGatherUnrolled},
+}
+
+// Conv computes a stride-1 "same" 2D convolution (weights OutC, InC, K,
+// K) with v's kernel on workers workers (<= 0: GOMAXPROCS).
+func (v Variant) Conv(x, w, out []float32, s ConvShape, workers int) {
+	rungs[v].conv(x, w, out, s, workers)
+}
+
+// Deconv computes a stride-1 "same" 2D transposed convolution (weights
+// InC, OutC, K, K) with v's kernel on workers workers (<= 0:
+// GOMAXPROCS).
+func (v Variant) Deconv(x, w, out []float32, s ConvShape, workers int) {
+	rungs[v].deconv(x, w, out, s, workers)
+}
+
 // Arch is the shape of a DDnet — what Walk needs to spell the topology:
 // a dependency-free mirror of ddnet.Config's shape fields. Keeping it
 // (and the walk) here lets the autograd fast paths that feed nn/ddnet
@@ -75,24 +101,12 @@ type Arch struct {
 	Stages int
 }
 
-// PaperArch returns the Table 2 architecture (ddnet.PaperConfig's
-// shape).
-func PaperArch() Arch {
-	return Arch{BaseChannels: 16, Growth: 16, DenseLayers: 4, Kernel: 5, Stages: 4}
-}
-
-// TinyArch returns the reduced test architecture (ddnet.TinyConfig's
-// shape).
-func TinyArch() Arch {
-	return Arch{BaseChannels: 8, Growth: 8, DenseLayers: 2, Kernel: 3, Stages: 2}
-}
-
 // ConvShape describes a stride-1 "same" convolution or deconvolution
 // layer on a CHW buffer: InC input channels of H×W, OutC outputs, odd
 // square kernel K with padding K/2. A depth D > 0 makes it volumetric:
 // CDHW buffers and a cubic K×K×K kernel padded K/2 on every axis. D == 0
 // is the 2D layer (one plane, no depth taps). Only ConvFused takes a
-// volumetric shape; the registry rungs are 2D.
+// volumetric shape; the Variant kernels are 2D.
 type ConvShape struct {
 	InC, H, W, OutC, K int
 	D                  int

@@ -12,9 +12,15 @@ import (
 	"testing/quick"
 
 	"computecovid19/internal/ag"
+	"computecovid19/internal/ddnet"
 	. "computecovid19/internal/kernels"
 	"computecovid19/internal/tensor"
 )
+
+// paperArch and tinyArch are the shapes of ddnet.PaperConfig and
+// ddnet.TinyConfig.
+func paperArch() Arch { return ddnet.PaperConfig().Arch() }
+func tinyArch() Arch  { return ddnet.TinyConfig().Arch() }
 
 func randSlice(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
@@ -45,11 +51,11 @@ func TestConvMatchesAutogradReference(t *testing.T) {
 			ag.Const(tensor.FromSlice(x, 1, s.InC, s.H, s.W)),
 			ag.Const(tensor.FromSlice(w, s.OutC, s.InC, s.K, s.K)),
 			nil)
-		for _, name := range Names()[:4] {
+		for v := Baseline; v <= REFPFLU; v++ {
 			out := make([]float32, s.OutLen())
-			MustSelect(name).Conv(x, w, out, s, 1)
+			v.Conv(x, w, out, s, 1)
 			if d := maxDiff(out, ref.T.Data); d > 1e-4 {
-				t.Fatalf("k=%d rung %s differs from reference by %v", k, name, d)
+				t.Fatalf("k=%d rung %s differs from reference by %v", k, v, d)
 			}
 		}
 	}
@@ -62,12 +68,12 @@ func TestDeconvVariantsAgree(t *testing.T) {
 		x := randSlice(rng, s.InLen())
 		w := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 		base := make([]float32, s.OutLen())
-		MustSelect("naive").Deconv(x, w, base, s, 1)
-		for _, name := range Names()[1:4] {
+		Baseline.Deconv(x, w, base, s, 1)
+		for v := REF; v <= REFPFLU; v++ {
 			out := make([]float32, s.OutLen())
-			MustSelect(name).Deconv(x, w, out, s, 1)
+			v.Deconv(x, w, out, s, 1)
 			if d := maxDiff(out, base); d > 1e-4 {
-				t.Fatalf("k=%d rung %s differs from scatter baseline by %v", k, name, d)
+				t.Fatalf("k=%d rung %s differs from scatter baseline by %v", k, v, d)
 			}
 		}
 	}
@@ -83,7 +89,7 @@ func TestDeconvMatchesAutogradReference(t *testing.T) {
 		ag.Const(tensor.FromSlice(w, s.InC, s.OutC, s.K, s.K)),
 		nil)
 	out := make([]float32, s.OutLen())
-	MustSelect("naive").Deconv(x, w, out, s, 1)
+	Baseline.Deconv(x, w, out, s, 1)
 	if d := maxDiff(out, ref.T.Data); d > 1e-4 {
 		t.Fatalf("scatter deconv differs from autograd ConvTranspose2D by %v", d)
 	}
@@ -95,17 +101,17 @@ func TestKernelsParallelDeterminism(t *testing.T) {
 	x := randSlice(rng, s.InLen())
 	w := randSlice(rng, s.WeightLen())
 	serial := make([]float32, s.OutLen())
-	MustSelect("ref+pf+lu").Conv(x, w, serial, s, 1)
+	REFPFLU.Conv(x, w, serial, s, 1)
 	par := make([]float32, s.OutLen())
-	MustSelect("ref+pf+lu").Conv(x, w, par, s, 4)
+	REFPFLU.Conv(x, w, par, s, 4)
 	if d := maxDiff(serial, par); d != 0 {
 		t.Fatalf("parallel conv differs from serial by %v", d)
 	}
 	wd := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 	ds := make([]float32, s.OutLen())
-	MustSelect("naive").Deconv(x, wd, ds, s, 1)
+	Baseline.Deconv(x, wd, ds, s, 1)
 	dp := make([]float32, s.OutLen())
-	MustSelect("naive").Deconv(x, wd, dp, s, 4)
+	Baseline.Deconv(x, wd, dp, s, 4)
 	if d := maxDiff(ds, dp); d != 0 {
 		t.Fatalf("parallel scatter deconv differs from serial by %v", d)
 	}
@@ -204,7 +210,7 @@ func TestCountersLinearity(t *testing.T) {
 // which is what Tables 4–7 depend on; EXPERIMENTS.md records the
 // difference.
 func TestDDnetConvDeconvFlopRatio(t *testing.T) {
-	cc := DDnetCounts(PaperArch(), 512)
+	cc := DDnetCounts(paperArch(), 512)
 	ratio := float64(cc.Conv.Flops) / float64(cc.Deconv.Flops)
 	if ratio < 0.5 || ratio > 2.6 {
 		t.Fatalf("conv/deconv flop ratio = %.2f, expected same order of magnitude", ratio)
@@ -247,14 +253,13 @@ func TestAnalyticCountsMatchInstrumentedConv(t *testing.T) {
 	}
 }
 
-// Every rung — the unfused passes and the epilogue-fused walk alike —
-// must time all three kernel classes.
+// Every rung must time all three kernel classes.
 func TestRunDDnetImplProducesTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, name := range Names() {
-		tm := RunDDnetImpl(TinyArch(), 32, MustSelect(name), 1, rng)
+	for v := Baseline; v <= REFPFLU; v++ {
+		tm := RunDDnet(tinyArch(), 32, v, 1, rng)
 		if tm.Conv <= 0 || tm.Deconv <= 0 || tm.Other <= 0 {
-			t.Fatalf("rung %s: timings must be positive: %+v", name, tm)
+			t.Fatalf("rung %s: timings must be positive: %+v", v, tm)
 		}
 		if tm.Total() != tm.Conv+tm.Deconv+tm.Other {
 			t.Fatal("Total must be the sum of the classes")
@@ -272,10 +277,10 @@ func TestTraceRejectsIndivisibleSize(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"Trace 40x40", func() { Trace(PaperArch(), 40, 40) }},
-		{"Trace 48x40", func() { Trace(PaperArch(), 48, 40) }},
-		{"DDnetCounts 40", func() { DDnetCounts(PaperArch(), 40) }},
-		{"RunDDnetImpl 34", func() { RunDDnetImpl(TinyArch(), 34, MustSelect("fused"), 2, rng) }},
+		{"Trace 40x40", func() { Trace(paperArch(), 40, 40) }},
+		{"Trace 48x40", func() { Trace(paperArch(), 48, 40) }},
+		{"DDnetCounts 40", func() { DDnetCounts(paperArch(), 40) }},
+		{"RunDDnet 34", func() { RunDDnet(tinyArch(), 34, REFPFLU, 2, rng) }},
 	} {
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
@@ -286,9 +291,9 @@ func TestTraceRejectsIndivisibleSize(t *testing.T) {
 			t.Errorf("%s: recovered %q, want the size check's panic", c.name, msg)
 		}
 	}
-	ops := Trace(PaperArch(), 48, 48)
+	ops := Trace(paperArch(), 48, 48)
 	if out := ops[len(ops)-1].Out; out != (Dims{1, 48, 48}) {
-		t.Fatalf("Trace(PaperArch(), 48, 48) ends at %+v, want 1×48×48", out)
+		t.Fatalf("Trace(paperArch(), 48, 48) ends at %+v, want 1×48×48", out)
 	}
 }
 
@@ -297,12 +302,12 @@ func TestScatterSlowerThanGather(t *testing.T) {
 		t.Skip("timing comparison")
 	}
 	rng := rand.New(rand.NewSource(8))
-	cfg := TinyArch()
+	cfg := tinyArch()
 	// One warmup, then compare. The scatter deconvolution's recurring
 	// global read-modify-writes must cost more than the gather version.
-	RunDDnetImpl(cfg, 64, MustSelect("ref"), 1, rng)
-	base := RunDDnetImpl(cfg, 64, MustSelect("naive"), 1, rng)
-	ref := RunDDnetImpl(cfg, 64, MustSelect("ref"), 1, rng)
+	RunDDnet(cfg, 64, REF, 1, rng)
+	base := RunDDnet(cfg, 64, Baseline, 1, rng)
+	ref := RunDDnet(cfg, 64, REF, 1, rng)
 	if base.Deconv <= ref.Deconv {
 		t.Logf("warning: scatter (%v) not slower than gather (%v) at this size",
 			base.Deconv, ref.Deconv)
@@ -317,39 +322,56 @@ func TestVariantStrings(t *testing.T) {
 	}
 }
 
-// The rung benchmarks drive every registry entry on a DDnet-like 5×5
-// shape; scripts/benchcheck.sh diffs their ns/op against a baseline
-// checkout, so keep the names stable.
+// benchRungs names the rung benchmarks' sub-benchmarks in ladder order;
+// scripts/benchcheck.sh diffs their ns/op against a baseline checkout,
+// so keep the names stable. "fused" is the ConvFused GEMM every forward
+// runs.
+var benchRungs = [...]string{Baseline: "naive", REF: "ref", REFPF: "ref+pf", REFPFLU: "ref+pf+lu"}
+
+// The rung benchmarks drive every Variant and the production GEMM on a
+// DDnet-like 5×5 shape.
 func BenchmarkConvRungs(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	s := ConvShape{InC: 8, H: 64, W: 64, OutC: 8, K: 5}
 	x := randSlice(rng, s.InLen())
 	w := randSlice(rng, s.WeightLen())
 	out := make([]float32, s.OutLen())
-	for _, name := range Names() {
-		im := MustSelect(name)
-		b.Run(name, func(b *testing.B) {
+	for v := Baseline; v <= REFPFLU; v++ {
+		b.Run(benchRungs[v], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				im.Conv(x, w, out, s, 1)
+				v.Conv(x, w, out, s, 1)
 			}
 		})
 	}
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ConvFused(x, w, out, s, 1, Epilogue{})
+		}
+	})
 }
 
+// BenchmarkDeconvRungs times "fused" on weights flipped once outside
+// the loop, as the warm plan runs a transposed layer.
 func BenchmarkDeconvRungs(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	s := ConvShape{InC: 8, H: 64, W: 64, OutC: 8, K: 5}
 	x := randSlice(rng, s.InLen())
 	w := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 	out := make([]float32, s.OutLen())
-	for _, name := range Names() {
-		im := MustSelect(name)
-		b.Run(name, func(b *testing.B) {
+	for v := Baseline; v <= REFPFLU; v++ {
+		b.Run(benchRungs[v], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				im.Deconv(x, w, out, s, 1)
+				v.Deconv(x, w, out, s, 1)
 			}
 		})
 	}
+	flipped := make([]float32, len(w))
+	FlipDeconvWeights(w, flipped, s)
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ConvFused(x, flipped, out, s, 1, Epilogue{})
+		}
+	})
 }
 
 // TestConvShapeLens pins the buffer lengths of a 2D shape (D == 0) and

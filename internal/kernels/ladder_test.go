@@ -72,25 +72,43 @@ func cancelFloor(ref []float32) float32 {
 }
 
 // oracleBudgetULPs is the documented accuracy contract of the ladder:
-// every rung must agree with the "naive" rung to within this many
-// float32 ULPs per element (with cancelFloor's magnitude-scaled
-// absolute floor). Bit-identity is impossible in general — the PF rung sums
-// per-input-channel partials before combining, the LU and GEMM rungs
-// unroll the reduction — and each reassociation legally perturbs the
-// result by a few ULPs. 512 ULPs (≈6e-5 relative) is orders of
+// every rung must agree with the Baseline (naive) rung to within this
+// many float32 ULPs per element (with cancelFloor's magnitude-scaled
+// absolute floor). Bit-identity is impossible in general — the PF rung
+// sums per-input-channel partials before combining, the LU rung and
+// the GEMM unroll the reduction — and each reassociation legally
+// perturbs the result by a few ULPs. 512 ULPs (≈6e-5 relative) is orders of
 // magnitude above reassociation noise and orders of magnitude below
 // what a dropped tap, flipped index, or off-by-one pad would cause.
 const oracleBudgetULPs = 512
 
+// rung is one convolution/deconvolution pair the oracle tests hold to
+// the Baseline kernels: the four Variants, then the production pair
+// every forward runs (ConvFused with the zero epilogue, DeconvGEMM).
+type rung struct {
+	name         string
+	conv, deconv func(x, w, out []float32, s ConvShape, workers int)
+}
+
+func oracleRungs() []rung {
+	var rs []rung
+	for v := Baseline; v <= REFPFLU; v++ {
+		rs = append(rs, rung{v.String(), v.Conv, v.Deconv})
+	}
+	gemm := func(x, w, out []float32, s ConvShape, workers int) {
+		ConvFused(x, w, out, s, workers, Epilogue{})
+	}
+	return append(rs, rung{"ConvFused/DeconvGEMM", gemm, DeconvGEMM})
+}
+
 // TestRegistryRungsMatchNaiveOracle is the bit-accuracy oracle test:
-// every registry rung, conv and deconv, serial and parallel, across
-// randomized shapes covering DDnet's Table 2 kernel sizes (1, 3, 5 —
-// plus the 7×7 stem) and the stride-1 "same" pad edge cases (images
-// as small as the kernel itself, channel counts straddling the ×4
-// reduction-unroll boundary).
+// every Variant and the production GEMM pair, conv and deconv, serial
+// and parallel, across randomized shapes covering DDnet's Table 2
+// kernel sizes (1, 3, 5 — plus the 7×7 stem) and the stride-1 "same"
+// pad edge cases (images as small as the kernel itself, channel counts
+// straddling the ×4 reduction-unroll boundary).
 func TestRegistryRungsMatchNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	naive := MustSelect("naive")
 	for iter := 0; iter < 30; iter++ {
 		k := []int{1, 3, 5, 7}[rng.Intn(4)]
 		s := ConvShape{
@@ -105,38 +123,63 @@ func TestRegistryRungsMatchNaiveOracle(t *testing.T) {
 		dw := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 
 		convRef := make([]float32, s.OutLen())
-		naive.Conv(x, cw, convRef, s, 1)
+		Baseline.Conv(x, cw, convRef, s, 1)
 		deconvRef := make([]float32, s.OutLen())
-		naive.Deconv(x, dw, deconvRef, s, 1)
+		Baseline.Deconv(x, dw, deconvRef, s, 1)
 
-		for _, name := range Names() {
-			im := MustSelect(name)
+		for _, r := range oracleRungs() {
 			for _, workers := range []int{1, 4} {
 				out := make([]float32, s.OutLen())
-				im.Conv(x, cw, out, s, workers)
+				r.conv(x, cw, out, s, workers)
 				if u := maxUlps(out, convRef, cancelFloor(convRef)); u > oracleBudgetULPs {
 					t.Fatalf("shape %+v: conv rung %q (workers=%d) is %d ULPs from naive (budget %d)",
-						s, name, workers, u, oracleBudgetULPs)
+						s, r.name, workers, u, oracleBudgetULPs)
 				}
 				out = make([]float32, s.OutLen())
-				im.Deconv(x, dw, out, s, workers)
+				r.deconv(x, dw, out, s, workers)
 				if u := maxUlps(out, deconvRef, cancelFloor(deconvRef)); u > oracleBudgetULPs {
 					t.Fatalf("shape %+v: deconv rung %q (workers=%d) is %d ULPs from naive (budget %d)",
-						s, name, workers, u, oracleBudgetULPs)
+						s, r.name, workers, u, oracleBudgetULPs)
 				}
 			}
 		}
 	}
 }
 
+// benchShape names one representative DDnet layer shape.
+type benchShape struct {
+	Name   string
+	Shape  ConvShape
+	Deconv bool
+}
+
+// table2Shapes returns representative DDnet layer shapes from the
+// paper's Table 2 at the given trunk resolution (512 for the paper;
+// tests shrink it). One shape per layer family: the 7×7 stem, the
+// dense-block 1×1 bottleneck and 5×5 growth convolutions, the 1×1
+// transition, and the decoder's 5×5 and 1×1 deconvolutions.
+func table2Shapes(size int) []benchShape {
+	a := paperArch()
+	f, g := a.BaseChannels, a.Growth
+	blockOut := f + a.DenseLayers*g
+	h := size / 2 // first encoder / last decoder stage resolution
+	return []benchShape{
+		{"stem 7x7", ConvShape{InC: 1, H: size, W: size, OutC: f, K: 7}, false},
+		{"bottleneck 1x1", ConvShape{InC: blockOut - g, H: h, W: h, OutC: 4 * g, K: 1}, false},
+		{"growth 5x5", ConvShape{InC: 4 * g, H: h, W: h, OutC: g, K: a.Kernel}, false},
+		{"transition 1x1", ConvShape{InC: blockOut, H: h, W: h, OutC: f, K: 1}, false},
+		{"deconv 5x5", ConvShape{InC: f + blockOut, H: h, W: h, OutC: 2 * f, K: a.Kernel}, true},
+		{"deconv 1x1", ConvShape{InC: 2 * f, H: h, W: h, OutC: f, K: 1}, true},
+	}
+}
+
 // TestRungsMatchNaiveOnTable2Shapes runs the oracle over the real
-// benchmark shapes. These are big enough that the GEMM rung splits
-// column tiles mid-row (the small randomized shapes above never do),
-// which is exactly the regime where a staging-edge-case bug hides.
+// DDnet layer shapes. These are big enough that the GEMM splits column
+// tiles mid-row (the small randomized shapes above never do), which is
+// exactly the regime where a staging-edge-case bug hides.
 func TestRungsMatchNaiveOnTable2Shapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	naive := MustSelect("naive")
-	for _, bs := range Table2Shapes(64) {
+	for _, bs := range table2Shapes(64) {
 		s := bs.Shape
 		x := randSlice(rng, s.InLen())
 		var w []float32
@@ -147,21 +190,20 @@ func TestRungsMatchNaiveOnTable2Shapes(t *testing.T) {
 		}
 		ref := make([]float32, s.OutLen())
 		if bs.Deconv {
-			naive.Deconv(x, w, ref, s, 1)
+			Baseline.Deconv(x, w, ref, s, 1)
 		} else {
-			naive.Conv(x, w, ref, s, 1)
+			Baseline.Conv(x, w, ref, s, 1)
 		}
-		for _, name := range Names() {
-			im := MustSelect(name)
+		for _, r := range oracleRungs() {
 			out := make([]float32, s.OutLen())
 			if bs.Deconv {
-				im.Deconv(x, w, out, s, 4)
+				r.deconv(x, w, out, s, 4)
 			} else {
-				im.Conv(x, w, out, s, 4)
+				r.conv(x, w, out, s, 4)
 			}
 			if u := maxUlps(out, ref, cancelFloor(ref)); u > oracleBudgetULPs {
 				t.Fatalf("%s: rung %q is %d ULPs from naive (budget %d)",
-					bs.Name, name, u, oracleBudgetULPs)
+					bs.Name, r.name, u, oracleBudgetULPs)
 			}
 		}
 	}
@@ -178,85 +220,57 @@ func TestRungsDeterministicAcrossWorkers(t *testing.T) {
 	x := randSlice(rng, s.InLen())
 	cw := randSlice(rng, s.WeightLen())
 	dw := randSlice(rng, s.InC*s.OutC*s.K*s.K)
-	for _, name := range Names() {
-		im := MustSelect(name)
+	for _, r := range oracleRungs() {
 		c1 := make([]float32, s.OutLen())
-		im.Conv(x, cw, c1, s, 1)
+		r.conv(x, cw, c1, s, 1)
 		c8 := make([]float32, s.OutLen())
-		im.Conv(x, cw, c8, s, 8)
+		r.conv(x, cw, c8, s, 8)
 		if d := maxDiff(c1, c8); d != 0 {
-			t.Fatalf("rung %q conv: workers=8 differs from serial by %v", name, d)
+			t.Fatalf("rung %q conv: workers=8 differs from serial by %v", r.name, d)
 		}
 		d1 := make([]float32, s.OutLen())
-		im.Deconv(x, dw, d1, s, 1)
+		r.deconv(x, dw, d1, s, 1)
 		d8 := make([]float32, s.OutLen())
-		im.Deconv(x, dw, d8, s, 8)
+		r.deconv(x, dw, d8, s, 8)
 		if d := maxDiff(d1, d8); d != 0 {
-			t.Fatalf("rung %q deconv: workers=8 differs from serial by %v", name, d)
+			t.Fatalf("rung %q deconv: workers=8 differs from serial by %v", r.name, d)
 		}
 	}
 }
 
-// TestGatherDeconvTilingRace exercises the gather/GEMM deconvolution
-// tiling under the race detector (make race covers internal/kernels):
-// concurrent inferences on shared inputs/weights with disjoint outputs,
-// each internally parallel, must not race — the property that makes
-// the REF refactoring parallelize over output tiles with no scatter
-// conflicts.
+// TestGatherDeconvTilingRace exercises the gather and GEMM
+// deconvolution tiling under the race detector (make race covers
+// internal/kernels): concurrent inferences on shared inputs/weights
+// with disjoint outputs, each internally parallel, must not race — the
+// property that makes the REF refactoring parallelize over output
+// tiles with no scatter conflicts.
 func TestGatherDeconvTilingRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	s := ConvShape{InC: 6, H: 37, W: 41, OutC: 5, K: 5}
 	x := randSlice(rng, s.InLen())
 	w := randSlice(rng, s.InC*s.OutC*s.K*s.K)
 	want := make([]float32, s.OutLen())
-	MustSelect("ref").Deconv(x, w, want, s, 1)
+	REF.Deconv(x, w, want, s, 1)
 
 	var wg sync.WaitGroup
-	for _, name := range []string{"ref", "ref+pf", "ref+pf+lu", "gemm", "fused"} {
+	for _, r := range oracleRungs()[1:] { // all but the scatter Baseline
 		for i := 0; i < 3; i++ {
 			wg.Add(1)
-			go func(name string) {
+			go func() {
 				defer wg.Done()
 				out := make([]float32, s.OutLen())
-				MustSelect(name).Deconv(x, w, out, s, 4)
+				r.deconv(x, w, out, s, 4)
 				if u := maxUlps(out, want, cancelFloor(want)); u > oracleBudgetULPs {
-					t.Errorf("concurrent %q deconv drifted %d ULPs from gather reference", name, u)
+					t.Errorf("concurrent %q deconv drifted %d ULPs from gather reference", r.name, u)
 				}
-			}(name)
+			}()
 		}
 	}
 	wg.Wait()
 }
 
-func TestRegistrySelection(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("MustSelect must panic on an unknown rung")
-			}
-		}()
-		MustSelect("no-such-rung")
-	}()
-	names := Names()
-	if len(names) < 5 || names[0] != "naive" {
-		t.Fatalf("ladder order wrong: %v", names)
-	}
-	for _, n := range names {
-		im := MustSelect(n)
-		if im.Name != n || im.Conv == nil || im.Deconv == nil || im.Desc == "" {
-			t.Fatalf("rung %q incomplete: %+v", n, im)
-		}
-	}
-	// The first four rungs are the paper's ladder, one per Table 7 column.
-	for i, name := range Names()[:4] {
-		if v := MustSelect(name).Variant; v != Variant(i) {
-			t.Fatalf("rung %s maps to Table 7 column %v, want %v", name, v, Variant(i))
-		}
-	}
-}
-
 func TestTable2Shapes(t *testing.T) {
-	shapes := Table2Shapes(512)
+	shapes := table2Shapes(512)
 	if len(shapes) != 6 {
 		t.Fatalf("want 6 representative shapes, got %d", len(shapes))
 	}
@@ -271,6 +285,6 @@ func TestTable2Shapes(t *testing.T) {
 		deconv = deconv || bs.Deconv
 	}
 	if !grow || !deconv {
-		t.Fatalf("Table2Shapes missing the 5x5 growth conv or any deconv: %+v", shapes)
+		t.Fatalf("table2Shapes missing the 5x5 growth conv or any deconv: %+v", shapes)
 	}
 }

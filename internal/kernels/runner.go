@@ -21,23 +21,16 @@ func (t *Timing) Add(o Timing) {
 	t.Other += o.Other
 }
 
-// RunDDnetImpl executes the full DDnet inference kernel sequence (Walk
-// driven by the timing backend) on a size×size image using the given
-// registry rung, and returns the measured per-class wall time. This is
-// the CPU "OpenCL runtime" measurement feeding Tables 4, 5 and 7;
-// weights are random, as only the data movement and arithmetic are
-// being measured.
-//
-// Epilogue-capable rungs (im.ConvEp != nil) are measured the way the
-// fused execution plan actually runs them: each conv/deconv→BN→act
-// position becomes one ConvEp call (the BN fold and the deconv weight
-// flip happen at plan-compile time, i.e. outside the timed region —
-// random weights stand in for folded ones), and the unfoldable
-// dense-layer BN1 positions run the single-pass BNActInfer instead of
-// BatchNorm + activation passes.
-func RunDDnetImpl(cfg Arch, size int, im *Impl, workers int, rng *rand.Rand) Timing {
+// RunDDnet executes the full DDnet inference kernel sequence (Walk
+// driven by the timing backend) on a size×size image with Variant v's
+// kernels, and returns the measured per-class wall time. This is the
+// CPU "OpenCL runtime" measurement feeding Tables 4, 5 and 7; weights
+// are random, as only the data movement and arithmetic are being
+// measured. Every layer runs unfused, as the paper's kernels do: each
+// convolution is followed by separate BatchNorm and LeakyReLU passes.
+func RunDDnet(cfg Arch, size int, v Variant, workers int, rng *rand.Rand) Timing {
 	cfg.checkSize(size, size)
-	r := &timer{im: im, workers: workers, rng: rng}
+	r := &timer{v: v, workers: workers, rng: rng}
 	Walk[timedBuf](cfg, r, timedBuf{r.rand(size * size), Dims{1, size, size}}, nil)
 	return r.t
 }
@@ -51,7 +44,7 @@ type timedBuf struct {
 // timer is the timing backend: it allocates random-weight buffers per
 // layer and charges each kernel call to its Table 5 class.
 type timer struct {
-	im      *Impl
+	v       Variant
 	workers int
 	rng     *rand.Rand
 	t       Timing
@@ -75,7 +68,7 @@ func (r *timer) time(class *time.Duration, fn func()) {
 
 func (r *timer) Free(timedBuf) {}
 
-// bnAct is the unfused rungs' two full passes over x, in place.
+// bnAct is the BatchNorm and LeakyReLU passes over x, in place.
 func (r *timer) bnAct(x timedBuf) {
 	gamma, beta, mean := r.rand(x.C), r.rand(x.C), r.rand(x.C)
 	variance := make([]float32, x.C)
@@ -92,40 +85,20 @@ func (r *timer) Conv(l Layer, x timedBuf) timedBuf {
 	s := ConvShape{InC: l.InC, H: x.H, W: x.W, OutC: l.OutC, K: l.K}
 	w := r.rand(s.WeightLen())
 	out := r.buf(Dims{l.OutC, x.H, x.W})
-	class, kernel := &r.t.Conv, r.im.Conv
+	class, kernel := &r.t.Conv, r.v.Conv
 	if l.Deconv {
-		class, kernel = &r.t.Deconv, r.im.Deconv
+		class, kernel = &r.t.Deconv, r.v.Deconv
 	}
-	if r.im.ConvEp == nil {
-		r.time(class, func() { kernel(x.d, w, out.d, s, r.workers) })
-		if l.BNAct {
-			r.bnAct(out)
-		}
-		return out
-	}
-	var ep Epilogue
+	r.time(class, func() { kernel(x.d, w, out.d, s, r.workers) })
 	if l.BNAct {
-		ep = Epilogue{Bias: r.rand(l.OutC), Act: true, Slope: 0.01}
+		r.bnAct(out)
 	}
-	if l.Deconv {
-		flipped := make([]float32, len(w))
-		FlipDeconvWeights(w, flipped, s)
-		w = flipped
-	}
-	r.time(class, func() { r.im.ConvEp(x.d, w, out.d, s, r.workers, ep) })
 	return out
 }
 
 func (r *timer) BNAct(_ Layer, x timedBuf) timedBuf {
 	out := timedBuf{append([]float32(nil), x.d...), x.Dims}
-	if r.im.ConvEp == nil {
-		r.bnAct(out)
-		return out
-	}
-	scale, shift := r.rand(x.C), r.rand(x.C)
-	r.time(&r.t.Other, func() {
-		BNActInfer(out.d, out.d, x.C, x.H*x.W, scale, shift, 0.01, r.workers)
-	})
+	r.bnAct(out)
 	return out
 }
 

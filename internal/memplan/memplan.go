@@ -114,7 +114,7 @@ type Arena struct {
 func New() *Arena { return &Arena{} }
 
 // global serves code that has no arena handle — notably the kernels
-// package's GEMM tile staging, whose Impl signature predates pooling.
+// package's GEMM staging: ConvFused and DeconvGEMM take no arena.
 var global = New()
 
 // Global returns the process-wide fallback arena.

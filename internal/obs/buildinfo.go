@@ -4,29 +4,21 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 )
 
 // BuildInfoData identifies the running binary: the Prometheus
-// build_info idiom (a constant-1 gauge whose labels carry the identity)
-// plus a JSON form for ccbench reports, so every benchmark number and
-// every scrape can be traced back to a version, toolchain, and the set
-// of kernel rungs compiled in.
+// build_info idiom (a constant-1 gauge whose labels carry the
+// identity), so every scrape can be traced back to a version and
+// toolchain.
 type BuildInfoData struct {
-	Version   string   `json:"version"`
-	GoVersion string   `json:"go_version"`
-	Rungs     []string `json:"rungs,omitempty"`
+	Version   string
+	GoVersion string
 }
 
 // NewBuildInfo resolves the binary's version (module version, else VCS
-// revision, else "dev") and Go toolchain, carrying the given kernel
-// rung names.
-func NewBuildInfo(rungs []string) BuildInfoData {
-	b := BuildInfoData{
-		Version:   "dev",
-		GoVersion: runtime.Version(),
-		Rungs:     append([]string(nil), rungs...),
-	}
+// revision, else "dev") and Go toolchain.
+func NewBuildInfo() BuildInfoData {
+	b := BuildInfoData{Version: "dev", GoVersion: runtime.Version()}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		if v := info.Main.Version; v != "" && v != "(devel)" {
 			b.Version = v
@@ -57,8 +49,7 @@ func NewBuildInfo(rungs []string) BuildInfoData {
 // Register publishes b as a constant-1 build_info gauge in the default
 // registry and returns the gauge's full metric name.
 func (b BuildInfoData) Register() string {
-	name := fmt.Sprintf(`build_info{version=%q,go_version=%q,rungs=%q}`,
-		b.Version, b.GoVersion, strings.Join(b.Rungs, ","))
+	name := fmt.Sprintf(`build_info{version=%q,go_version=%q}`, b.Version, b.GoVersion)
 	GetGauge(name).Set(1)
 	return name
 }

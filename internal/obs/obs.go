@@ -9,10 +9,9 @@
 // Table 6's per-kernel load/store/flop ladder, the §1 "days to minutes"
 // turnaround — so every layer of this reproduction reports into obs:
 // internal/core records per-stage and per-scan latencies, internal/ddnet
-// per-layer forward times, internal/kernels measured kernel time next to
-// its static traffic model (a live roofline), internal/distrib per-step
-// loss, gradient norms and all-reduce bytes, and internal/workflow
-// queue-wait and service times.
+// per-layer forward times, internal/distrib per-step loss, gradient
+// norms and all-reduce bytes, and internal/workflow queue-wait and
+// service times.
 //
 // Cost model: metric handles are lock-free atomics, cheap enough to stay
 // always-on. Span collection is gated by Enable/Disable; a disabled

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"computecovid19/internal/core"
-	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/obs"
 	"computecovid19/internal/volume"
@@ -165,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 		slo:   obs.NewSLO(cfg.SLO),
 	}
 	s.enhArenas.New = func() any { return memplan.New() }
-	obs.NewBuildInfo(kernels.Names()).Register()
+	obs.NewBuildInfo().Register()
 	if cfg.Pipeline != nil {
 		cfg.Pipeline.Warm()
 		if cfg.Process == nil && cfg.Pipeline.Enhancer != nil {

@@ -413,7 +413,7 @@ func TestMetricsExposeBuildInfoAndSLO(t *testing.T) {
 	resp.Body.Close()
 	out := buf.String()
 	for _, want := range []string{
-		`build_info{`, `go_version="go`, `rungs="`,
+		`build_info{`, `go_version="go`,
 		`slo_latency_budget_remaining{slo="scan"} 1`,
 		`slo_error_budget_remaining{slo="scan"} 1`,
 		`slo_requests_good_total{slo="scan"} 1`,
