@@ -44,14 +44,17 @@ race:
 	$(GO) test -race -run 'Conv|Grad|Pool|Share|Upsample' ./internal/ag/
 
 # vet includes asmdecl, which checks the frame offsets and argument
-# sizes in internal/kernels/gemm_amd64.s against their Go declarations.
+# sizes in internal/kernels/gemm_amd64.s and planes_amd64.s against
+# their Go declarations.
 vet:
 	$(GO) vet ./...
 
-# The GEMM micro-kernels are amd64 assembly; every other GOARCH runs
-# gemmRow's Go loop alone. GOARCH=386 runs that fallback natively on an
+# The GEMM micro-kernels and the plane ops' vector steps are amd64
+# assembly; every other GOARCH runs gemmRow's Go loop and the plane
+# passes' Go loops alone. GOARCH=386 runs that fallback natively on an
 # amd64 host (kernels holds the bit-for-bit micro-kernel and staged
-# oracle tests, ag the Conv3D lowering onto it, ddnet and classify the
+# oracle tests, ag the Conv3D lowering onto it and the max-pool and
+# up-sample direct-nest oracles, ddnet and classify the
 # networks' output and training bit pins and plan budgets, end to end,
 # segment the bitset closing's mask pins on 32-bit ints, and core the
 # whole classify tail), and the arm64 vet type-checks the whole tree
@@ -156,7 +159,8 @@ ci: build lint crossarch test race chaos cluster-chaos alloc bench-smoke cover
 # Disabled-telemetry overhead (must stay in the single-digit ns/op
 # range), the parallel-for overhead benchmark, the kernel benchmarks
 # (the four Table 7 rungs and the ConvFused GEMM as "fused", by
-# BenchmarkConvRungs/BenchmarkDeconvRungs), and the pooled pipeline hot
+# BenchmarkConvRungs/BenchmarkDeconvRungs, and the served max pools and
+# up-sample, by BenchmarkPlaneOps), and the pooled pipeline hot
 # paths (whose allocs/op must stay 0 — see `make alloc`).
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/obs/

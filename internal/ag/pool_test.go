@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/tensor"
 )
@@ -74,6 +75,56 @@ func directMaxPool(x []float32, planes, d, h, w, kd, sd, pd, k, s, p int) ([]flo
 	return out, argmax
 }
 
+// fuzzPoolValues maps a fuzz byte to a pool input: NaNs of both signs,
+// ±Inf, ±0, ties and a subnormal, so most windows hold ties and
+// non-finite taps.
+var fuzzPoolValues = [16]float32{
+	float32(math.NaN()), math.Float32frombits(0xffc00001), float32(math.Inf(-1)), float32(math.Inf(1)),
+	float32(math.Copysign(0, -1)), 0, -3, -2, -1, 1, 2, 3, 0.5, -0.5, math.Float32frombits(1), math.MaxFloat32,
+}
+
+// FuzzMaxPool checks kernels.MaxPool against directMaxPool, values bit
+// for bit and the recovered argmax exactly, on 2 workers, over the
+// shape (K 1–4, S 1–3, P 0–2, D 0–5 with 0 the 2D pool, H 1–40, W 1–70)
+// and two planes of the values the bytes select; no bytes give all-NaN
+// planes.
+func FuzzMaxPool(f *testing.F) {
+	// k, s and h, w are stored one below K, S and H, W.
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), uint8(15), uint8(18), []byte{0, 4, 5, 2, 1, 9, 4, 5, 3}) // DDnet's pool
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(4), uint8(7), uint8(63), []byte{5, 4, 2, 0, 10, 10})         // the classifier's
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(3), uint8(4), uint8(20), []byte{})                           // all NaN
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), uint8(8), uint8(33), []byte{0, 1, 2})                    // NaN and −Inf only
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(2), uint8(2), uint8(5), []byte{4, 5, 11})                    // padding-only windows
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(5), uint8(39), uint8(69), []byte{4, 5, 4, 5, 6})
+	f.Fuzz(func(t *testing.T, k, s, p, d, h, w uint8, vals []byte) {
+		sh := kernels.PoolShape{C: 2, D: int(d % 6), H: 1 + int(h%40), W: 1 + int(w%70),
+			K: 1 + int(k%4), S: 1 + int(s%3), P: int(p % 3)}
+		od, oh, ow := sh.Out()
+		if od <= 0 || oh <= 0 || ow <= 0 {
+			return
+		}
+		depth, kd, sd, pd := max(sh.D, 1), sh.K, sh.S, sh.P
+		if sh.D == 0 {
+			kd, sd, pd = 1, 1, 0
+		}
+		x := make([]float32, sh.C*depth*sh.H*sh.W)
+		for i := range x {
+			x[i] = fuzzPoolValues[0]
+			if len(vals) > 0 {
+				x[i] = fuzzPoolValues[vals[i%len(vals)]%16]
+			}
+		}
+		want, wantArg := directMaxPool(x, sh.C, depth, sh.H, sh.W, kd, sd, pd, sh.K, sh.S, sh.P)
+		out, argmax := make([]float32, len(want)), make([]int32, len(want))
+		kernels.MaxPool(x, out, argmax, sh, 2)
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) || argmax[i] != wantArg[i] {
+				t.Fatalf("%+v output %d: %v at %d, direct nest %v at %d", sh, i, out[i], argmax[i], want[i], wantArg[i])
+			}
+		}
+	})
+}
+
 func bitsEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -86,82 +137,103 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// The oracles' extents: every small size, where windows clip on both
+// sides of short rows, and wide ones, which reach the four-lane vector
+// step of each pass with every tail residue (16–23), an odd width past
+// two steps (33) and the served width (64).
+var (
+	smallSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	wideSizes  = []int{16, 17, 18, 19, 20, 21, 22, 23, 33, 64}
+)
+
 // TestMaxPoolMatchesDirectNest pins MaxPool2D and MaxPool3D — graph and
 // eval forwards, and the argmax the backward follows — to directMaxPool
 // bit for bit, over every pooling shape the networks use and some they
-// do not, extents 1–9 on every axis, and 1, 2 and 4 procs. The
-// argmax is read through the backward: each output's random gradient
-// lands on the input its forward recorded, in output order, so the
-// input gradient equals the oracle's scatter bit for bit only when
-// every recorded argmax is the oracle's.
+// do not, on 1, 2 and 4 procs: extents 1–9 on every axis, wide planes
+// (both axes from wideSizes), and wide volumes (depths 1–5, heights 3,
+// 16, 17 and 33, widths from wideSizes). The argmax is read through the
+// backward: each output's random gradient lands on the input its
+// forward recorded, in output order, so the input gradient equals the
+// oracle's scatter bit for bit only when every recorded argmax is the
+// oracle's.
 func TestMaxPoolMatchesDirectNest(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mem := memplan.New()
-	const n, c = 2, 3
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, cfg := range []Pool2DConfig{{3, 2, 1}, {2, 2, 0}, {3, 1, 1}, {1, 1, 0}, {2, 1, 0}} {
-		k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
-		for _, rank := range []int{4, 5} {
-			depths := sizes
-			if rank == 4 {
-				depths = []int{1}
-			}
-			for _, d := range depths {
-				for _, h := range sizes {
-					for _, w := range sizes {
-						if d+2*p < k || h+2*p < k || w+2*p < k {
-							continue // the window does not fit: the ops panic
-						}
-						shape := []int{n, c, h, w}
-						kd, sd, pd := 1, 1, 0
-						if rank == 5 {
-							shape = []int{n, c, d, h, w}
-							kd, sd, pd = k, s, p
-						}
-						x := poolInput(rng, shape...)
-						want, argmax := directMaxPool(x.Data, n*c, d, h, w, kd, sd, pd, k, s, p)
-						gy := make([]float32, len(want))
-						for i := range gy {
-							gy[i] = float32(rng.NormFloat64())
-						}
-						wantGrad := make([]float32, len(x.Data))
-						for i, idx := range argmax {
-							if idx >= 0 {
-								wantGrad[idx] += gy[i]
-							}
-						}
-						for _, procs := range []int{1, 2, 4} {
-							runtime.GOMAXPROCS(procs)
-							sc := mem.NewScope()
-							var ev *tensor.Tensor
-							xv := Param(x)
-							var y *Value
-							if rank == 4 {
-								ev = EvalMaxPool2D(sc, x, cfg, procs)
-								y = MaxPool2D(xv, cfg)
-							} else {
-								ev = EvalMaxPool3D(sc, x, cfg)
-								y = MaxPool3D(xv, cfg)
-							}
-							if !bitsEqual(ev.Data, want) {
-								t.Errorf("rank %d %+v x %v on %d procs: eval forward differs from the direct nest",
-									rank, cfg, shape, procs)
-							}
-							sc.Close()
-							if !bitsEqual(y.T.Data, want) {
-								t.Errorf("rank %d %+v x %v on %d procs: graph forward differs from the direct nest",
-									rank, cfg, shape, procs)
-							}
-							Sum(Mul(y, Const(tensor.FromSlice(gy, y.T.Shape...)))).Backward()
-							if !bitsEqual(xv.Grad.Data, wantGrad) {
-								t.Errorf("rank %d %+v x %v on %d procs: backward does not follow the direct nest's argmax",
-									rank, cfg, shape, procs)
-							}
-						}
+		for _, g := range []struct {
+			rank    int
+			d, h, w []int
+		}{
+			{4, []int{1}, smallSizes, smallSizes},
+			{4, []int{1}, wideSizes, wideSizes},
+			{5, smallSizes, smallSizes, smallSizes},
+			{5, []int{1, 2, 3, 4, 5}, []int{3, 16, 17, 33}, wideSizes},
+		} {
+			for _, d := range g.d {
+				for _, h := range g.h {
+					for _, w := range g.w {
+						checkMaxPool(t, rng, mem, g.rank, cfg, d, h, w)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkMaxPool runs one TestMaxPoolMatchesDirectNest case: a rank-4
+// (2, 3, h, w) or rank-5 (2, 3, d, h, w) input.
+func checkMaxPool(t *testing.T, rng *rand.Rand, mem *memplan.Arena, rank int, cfg Pool2DConfig, d, h, w int) {
+	t.Helper()
+	const n, c = 2, 3
+	k, s, p := cfg.Kernel, cfg.Stride, cfg.Padding
+	if d+2*p < k || h+2*p < k || w+2*p < k {
+		return // the window does not fit: the ops panic
+	}
+	shape := []int{n, c, h, w}
+	kd, sd, pd := 1, 1, 0
+	if rank == 5 {
+		shape = []int{n, c, d, h, w}
+		kd, sd, pd = k, s, p
+	}
+	x := poolInput(rng, shape...)
+	want, argmax := directMaxPool(x.Data, n*c, d, h, w, kd, sd, pd, k, s, p)
+	gy := make([]float32, len(want))
+	for i := range gy {
+		gy[i] = float32(rng.NormFloat64())
+	}
+	wantGrad := make([]float32, len(x.Data))
+	for i, idx := range argmax {
+		if idx >= 0 {
+			wantGrad[idx] += gy[i]
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		sc := mem.NewScope()
+		var ev *tensor.Tensor
+		xv := Param(x)
+		var y *Value
+		if rank == 4 {
+			ev = EvalMaxPool2D(sc, x, cfg, procs)
+			y = MaxPool2D(xv, cfg)
+		} else {
+			ev = EvalMaxPool3D(sc, x, cfg)
+			y = MaxPool3D(xv, cfg)
+		}
+		if !bitsEqual(ev.Data, want) {
+			t.Errorf("rank %d %+v x %v on %d procs: eval forward differs from the direct nest",
+				rank, cfg, shape, procs)
+		}
+		sc.Close()
+		if !bitsEqual(y.T.Data, want) {
+			t.Errorf("rank %d %+v x %v on %d procs: graph forward differs from the direct nest",
+				rank, cfg, shape, procs)
+		}
+		Sum(Mul(y, Const(tensor.FromSlice(gy, y.T.Shape...)))).Backward()
+		if !bitsEqual(xv.Grad.Data, wantGrad) {
+			t.Errorf("rank %d %+v x %v on %d procs: backward does not follow the direct nest's argmax",
+				rank, cfg, shape, procs)
 		}
 	}
 }
@@ -199,37 +271,40 @@ func directUpsample(x []float32, planes, h, w, scale int) []float32 {
 }
 
 // TestUpsampleMatchesDirectFormula pins UpsampleBilinear2D to
-// directUpsample for scales 1–3, extents 1–9 and 1, 2 and 4 procs,
-// on inputs with ties, ±Inf and NaN. Every non-NaN result must match
-// bit for bit; a NaN must stay NaN, but its sign and payload depend on
-// which operand order the compiler gives each subtraction and so are
-// not compared.
+// directUpsample for scales 1–3 and 1, 2 and 4 procs, on extents 1–9
+// and on wide planes (both axes from wideSizes, which reach the vector
+// steps with every tail residue), with inputs holding ties, ±Inf and
+// NaN. Every non-NaN result must match bit for bit; a NaN must stay
+// NaN, but its sign and payload depend on which operand order the
+// compiler or the vector step gives each subtraction and so are not
+// compared.
 func TestUpsampleMatchesDirectFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, c = 2, 3
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, scale := range []int{1, 2, 3} {
-		for _, h := range sizes {
-			for _, w := range sizes {
-				x := poolInput(rng, n, c, h, w)
-				for i := range x.Data {
-					if rng.Intn(2) == 0 {
-						x.Data[i] = float32(rng.NormFloat64())
-					}
-				}
-				want := directUpsample(x.Data, n*c, h, w, scale)
-				for _, procs := range []int{1, 2, 4} {
-					runtime.GOMAXPROCS(procs)
-					got := UpsampleBilinear2D(Const(x), scale).T.Data
-					for i := range want {
-						g, e := got[i], want[i]
-						if g != g && e != e {
-							continue
+		for _, sizes := range [][]int{smallSizes, wideSizes} {
+			for _, h := range sizes {
+				for _, w := range sizes {
+					x := poolInput(rng, n, c, h, w)
+					for i := range x.Data {
+						if rng.Intn(2) == 0 {
+							x.Data[i] = float32(rng.NormFloat64())
 						}
-						if math.Float32bits(g) != math.Float32bits(e) {
-							t.Fatalf("scale %d %d×%d on %d procs: output %d = %v, direct formula %v",
-								scale, h, w, procs, i, g, e)
+					}
+					want := directUpsample(x.Data, n*c, h, w, scale)
+					for _, procs := range []int{1, 2, 4} {
+						runtime.GOMAXPROCS(procs)
+						got := UpsampleBilinear2D(Const(x), scale).T.Data
+						for i := range want {
+							g, e := got[i], want[i]
+							if g != g && e != e {
+								continue
+							}
+							if math.Float32bits(g) != math.Float32bits(e) {
+								t.Fatalf("scale %d %d×%d on %d procs: output %d = %v, direct formula %v",
+									scale, h, w, procs, i, g, e)
+							}
 						}
 					}
 				}

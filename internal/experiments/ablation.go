@@ -99,9 +99,11 @@ func normalizeHUSlice(hu []float32, size int) *tensor.Tensor {
 	return t
 }
 
-// Ablation renders the denoising comparison table.
-func Ablation(cfg Config) string {
-	a := RunDenoisingAblation(cfg)
+// Ablation runs and renders the denoising comparison table.
+func Ablation(cfg Config) string { return RunDenoisingAblation(cfg).String() }
+
+// String renders a as the denoising comparison table.
+func (a DenoisingAblation) String() string {
 	t := &table{header: []string{"Method", "MSE", "SSIM"}}
 	t.add("FBP (Ram-Lak)", fmt.Sprintf("%.5f", a.FBPMSE), fmt.Sprintf("%.4f", a.FBPSSIM))
 	t.add("Regularized SART", fmt.Sprintf("%.5f", a.SARTMSE), fmt.Sprintf("%.4f", a.SARTSSIM))
@@ -167,10 +169,12 @@ func RunDimensionality(cfg Config) DimensionalityResult {
 	}
 }
 
-// Dimensionality renders the 2D-vs-3D comparison (paper §6.2 / Table 10
-// context).
-func Dimensionality(cfg Config) string {
-	r := RunDimensionality(cfg)
+// Dimensionality runs and renders the 2D-vs-3D comparison (paper §6.2 /
+// Table 10 context).
+func Dimensionality(cfg Config) string { return RunDimensionality(cfg).String() }
+
+// String renders r as the 2D-vs-3D comparison table.
+func (r DimensionalityResult) String() string {
 	t := &table{header: []string{"Classifier", "AUC-ROC"}}
 	t.add("2D slice CNN, weak labels (cf. §6.2.1 systems)", fmt.Sprintf("%.3f", r.AUC2D))
 	t.add("3D DenseNet (this work)", fmt.Sprintf("%.3f", r.AUC3D))

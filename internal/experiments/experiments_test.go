@@ -214,7 +214,7 @@ func TestDenoisingAblationShape(t *testing.T) {
 	if a.DDnetMSE >= a.FBPMSE {
 		t.Errorf("DDnet MSE %.5f should beat FBP %.5f", a.DDnetMSE, a.FBPMSE)
 	}
-	if out := Ablation(QuickConfig()); !strings.Contains(out, "SART") {
+	if out := a.String(); !strings.Contains(out, "SART") {
 		t.Fatalf("ablation table malformed:\n%s", out)
 	}
 }
@@ -232,7 +232,7 @@ func TestDimensionalityComparison(t *testing.T) {
 	if r.AUC2D < 0.6 && r.AUC3D < 0.6 {
 		t.Fatalf("both classifiers near chance: %+v", r)
 	}
-	if out := Dimensionality(QuickConfig()); !strings.Contains(out, "3D DenseNet") {
+	if out := r.String(); !strings.Contains(out, "3D DenseNet") {
 		t.Fatalf("dimensionality table malformed:\n%s", out)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"computecovid19/internal/memplan"
 	"computecovid19/internal/parallel"
 )
 
@@ -14,7 +15,17 @@ import (
 // buffers of planes. ag's graph and eval ops, DDnet, the classifier and
 // the Table 5 timer all call it. Planes (elements, for LeakyReLU) are
 // independent, so every worker count produces the same bits; all five
-// ops dispatch through one pooled job type, opJob.
+// ops check their operands on the caller's goroutine and dispatch
+// through one pooled job type, opJob.
+//
+// The pool and the up-sample are vectorized the way §4.2 vectorizes the
+// convolution, without moving a bit. The max pool is separable — x,
+// then y, then z passes over pooled scratch rows, each keeping the
+// first maximal tap — and its graph caller's argmax is recovered from
+// the output afterwards. The up-sample interpolates each source row
+// once and blends output rows from them. Their four-lane SSE steps are
+// in planes_amd64.s; the Go loops here do clipped borders, other
+// shapes and short rows, and everything off amd64 (planes_other.go).
 
 // PoolShape describes a max pool over C planes of H×W cells with a
 // K×K window moving S cells at a time over input padded P cells on
@@ -63,14 +74,14 @@ func (s PoolShape) check(x, out []float32, argmax []int32) {
 }
 
 // MaxPool max-pools each plane of x into out on up to workers workers
-// (0: the default count). Padded cells are ignored. Each window is
-// scanned in (kz, ky, kx) order and a value is kept only when it is
-// strictly larger than the best so far: a tie goes to the earliest tap,
-// NaN never wins, and a window of NaN, −Inf and padding alone gives
-// −Inf. A non-nil argmax receives the flat index into x of each
-// output's maximum (−1 for such a window), which the graph op's
-// backward follows. A shape or operand that does not fit panics here,
-// on the caller's goroutine.
+// (0: the default count). Padded cells are ignored. Each output is what
+// a scan of its window in (kz, ky, kx) order gives when it keeps a
+// value only when it is strictly larger than the best so far: a tie
+// goes to the earliest tap, NaN never wins, and a window of NaN, −Inf
+// and padding alone gives −Inf. A non-nil argmax receives the flat
+// index into x of that tap (−1 for such a window), which the graph
+// op's backward follows. A shape or operand that does not fit panics
+// here, on the caller's goroutine.
 func MaxPool(x, out []float32, argmax []int32, s PoolShape, workers int) {
 	s.check(x, out, argmax)
 	opJob{op: opMaxPool, x: x, out: out, argmax: argmax, pool: s}.run(s.C, workers)
@@ -78,10 +89,14 @@ func MaxPool(x, out []float32, argmax []int32, s PoolShape, workers int) {
 
 // BilinearTable holds Upsample's per-axis source indices and weights
 // for one (in, out) axis pair; a warm decoder caches it and recomputes
-// nothing per forward.
+// nothing per forward. A table is not changed after NewBilinearTable.
 type BilinearTable struct {
 	Lo, Hi []int
 	Frac   []float32
+	// pairs says the table doubles an axis of at least two cells:
+	// inside the two border outputs, outputs 2i+1 and 2i+2 both blend
+	// source cells i and i+1, with weights Frac[1] and Frac[2].
+	pairs bool
 }
 
 // NewBilinearTable precomputes, for each destination index along one
@@ -101,23 +116,57 @@ func NewBilinearTable(in, out int) *BilinearTable {
 		t.Lo[d], t.Hi[d] = i0, min(i0+1, in-1)
 		t.Frac[d] = float32(src - float64(i0))
 	}
+	t.pairs = out == 2*in && in >= 2
+	for d := 1; t.pairs && d < out-1; d++ {
+		i := (d - 1) / 2
+		t.pairs = t.Lo[d] == i && t.Hi[d] == i+1 && t.Frac[d] == t.Frac[2-d%2]
+	}
 	return t
 }
 
 // Upsample resamples each of the c planes of h×w cells in x with
 // bilinear interpolation to the len(ty.Lo)×len(tx.Lo) planes of out
 // the tables were built for (DDnet's un-pooling, §2.2.2), on up to
-// workers workers (0: the default count).
+// workers workers (0: the default count). An operand that does not fit
+// panics here, on the caller's goroutine.
 func Upsample(x, out []float32, c, h, w int, ty, tx *BilinearTable, workers int) {
+	if c <= 0 || h <= 0 || w <= 0 || !ty.fits(h) || !tx.fits(w) {
+		panic(fmt.Sprintf("kernels: Upsample of %d planes of %d×%d has a non-positive dimension or a table that does not fit", c, h, w))
+	}
+	if in, o := c*h*w, c*len(ty.Lo)*len(tx.Lo); len(x) < in || len(out) < o {
+		panic(fmt.Sprintf("kernels: Upsample of %d planes of %d×%d needs %d inputs and %d outputs, got %d and %d",
+			c, h, w, in, o, len(x), len(out)))
+	}
 	opJob{op: opUpsample, x: x, out: out, h: h, w: w, ty: ty, tx: tx}.run(c, workers)
+}
+
+// fits reports whether t maps onto an axis of in cells: it has an
+// output, one weight per output, and every source index in [0, in).
+func (t *BilinearTable) fits(in int) bool {
+	n := len(t.Lo)
+	if n == 0 || len(t.Hi) != n || len(t.Frac) != n {
+		return false
+	}
+	for d := range n {
+		if uint(t.Lo[d]) >= uint(in) || uint(t.Hi[d]) >= uint(in) {
+			return false
+		}
+	}
+	return true
 }
 
 // BatchNormInfer applies inference-mode batch normalization to x's
 // planes of hw cells — back-to-back (c, hw) images, any number of them
 // — writing out (which may alias x): y = γ·x̂ + β with x̂ = (x−μ)·is and
 // the inverse standard deviation is = 1/√(σ²+ε) taken in float64
-// before narrowing.
+// before narrowing. An operand that does not fit panics here, on the
+// caller's goroutine.
 func BatchNormInfer(x, out []float32, c, hw int, gamma, beta, mean, variance []float32, eps float32, workers int) {
+	if c <= 0 || hw < 0 || len(out) < len(x) || (hw > 0 && len(x)%(c*hw) != 0) ||
+		min(len(gamma), len(beta), len(mean), len(variance)) < c {
+		panic(fmt.Sprintf("kernels: BatchNormInfer of %d values in images of %d channels × %d cells got %d outputs and γ, β, μ, σ² of %d, %d, %d, %d",
+			len(x), c, hw, len(out), len(gamma), len(beta), len(mean), len(variance)))
+	}
 	if hw == 0 {
 		return
 	}
@@ -137,8 +186,13 @@ func LeakyReLU(x []float32, slope float32, workers int) {
 // The unfused path pays two full passes here (BatchNormInfer, then the
 // activation); positions where a BatchNorm cannot be folded into a
 // neighbouring convolution (DDnet's dense-layer BN1, whose input is a
-// concat consumed by other readers) use this instead.
+// concat consumed by other readers) use this instead. An operand that
+// does not fit panics here, on the caller's goroutine.
 func BNActInfer(x, out []float32, c, hw int, scale, shift []float32, slope float32, workers int) {
+	if c < 0 || hw < 0 || len(x) < c*hw || len(out) < c*hw || len(scale) < c || len(shift) < c {
+		panic(fmt.Sprintf("kernels: BNActInfer of %d channels × %d cells got %d inputs, %d outputs, %d scales and %d shifts",
+			c, hw, len(x), len(out), len(scale), len(shift)))
+	}
 	opJob{op: opBNAct, x: x, out: out, c: c, hw: hw, scale: scale, shift: shift, slope: slope}.run(c, workers)
 }
 
@@ -204,37 +258,146 @@ func (j *opJob) Run(lo, hi int) {
 	}
 }
 
-// maxPool scans each window clipped to the input (window): the taps an
-// unclipped scan would not skip, in the same order, so the same bits.
+// negInf is the best of a window before its first tap, and its result
+// when it holds nothing larger.
+var negInf = float32(math.Inf(-1))
+
+// maxPool pools each plane separably: along x, row by row, into
+// scratch; then along y, combining whole pooled rows; then, for a
+// volume, along z, combining whole pooled slabs. Every pass keeps a
+// value only when it is strictly larger than the best so far, in tap
+// order, so each pass picks its first maximal tap and the last picks
+// the first maximal tap of the whole window in (z, y, x) order: the
+// element a scan of the window's taps in that order keeps, with the
+// same bits (a ±0 tie, a NaN that never wins, a −Inf window). The axis
+// order matters for ties between +0 and −0, which is why x, the
+// innermost axis of the scan, goes first.
 func (j *opJob) maxPool(lo, hi int) {
-	s, x, out, argmax := j.pool, j.x, j.out, j.argmax
+	s := j.pool
 	d, kd, sd, pd := s.depth()
 	od, oh, ow := s.Out()
-	o := lo * od * oh * ow
+	in, plane := d*s.H*s.W, od*oh*ow
+	rows := memplan.GetFloats(s.H * ow) // one slab's x pass
+	var slabs []float32                 // a volume's y pass
+	if s.D > 0 {
+		slabs = memplan.GetFloats(d * oh * ow)
+	}
 	for pl := lo; pl < hi; pl++ {
-		for oz := 0; oz < od; oz++ {
-			z0, z1 := window(oz, kd, sd, pd, d)
+		x, out := j.x[pl*in:(pl+1)*in], j.out[pl*plane:(pl+1)*plane]
+		ys := out
+		if s.D > 0 {
+			ys = slabs
+		}
+		for z := 0; z < d; z++ {
+			for y := 0; y < s.H; y++ {
+				r := z*s.H + y
+				poolRow(rows[y*ow:(y+1)*ow], x[r*s.W:(r+1)*s.W], s.K, s.S, s.P)
+			}
 			for oy := 0; oy < oh; oy++ {
 				y0, y1 := window(oy, s.K, s.S, s.P, s.H)
-				for ox := 0; ox < ow; ox++ {
-					x0, x1 := window(ox, s.K, s.S, s.P, s.W)
-					best, bi := float32(math.Inf(-1)), -1
+				o := (z*oh + oy) * ow
+				poolRows(ys[o:o+ow], rows, y0, y1, ow)
+			}
+		}
+		for oz := 0; s.D > 0 && oz < od; oz++ {
+			z0, z1 := window(oz, kd, sd, pd, d)
+			poolRows(out[oz*oh*ow:(oz+1)*oh*ow], slabs, z0, z1, oh*ow)
+		}
+		if j.argmax != nil {
+			j.recoverArgmax(pl)
+		}
+	}
+	memplan.PutFloats(rows)
+	if slabs != nil {
+		memplan.PutFloats(slabs)
+	}
+}
+
+// poolRow max-pools one input row along x into dst, len(dst) outputs of
+// a k-wide window at stride s over the row padded p cells on each side.
+// A stride-2 window of 2 or 3 taps runs its interior, the outputs whose
+// taps all lie in the row, on the vector step; the Go loop does the
+// clipped borders, other shapes and rows the step leaves.
+func poolRow(dst, row []float32, k, s, p int) {
+	lo, n := 0, 0 // the vector step did outputs [lo, lo+n)
+	if s == 2 && (k == 2 || k == 3) {
+		lo = (p + 1) / 2 // the first window that starts in the row
+		if hi := min(len(dst), (len(row)-k+p)/2+1); hi > lo {
+			if k == 2 {
+				n = maxPairs(dst[lo:hi], row[2*lo-p:])
+			} else {
+				n = maxTriples(dst[lo:hi], row[2*lo-p:])
+			}
+		}
+	}
+	for o := 0; o < len(dst); o++ {
+		if o == lo {
+			if o += n; o == len(dst) {
+				break
+			}
+		}
+		x0, x1 := window(o, k, s, p, len(row))
+		best := negInf
+		for i := x0; i < x1; i++ {
+			if v := row[i]; v > best {
+				best = v
+			}
+		}
+		dst[o] = best
+	}
+}
+
+// poolRows sets dst[j] to the first-wins maximum of src[r·n+j] over the
+// rows r in [r0, r1) of n values each; an empty range gives −Inf.
+func poolRows(dst, src []float32, r0, r1, n int) {
+	done := 0
+	if r1 > r0 {
+		done = maxRows(dst, src[r0*n:], n, r1-r0)
+	}
+	for j := done; j < len(dst); j++ {
+		best := negInf
+		for r := r0; r < r1; r++ {
+			if v := src[r*n+j]; v > best {
+				best = v
+			}
+		}
+		dst[j] = best
+	}
+}
+
+// recoverArgmax sets plane pl's argmax from its pooled output: the flat
+// index into x of the first tap of each window, in (z, y, x) order,
+// whose value equals the output and is above −Inf. That is the tap a
+// strict first-wins scan keeps: every earlier tap is smaller or NaN.
+// A window with nothing above −Inf gets −1.
+func (j *opJob) recoverArgmax(pl int) {
+	s, x := j.pool, j.x
+	d, kd, sd, pd := s.depth()
+	od, oh, ow := s.Out()
+	o := pl * od * oh * ow
+	for oz := 0; oz < od; oz++ {
+		z0, z1 := window(oz, kd, sd, pd, d)
+		for oy := 0; oy < oh; oy++ {
+			y0, y1 := window(oy, s.K, s.S, s.P, s.H)
+			for ox := 0; ox < ow; ox++ {
+				x0, x1 := window(ox, s.K, s.S, s.P, s.W)
+				v, bi := j.out[o], -1
+				if v > negInf {
+				search:
 					for iz := z0; iz < z1; iz++ {
 						for iy := y0; iy < y1; iy++ {
 							row := ((pl*d+iz)*s.H + iy) * s.W
 							for ix := row + x0; ix < row+x1; ix++ {
-								if v := x[ix]; v > best {
-									best, bi = v, ix
+								if x[ix] == v {
+									bi = ix
+									break search
 								}
 							}
 						}
 					}
-					out[o] = best
-					if argmax != nil {
-						argmax[o] = int32(bi)
-					}
-					o++
 				}
+				j.argmax[o] = int32(bi)
+				o++
 			}
 		}
 	}
@@ -248,22 +411,47 @@ func window(o, k, s, p, n int) (lo, hi int) {
 	return max(lo, 0), min(lo+k, n)
 }
 
+// upsample interpolates each source row along x once, into scratch,
+// then blends each output row from its two interpolated source rows as
+// top + wy·(bot−top): per output the same operations on the same
+// values as blending the four neighbours directly, with each source
+// row's horizontal pass shared by every output row that reads it.
 func (j *opJob) upsample(lo, hi int) {
-	x, out, h, w, ty, tx := j.x, j.out, j.h, j.w, j.ty, j.tx
+	h, w, ty, tx := j.h, j.w, j.ty, j.tx
 	oh, ow := len(ty.Lo), len(tx.Lo)
+	rows := memplan.GetFloats(h * ow)
 	for pl := lo; pl < hi; pl++ {
-		xbase, obase := pl*h*w, pl*oh*ow
+		x, out := j.x[pl*h*w:(pl+1)*h*w], j.out[pl*oh*ow:(pl+1)*oh*ow]
+		for y := 0; y < h; y++ {
+			lerpRow(rows[y*ow:(y+1)*ow], x[y*w:(y+1)*w], tx)
+		}
 		for oy := 0; oy < oh; oy++ {
-			r0, r1, wy := xbase+ty.Lo[oy]*w, xbase+ty.Hi[oy]*w, ty.Frac[oy]
-			for ox := 0; ox < ow; ox++ {
-				x0, x1, wx := tx.Lo[ox], tx.Hi[ox], tx.Frac[ox]
-				v00, v01 := x[r0+x0], x[r0+x1]
-				v10, v11 := x[r1+x0], x[r1+x1]
-				top := v00 + wx*(v01-v00)
-				bot := v10 + wx*(v11-v10)
-				out[obase+oy*ow+ox] = top + wy*(bot-top)
+			top, bot := rows[ty.Lo[oy]*ow:(ty.Lo[oy]+1)*ow], rows[ty.Hi[oy]*ow:(ty.Hi[oy]+1)*ow]
+			dst, wy := out[oy*ow:(oy+1)*ow], ty.Frac[oy]
+			for i := lerpRows(dst, top, bot, wy); i < len(dst); i++ {
+				t := top[i]
+				dst[i] = t + wy*(bot[i]-t)
 			}
 		}
+	}
+	memplan.PutFloats(rows)
+}
+
+// lerpRow interpolates one source row along x into dst by tx. A
+// doubling table runs its interior, where each source pair feeds two
+// outputs, on the vector step; the Go loop does the two border outputs
+// and every output the step leaves.
+func lerpRow(dst, src []float32, tx *BilinearTable) {
+	n := 0 // the vector step did outputs [1, 1+n)
+	if tx.pairs {
+		n = 2 * lerpPairs(dst[1:len(dst)-1], src, tx.Frac[1], tx.Frac[2])
+	}
+	for o := 0; o < len(dst); o++ {
+		if o == 1 {
+			o += n
+		}
+		v0 := src[tx.Lo[o]]
+		dst[o] = v0 + tx.Frac[o]*(src[tx.Hi[o]]-v0)
 	}
 }
 
