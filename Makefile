@@ -29,8 +29,8 @@ test:
 # the cluster gateway (router, hedges, prober), DDnet's eval forward
 # (the differential oracle, the fused plan, and concurrent warm
 # forwards sharing the table cache and recycled backends), the
-# classifier's pooled and plan backends (their oracles over arenas and
-# worker counts), and ag's convolutions and plane ops (the Conv3D GEMM
+# classifier's plan oracle (over arenas, worker counts and lazy or Warm
+# compilation), and ag's convolutions and plane ops (the Conv3D GEMM
 # lowering and the max pools and up-sample against their direct loop
 # nests on 1, 2 and 4 procs, the graph/eval equality on 1 and 4, the
 # max-pool backward, the caller-side operand checks, and the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/tensor"
 )
 
@@ -112,7 +113,9 @@ func BatchNorm(x, gamma, beta *Value, runningMean, runningVar *tensor.Tensor,
 			}
 		}
 	} else {
-		out = EvalBatchNorm(nil, x.T, gamma.T, beta.T, runningMean, runningVar, eps)
+		out = tensor.New(x.T.Shape...)
+		kernels.BatchNormInfer(x.T.Data, out.Data, c, spatial, gamma.T.Data, beta.T.Data,
+			runningMean.Data, runningVar.Data, eps, 1)
 	}
 
 	var node *Value

@@ -1,6 +1,9 @@
 package ag
 
 import (
+	"fmt"
+
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/parallel"
 	"computecovid19/internal/tensor"
 )
@@ -9,10 +12,10 @@ import (
 // DDnet's, the 2D slice classifier's and the 3D DenseNet's — is a
 // stride-1 "same" layer with an odd square or cubic kernel, so that is
 // the only shape these ops take: the padding is K/2 by construction and
-// the output has the input's spatial extent. Each forward is the eval
-// path's (EvalConv2D, EvalConv3D), and all three ops share one tape
-// node whose backward treats a 2D layer as a volumetric one of depth 1
-// with a depth-1 kernel, as kernels.ConvShape does.
+// the output has the input's spatial extent. The forwards are conv2D
+// and conv3D below, and all three ops share one tape node whose
+// backward treats a 2D layer as a volumetric one of depth 1 with a
+// depth-1 kernel, as kernels.ConvShape does.
 
 // Conv2D cross-correlates (the deep-learning convention) x with
 // weights w and adds the optional bias b.
@@ -20,7 +23,7 @@ import (
 //	x: (N, Cin, H, W)   w: (Cout, Cin, K, K)   b: (Cout) or nil
 //	out: (N, Cout, H, W)
 func Conv2D(x, w, b *Value) *Value {
-	return convNode("conv2d", x, w, b, false, EvalConv2D(nil, x.T, w.T, b.Tensor(), false, 0))
+	return convNode("conv2d", x, w, b, false, conv2D(x.T, w.T, b.Tensor(), false))
 }
 
 // ConvTranspose2D is the transposed convolution (deconvolution) of
@@ -30,7 +33,7 @@ func Conv2D(x, w, b *Value) *Value {
 //	x: (N, Cin, H, W)   w: (Cin, Cout, K, K)   b: (Cout) or nil
 //	out: (N, Cout, H, W)
 func ConvTranspose2D(x, w, b *Value) *Value {
-	return convNode("convtranspose2d", x, w, b, true, EvalConv2D(nil, x.T, w.T, b.Tensor(), true, 0))
+	return convNode("convtranspose2d", x, w, b, true, conv2D(x.T, w.T, b.Tensor(), true))
 }
 
 // Conv3D cross-correlates (N, C, D, H, W) volumes, the building block
@@ -39,7 +42,116 @@ func ConvTranspose2D(x, w, b *Value) *Value {
 //	x: (N, Cin, D, H, W)   w: (Cout, Cin, K, K, K)   b: (Cout) or nil
 //	out: (N, Cout, D, H, W)
 func Conv3D(x, w, b *Value) *Value {
-	return convNode("conv3d", x, w, b, false, EvalConv3D(nil, x.T, w.T, b.Tensor()))
+	return convNode("conv3d", x, w, b, false, conv3D(x.T, w.T, b.Tensor()))
+}
+
+// conv2D runs a stride-1 "same" odd-square-kernel convolution — or,
+// with transposed set, transposed convolution — through the implicit
+// GEMM (kernels.ConvFused with the zero epilogue, or kernels.DeconvGEMM,
+// which flips the weights first), batch elements in series. Every DDnet layer has this
+// shape. Weights are (OutC, InC, K, K), or (InC, OutC, K, K) when
+// transposed; b may be nil.
+func conv2D(x, w, b *tensor.Tensor, transposed bool) *tensor.Tensor {
+	checkConv(x, w, b, 4, transposed)
+	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	cout := w.Shape[0]
+	if transposed {
+		cout = w.Shape[1]
+	}
+	out := tensor.New(n, cout, h, wd)
+	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: w.Shape[2]}
+	plane := cin * h * wd
+	oplane := cout * h * wd
+	for ni := 0; ni < n; ni++ {
+		xi, oi := x.Data[ni*plane:(ni+1)*plane], out.Data[ni*oplane:(ni+1)*oplane]
+		if transposed {
+			kernels.DeconvGEMM(xi, w.Data, oi, ks, 0)
+		} else {
+			kernels.ConvFused(xi, w.Data, oi, ks, 0, kernels.Epilogue{})
+		}
+	}
+	addBias(out.Data, b, n, cout, h*wd)
+	return out
+}
+
+// checkConv panics unless x, w and b form a stride-1 "same"
+// convolution of the given rank (4: 2D, 5: 3D) with an odd square or
+// cubic kernel: x (N, Cin, spatial...), w (Cout, Cin, K...) — (Cin,
+// Cout, K, K) when transposed — and b (Cout) or nil. conv2D and conv3D
+// run it on the caller's goroutine, before any tile is dispatched: a bad
+// operand must panic where the caller can recover it, not on a pool
+// worker, which would take the process down.
+func checkConv(x, w, b *tensor.Tensor, rank int, transposed bool) {
+	op := "Conv3D"
+	if rank == 4 {
+		op = "Conv2D"
+		if transposed {
+			op = "ConvTranspose2D"
+		}
+	}
+	if x.Rank() != rank || w.Rank() != rank {
+		panic(fmt.Sprintf("ag: %s wants rank-%d x and w, got %v and %v", op, rank, x.Shape, w.Shape))
+	}
+	cout, cin := w.Shape[0], w.Shape[1]
+	if transposed {
+		cout, cin = cin, cout
+	}
+	if x.Shape[1] != cin {
+		panic(fmt.Sprintf("ag: %s channel mismatch: x has %d, w expects %d", op, x.Shape[1], cin))
+	}
+	k := w.Shape[2]
+	for _, e := range w.Shape[3:] {
+		if e != k {
+			k = 0
+		}
+	}
+	if k%2 == 0 {
+		panic(fmt.Sprintf("ag: %s wants an odd square or cubic kernel, got w %v", op, w.Shape))
+	}
+	if b != nil && (b.Rank() != 1 || b.Shape[0] != cout) {
+		panic(fmt.Sprintf("ag: %s bias shape %v, want (%d)", op, b.Shape, cout))
+	}
+}
+
+// addBias adds the per-channel bias to an (N, C, spatial) buffer (a
+// no-op for nil bias).
+func addBias(out []float32, b *tensor.Tensor, n, cout, cols int) {
+	if b == nil {
+		return
+	}
+	for ni := 0; ni < n; ni++ {
+		for co := 0; co < cout; co++ {
+			base := (ni*cout + co) * cols
+			bias := b.Data[co]
+			for i := 0; i < cols; i++ {
+				out[base+i] += bias
+			}
+		}
+	}
+}
+
+// conv3D cross-correlates (N, Cin, D, H, W) volumes with weights
+// (Cout, Cin, K, K, K) — a stride-1 "same" layer with an odd cubic
+// kernel, the only shape the classifier has — on the fused GEMM
+// (kernels.ConvFused), batch elements in series, with the bias (b may
+// be nil) seeding each output's sum. The GEMM then adds the taps in
+// (ci, kz, ky, kx) order and a padded tap adds an exact zero, so the
+// bits are those of the direct loop nest (TestConv3DMatchesDirectNest).
+func conv3D(x, w, b *tensor.Tensor) *tensor.Tensor {
+	checkConv(x, w, b, 5, false)
+	n, cin, dd, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
+	cout := w.Shape[0]
+	out := tensor.New(n, cout, dd, h, wd)
+	ks := kernels.ConvShape{InC: cin, D: dd, H: h, W: wd, OutC: cout, K: w.Shape[2]}
+	var ep kernels.Epilogue
+	if b != nil {
+		ep.Bias = b.Data
+	}
+	in, o := ks.InLen(), ks.OutLen()
+	for ni := 0; ni < n; ni++ {
+		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
+	}
+	return out
 }
 
 // convNode puts a convolution's forward result on the tape.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"computecovid19/internal/memplan"
 	"computecovid19/internal/tensor"
 )
 
@@ -63,16 +62,15 @@ func conv3DDirect(x, w, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// TestEvalConv3DMatchesDirectNest pins the GEMM lowering of EvalConv3D
+// TestConv3DMatchesDirectNest pins the GEMM lowering of conv3D
 // to the direct nest bit for bit, over depths whose taps are mostly
 // padding (D = 1), odd extents smaller and larger than the kernel,
 // every classifier kernel size, batch 1 and 2, with and without bias,
 // and on 1, 2 and 4 procs — where the column tiles cross plane
 // boundaries and land on pool workers.
-func TestEvalConv3DMatchesDirectNest(t *testing.T) {
+func TestConv3DMatchesDirectNest(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	mem := memplan.New()
 	const cin, cout = 3, 4
 	for _, d := range []int{1, 2, 4} {
 		for _, hw := range [][2]int{{3, 5}, {7, 9}, {11, 13}} {
@@ -84,12 +82,10 @@ func TestEvalConv3DMatchesDirectNest(t *testing.T) {
 						want := conv3DDirect(x, w, b)
 						for _, procs := range []int{1, 2, 4} {
 							runtime.GOMAXPROCS(procs)
-							sc := mem.NewScope()
-							if got := EvalConv3D(sc, x, w, b); !sameBits(got, want) {
+							if got := conv3D(x, w, b); !sameBits(got, want) {
 								t.Errorf("x %v k=%d bias=%v on %d procs: GEMM differs from the direct nest",
 									x.Shape, k, b != nil, procs)
 							}
-							sc.Close()
 						}
 					}
 				}
@@ -98,20 +94,18 @@ func TestEvalConv3DMatchesDirectNest(t *testing.T) {
 	}
 }
 
-// TestConvBadOperandPanicsOnCaller feeds EvalConv2D and EvalConv3D —
-// the forwards of every convolution graph op and of nn.Conv2D.Infer and
-// nn.Conv3D.Infer, which serving calls — operands that do not form a
+// TestConvBadOperandPanicsOnCaller feeds conv2D and conv3D — the
+// forwards of every convolution graph op — operands that do not form a
 // stride-1 "same" odd square or cubic (transposed) convolution, on two
 // procs and inputs large enough to split into column tiles. Each must
-// panic on the calling goroutine, where the recover below (serving's, in
-// production) catches it; a panic on a pool worker would kill the test
-// binary instead.
+// panic on the calling goroutine, where the recover below catches it; a
+// panic on a pool worker would kill the test binary instead.
 func TestConvBadOperandPanicsOnCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	x4, x5 := tensor.New(1, 2, 16, 16), tensor.New(1, 2, 4, 16, 16)
-	conv := func(x, w, b *tensor.Tensor) { EvalConv2D(nil, x, w, b, false, 0) }
-	deconv := func(x, w, b *tensor.Tensor) { EvalConv2D(nil, x, w, b, true, 0) }
-	conv3 := func(x, w, b *tensor.Tensor) { EvalConv3D(nil, x, w, b) }
+	conv := func(x, w, b *tensor.Tensor) { conv2D(x, w, b, false) }
+	deconv := func(x, w, b *tensor.Tensor) { conv2D(x, w, b, true) }
+	conv3 := func(x, w, b *tensor.Tensor) { conv3D(x, w, b) }
 	cases := []struct {
 		op   string
 		run  func(x, w, b *tensor.Tensor)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"computecovid19/internal/kernels"
 	"computecovid19/internal/tensor"
 )
 
@@ -237,7 +238,7 @@ func Abs(a *Value) *Value {
 // LeakyReLU applies max(x, slope*x) elementwise. DDnet uses slope 0.01.
 func LeakyReLU(a *Value, slope float32) *Value {
 	out := a.T.Clone()
-	EvalLeakyReLUInPlace(out, slope)
+	kernels.LeakyReLU(out.Data, slope, 1)
 	var node *Value
 	node = newNode("leakyrelu", out, func() {
 		if a.needGrad {

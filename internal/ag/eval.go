@@ -10,19 +10,20 @@ import (
 )
 
 // Forward kernels. Each op that runs on both the autograd tape and the
-// pooled inference path has its forward arithmetic written exactly
-// once, here, as an Eval* function over plain tensors. There are two
-// callers. The eval path passes a memplan.Scope: the output is drawn
-// from it, no tape is built, and a warm arena makes the call
-// allocation-free. The graph op of the same name passes a nil scope —
-// the output is then a fresh heap tensor the tape owns — checks its
-// operands' ranks first, and attaches the backward pass. Both therefore
-// produce the same bits by construction; TestGraphAndEvalShareOneKernel
-// pins it.
+// eval forwards' plain tensors has its forward arithmetic written
+// exactly once, here, as an Eval* function. There are two callers. The
+// eval path passes a memplan.Scope: the output is drawn from it, no
+// tape is built, and a warm arena makes the call allocation-free. The
+// graph op of the same name passes a nil scope — the output is then a
+// fresh heap tensor the tape owns — checks its operands' ranks first,
+// and attaches the backward pass. Both therefore produce the same bits
+// by construction; TestGraphAndEvalShareOneKernel pins it. The
+// convolutions, BatchNorm and LeakyReLU have no Eval* form: the eval
+// forwards run them folded, through nn.Trunk's compiled plan.
 //
-// The convolutions, max pools, bilinear up-sample, BatchNorm and
-// LeakyReLU are shape handling here around their one loop in
-// internal/kernels, which splits tiles or planes across workers itself.
+// The max pools and bilinear up-sample are shape handling here around
+// their one loop in internal/kernels, which splits tiles or planes
+// across workers itself.
 
 // output returns the tensor a forward kernel writes into: pooled from
 // sc on the eval path, fresh from the heap when sc is nil.
@@ -31,99 +32,6 @@ func output(sc *memplan.Scope, shape ...int) *tensor.Tensor {
 		return tensor.New(shape...)
 	}
 	return sc.Get(shape...)
-}
-
-// EvalConv2D runs a stride-1 "same" odd-square-kernel convolution — or,
-// with transposed set, transposed convolution — through the implicit
-// GEMM (kernels.ConvFused with the zero epilogue, or kernels.DeconvGEMM,
-// which flips the weights first) on workers kernel workers (0: the
-// default count), batch elements in series. Every DDnet layer has this
-// shape. Weights are (OutC, InC, K, K), or (InC, OutC, K, K) when
-// transposed; b may be nil.
-func EvalConv2D(sc *memplan.Scope, x, w, b *tensor.Tensor, transposed bool, workers int) *tensor.Tensor {
-	checkConv(x, w, b, 4, transposed)
-	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout := w.Shape[0]
-	if transposed {
-		cout = w.Shape[1]
-	}
-	out := output(sc, n, cout, h, wd)
-	ks := kernels.ConvShape{InC: cin, H: h, W: wd, OutC: cout, K: w.Shape[2]}
-	plane := cin * h * wd
-	oplane := cout * h * wd
-	for ni := 0; ni < n; ni++ {
-		xi, oi := x.Data[ni*plane:(ni+1)*plane], out.Data[ni*oplane:(ni+1)*oplane]
-		if transposed {
-			kernels.DeconvGEMM(xi, w.Data, oi, ks, workers)
-		} else {
-			kernels.ConvFused(xi, w.Data, oi, ks, workers, kernels.Epilogue{})
-		}
-	}
-	addBias(out.Data, b, n, cout, h*wd)
-	return out
-}
-
-// checkConv panics unless x, w and b form a stride-1 "same"
-// convolution of the given rank (4: 2D, 5: 3D) with an odd square or
-// cubic kernel: x (N, Cin, spatial...), w (Cout, Cin, K...) — (Cin,
-// Cout, K, K) when transposed — and b (Cout) or nil. Both forwards run
-// it on the caller's goroutine, before any tile is dispatched: a bad
-// operand must panic where the caller can recover it, not on a pool
-// worker, which would take the process down.
-func checkConv(x, w, b *tensor.Tensor, rank int, transposed bool) {
-	op := "Conv3D"
-	if rank == 4 {
-		op = "Conv2D"
-		if transposed {
-			op = "ConvTranspose2D"
-		}
-	}
-	if x.Rank() != rank || w.Rank() != rank {
-		panic(fmt.Sprintf("ag: %s wants rank-%d x and w, got %v and %v", op, rank, x.Shape, w.Shape))
-	}
-	cout, cin := w.Shape[0], w.Shape[1]
-	if transposed {
-		cout, cin = cin, cout
-	}
-	if x.Shape[1] != cin {
-		panic(fmt.Sprintf("ag: %s channel mismatch: x has %d, w expects %d", op, x.Shape[1], cin))
-	}
-	k := w.Shape[2]
-	for _, e := range w.Shape[3:] {
-		if e != k {
-			k = 0
-		}
-	}
-	if k%2 == 0 {
-		panic(fmt.Sprintf("ag: %s wants an odd square or cubic kernel, got w %v", op, w.Shape))
-	}
-	if b != nil && (b.Rank() != 1 || b.Shape[0] != cout) {
-		panic(fmt.Sprintf("ag: %s bias shape %v, want (%d)", op, b.Shape, cout))
-	}
-}
-
-// addBias adds the per-channel bias to an (N, C, spatial) buffer (a
-// no-op for nil bias).
-func addBias(out []float32, b *tensor.Tensor, n, cout, cols int) {
-	if b == nil {
-		return
-	}
-	for ni := 0; ni < n; ni++ {
-		for co := 0; co < cout; co++ {
-			base := (ni*cout + co) * cols
-			bias := b.Data[co]
-			for i := 0; i < cols; i++ {
-				out[base+i] += bias
-			}
-		}
-	}
-}
-
-// EvalLeakyReLUInPlace applies LeakyReLU's elementwise map in place.
-// Safe only on freshly produced tensors (the graph op is out-of-place).
-// Slope 0 is ReLU, including its 0·v = -0.0 treatment of negatives.
-func EvalLeakyReLUInPlace(t *tensor.Tensor, slope float32) {
-	kernels.LeakyReLU(t.Data, slope, 1)
 }
 
 // EvalMaxPool2D max-pools each (H, W) plane of a (N, C, H, W) tensor
@@ -235,30 +143,6 @@ func concatExtents(shape []int, axis int) (outer, inner int) {
 	return outer, inner
 }
 
-// EvalConv3D cross-correlates (N, Cin, D, H, W) volumes with weights
-// (Cout, Cin, K, K, K) — a stride-1 "same" layer with an odd cubic
-// kernel, the only shape the classifier has — on the fused GEMM
-// (kernels.ConvFused), batch elements in series, with the bias (b may
-// be nil) seeding each output's sum. The GEMM then adds the taps in
-// (ci, kz, ky, kx) order and a padded tap adds an exact zero, so the
-// bits are those of the direct loop nest (TestEvalConv3DMatchesDirectNest).
-func EvalConv3D(sc *memplan.Scope, x, w, b *tensor.Tensor) *tensor.Tensor {
-	checkConv(x, w, b, 5, false)
-	n, cin, dd, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	cout := w.Shape[0]
-	out := output(sc, n, cout, dd, h, wd)
-	ks := kernels.ConvShape{InC: cin, D: dd, H: h, W: wd, OutC: cout, K: w.Shape[2]}
-	var ep kernels.Epilogue
-	if b != nil {
-		ep.Bias = b.Data
-	}
-	in, o := ks.InLen(), ks.OutLen()
-	for ni := 0; ni < n; ni++ {
-		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
-	}
-	return out
-}
-
 // EvalGlobalAvgPool3D averages each channel's (D, H, W) volume down to
 // a single value, producing (N, C).
 func EvalGlobalAvgPool3D(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
@@ -273,20 +157,6 @@ func EvalGlobalAvgPool3D(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 		}
 		out.Data[plane] = float32(acc / float64(spatial))
 	}
-	return out
-}
-
-// EvalBatchNorm normalizes x (N, C, spatial...) per channel with fixed
-// statistics — batch norm in eval mode, where the op reduces to one
-// affine map per channel. The inverse standard deviation is computed in
-// float64 before narrowing.
-func EvalBatchNorm(sc *memplan.Scope, x, gamma, beta, mean, variance *tensor.Tensor, eps float32) *tensor.Tensor {
-	spatial := 1
-	for _, d := range x.Shape[2:] {
-		spatial *= d
-	}
-	out := output(sc, x.Shape...)
-	kernels.BatchNormInfer(x.Data, out.Data, x.Shape[1], spatial, gamma.Data, beta.Data, mean.Data, variance.Data, eps, 1)
 	return out
 }
 

@@ -9,8 +9,6 @@ package classify
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"computecovid19/internal/ag"
 	"computecovid19/internal/nn"
@@ -43,20 +41,14 @@ func SmallConfig() Config {
 	return Config{InitChannels: 8, Growth: 6, BlockLayers: []int{2, 2, 2}, Kernel: 3, InitStd: 0.05}
 }
 
-// Classifier is the 3D DenseNet COVID classifier.
+// Classifier is the 3D DenseNet COVID classifier. Its embedded Trunk
+// holds one unit per walk layer (Units[l.index] belongs to layer l) and
+// the compiled plan PredictPooled runs; StateTensors and SetTraining
+// are the Trunk's, and Params adds the linear head after the units.
 type Classifier struct {
 	Cfg Config
-
-	// units holds the trunk's weights in walk order (units[l.index]
-	// belongs to layer l), which is also the Params/StateTensors — and
-	// so the checkpoint — order; the linear head follows them.
-	units []unit
-	fc    *nn.Linear
-
-	// Compiled plan (plan.go), one entry per unit. Nil until Warm;
-	// dropped on SetTraining(true). planMu serializes compilation.
-	planMu sync.Mutex
-	plan   atomic.Pointer[[]folded]
+	nn.Trunk
+	fc *nn.Linear
 }
 
 // New constructs a classifier with Gaussian-initialized weights drawn
@@ -64,62 +56,22 @@ type Classifier struct {
 func New(rng *rand.Rand, cfg Config) *Classifier {
 	b := &builder{rng: rng, std: cfg.InitStd}
 	width := walk[int](cfg, b, 1)
-	return &Classifier{Cfg: cfg, units: b.units, fc: nn.NewLinear(rng, width, 1, cfg.InitStd)}
+	return &Classifier{Cfg: cfg, Trunk: nn.Trunk{Units: b.units}, fc: nn.NewLinear(rng, width, 1, cfg.InitStd)}
 }
 
 // features maps (N, 1, D, H, W) volumes to the pooled (N, C) feature
 // vector the head reads, on the autograd tape.
 func (c *Classifier) features(x *ag.Value) *ag.Value {
-	return ag.GlobalAvgPool3D(walk[*ag.Value](c.Cfg, graph(c.units), x))
+	return ag.GlobalAvgPool3D(walk[*ag.Value](c.Cfg, graph(c.Units), x))
 }
 
 // Forward maps (N, 1, D, H, W) volumes to (N, 1) logits. D, H, W must be
 // divisible by 2^(len(BlockLayers)-1) plus the stem pool (2× more).
 func (c *Classifier) Forward(x *ag.Value) *ag.Value { return c.fc.Forward(c.features(x)) }
 
-// trunkParams returns the parameters below the linear head.
-func (c *Classifier) trunkParams() []*ag.Value {
-	var ps []*ag.Value
-	for _, u := range c.units {
-		if u.conv != nil {
-			ps = append(ps, u.conv.Params()...)
-		}
-		if u.bn != nil {
-			ps = append(ps, u.bn.Params()...)
-		}
-	}
-	return ps
-}
-
-// Params returns every trainable parameter, in walk order.
-func (c *Classifier) Params() []*ag.Value { return append(c.trunkParams(), c.fc.Params()...) }
-
-// SetTraining toggles batch-norm behaviour network-wide. Entering
-// training mode drops any compiled plan: its folded weights bake in
-// statistics and weights that are about to change. Leaving it compiles
-// nothing (that is Warm's job), so the SetTraining(false) on every
-// inference entry point stays a pure read.
-func (c *Classifier) SetTraining(train bool) {
-	if train {
-		c.plan.Store(nil)
-	}
-	for _, u := range c.units {
-		if u.bn != nil {
-			u.bn.SetTraining(train)
-		}
-	}
-}
-
-// StateTensors exposes batch-norm running statistics for serialization.
-func (c *Classifier) StateTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
-	for _, u := range c.units {
-		if u.bn != nil {
-			ts = append(ts, u.bn.RunningMean, u.bn.RunningVar)
-		}
-	}
-	return ts
-}
+// Params returns every trainable parameter: the trunk's in walk order,
+// then the linear head's.
+func (c *Classifier) Params() []*ag.Value { return append(c.Trunk.Params(), c.fc.Params()...) }
 
 // Predict runs the classifier in eval mode on one volume (values already
 // normalized / in HU per the training convention) and returns the

@@ -74,7 +74,7 @@ func (s *SeverityGrader) Forward(x *ag.Value) *ag.Value {
 // Params returns the trainable parameters (trunk minus the unused
 // binary head, plus the multi-class head).
 func (s *SeverityGrader) Params() []*ag.Value {
-	ps := s.trunk.trunkParams()
+	ps := s.trunk.Trunk.Params()
 	return append(ps, s.fc.Params()...)
 }
 

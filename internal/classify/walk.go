@@ -9,10 +9,9 @@ import (
 
 // The DenseNet-3D topology is written down exactly once, in walk, the
 // way kernels.Walk does for DDnet. Construction, the autograd forward
-// and the pooled eval forward are backends the walk drives; both
-// forwards run each convolution through ag.EvalConv3D, the fused GEMM
-// DDnet uses, with a depth axis. A compiled classifier plan would be
-// another backend, never another copy of the stage loops.
+// and the eval forward on the compiled plan are backends the walk
+// drives; both forwards run each convolution on kernels.ConvFused, the
+// GEMM DDnet uses, with a depth axis.
 
 // layer is one parameter-bearing position of the walk: a k³ "same" 3D
 // convolution to outC channels optionally followed by BatchNorm + ReLU,
@@ -25,13 +24,6 @@ type layer struct {
 	// bnAct says BatchNorm + ReLU follow the convolution (always true
 	// when k == 0).
 	bnAct bool
-}
-
-// unit is the weights of one layer: the convolution (nil for a
-// standalone BatchNorm) and the BatchNorm after it when there is one.
-type unit struct {
-	conv *nn.Conv3D
-	bn   *nn.BatchNorm
 }
 
 // maxFanIn bounds a dense block's concat fan-in (block input plus one
@@ -121,16 +113,16 @@ func walk[T any](cfg Config, b backend[T], x T) T {
 type builder struct {
 	rng   *rand.Rand
 	std   float64
-	units []unit
+	units []nn.Unit
 }
 
 func (b *builder) apply(l layer, inC int) int {
-	var u unit
+	var u nn.Unit
 	if l.k > 0 {
-		u.conv = nn.NewConv3D(b.rng, inC, l.outC, l.k, false, b.std)
+		u.Conv = nn.NewConv3D(b.rng, inC, l.outC, l.k, false, b.std)
 	}
 	if l.bnAct {
-		u.bn = nn.NewBatchNorm(l.outC)
+		u.BN = nn.NewBatchNorm(l.outC)
 	}
 	b.units = append(b.units, u)
 	return l.outC
@@ -147,16 +139,16 @@ func (b *builder) concat(vs [maxFanIn]int, n int) int {
 	return c
 }
 
-// graph is the autograd backend: training, and the bit-exact reference
-// the pooled backend is tested against.
-type graph []unit
+// graph is the autograd backend: training, and the reference the eval
+// backend is tested against.
+type graph []nn.Unit
 
 func (g graph) apply(l layer, x *ag.Value) *ag.Value {
 	if l.k > 0 {
-		x = g[l.index].conv.Forward(x)
+		x = g[l.index].Conv.Forward(x)
 	}
 	if l.bnAct {
-		x = ag.ReLU(g[l.index].bn.Forward(x))
+		x = ag.ReLU(g[l.index].BN.Forward(x))
 	}
 	return x
 }

@@ -117,11 +117,9 @@ func TestShardedLatencyModelMatchesSimulation(t *testing.T) {
 }
 
 // shardPipeline builds one real (tiny) enhancement+classification
-// pipeline shared by every replica in a sharding test. It is warmed up
-// front so locally computed references run the same compiled fused
-// execution plan the serve replicas run (replicas warm on start, and
-// the fused plan differs from the cold layer-wise path by design —
-// within the documented ULP budget, but these tests compare bits).
+// pipeline shared by every replica in a sharding test, warmed up front
+// as the serve replicas warm on start, so locally computed references
+// and the replicas run one compiled plan.
 func shardPipeline() *core.Pipeline {
 	rng := rand.New(rand.NewSource(11))
 	p := core.NewPipeline(ddnet.New(rng, ddnet.TinyConfig()), classify.New(rng, classify.SmallConfig()))

@@ -230,8 +230,8 @@ func (p *Pipeline) classifyEnhanced(enhanced *volume.Volume, sp *obs.Span) Resul
 // classify.Predict is a pure read — worker pools may share one set of
 // weights without racing. Warming also compiles both networks' fused
 // execution plans (BN folding, weight packing — ddnet.Warm and
-// classify.Warm), so the epilogue-fused forwards are what concurrent
-// callers run. Serving replicas must call Warm before going concurrent.
+// classify.Warm) up front, which the first eval forward would otherwise
+// do. Serving replicas must call Warm before going concurrent.
 func (p *Pipeline) Warm() {
 	if p.Enhancer != nil {
 		p.Enhancer.Warm()

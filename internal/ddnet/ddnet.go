@@ -23,7 +23,6 @@ package ddnet
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"computecovid19/internal/ag"
@@ -93,31 +92,16 @@ func TinyConfig() Config {
 	}
 }
 
-// unit is the weights of one kernels.Layer: a (transposed) convolution
-// — nil for a standalone BatchNorm — plus the BatchNorm that follows it
-// when the layer has one.
-type unit struct {
-	conv *nn.Conv2D
-	bn   *nn.BatchNorm
-}
-
-// DDnet is the enhancement network.
+// DDnet is the enhancement network. Its embedded Trunk holds one unit
+// per kernels.Layer (Units[l.Index] belongs to layer l) and the
+// compiled plan the eval forward runs; Params, StateTensors and
+// SetTraining are the Trunk's.
 type DDnet struct {
 	Cfg Config
-
-	// units holds every layer's weights in walk order
-	// (units[l.Index] belongs to kernels.Layer l), which is also the
-	// Params/StateTensors — and so the checkpoint — order.
-	units []unit
+	nn.Trunk
 
 	// Un-pooling tables of the most recent eval input size (eval.go).
 	tabs atomic.Pointer[unpoolTabs]
-
-	// Compiled fused execution plan (plan.go), one entry per unit. Nil
-	// until Warm; dropped on SetTraining(true). planMu serializes
-	// compilation only — readers go through the atomic load.
-	planMu sync.Mutex
-	plan   atomic.Pointer[[]folded]
 }
 
 // New constructs a DDnet with Gaussian-initialized weights drawn from
@@ -125,16 +109,16 @@ type DDnet struct {
 func New(rng *rand.Rand, cfg Config) *DDnet {
 	m := &DDnet{Cfg: cfg}
 	for _, l := range kernels.Layers(cfg.Arch()) {
-		var u unit
+		var u nn.Unit
 		if l.Deconv {
-			u.conv = nn.NewConvTranspose2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
+			u.Conv = nn.NewConvTranspose2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
 		} else if l.K > 0 {
-			u.conv = nn.NewConv2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
+			u.Conv = nn.NewConv2D(rng, l.InC, l.OutC, l.K, false, cfg.InitStd)
 		}
 		if l.BNAct {
-			u.bn = nn.NewBatchNorm(l.OutC)
+			u.BN = nn.NewBatchNorm(l.OutC)
 		}
-		m.units = append(m.units, u)
+		m.Units = append(m.Units, u)
 	}
 	return m
 }
@@ -152,7 +136,8 @@ func (m *DDnet) NumDeconvLayers() int { return 2 * m.Cfg.Stages }
 // startForward opens the "ddnet/forward → kernels/rung" span pair every
 // forward runs under; the walk hangs its per-stage spans beneath the
 // rung span, which names the kernel path that produced the timing:
-// "fused" on the compiled plan, "gemm" on the layer-wise forwards.
+// "fused" on the eval forward (the compiled plan), "gemm" on the graph
+// forward.
 func startForward(ctx context.Context, fused bool) (sp, ksp *obs.Span) {
 	_, sp = obs.StartCtx(ctx, "ddnet/forward")
 	ksp = sp.Child("kernels/rung")
@@ -168,22 +153,22 @@ func startForward(ctx context.Context, fused bool) (sp, ksp *obs.Span) {
 }
 
 // graph is the autograd backend of kernels.Walk: training, and the
-// bit-exact reference the eval backend is tested against.
+// reference the eval backend is tested against.
 type graph struct{ m *DDnet }
 
 func (g *graph) act(v *ag.Value) *ag.Value { return ag.LeakyReLU(v, g.m.Cfg.Slope) }
 
 func (g *graph) Conv(l kernels.Layer, x *ag.Value) *ag.Value {
-	u := &g.m.units[l.Index]
-	x = u.conv.Forward(x)
+	u := &g.m.Units[l.Index]
+	x = u.Conv.Forward(x)
 	if l.BNAct {
-		x = g.act(u.bn.Forward(x))
+		x = g.act(u.BN.Forward(x))
 	}
 	return x
 }
 
 func (g *graph) BNAct(l kernels.Layer, x *ag.Value) *ag.Value {
-	return g.act(g.m.units[l.Index].bn.Forward(x))
+	return g.act(g.m.Units[l.Index].BN.Forward(x))
 }
 
 func (g *graph) Pool(x *ag.Value) *ag.Value {
@@ -218,47 +203,6 @@ func (m *DDnet) ForwardCtx(ctx context.Context, x *ag.Value) *ag.Value {
 	return h
 }
 
-// Params returns every trainable parameter, in walk order.
-func (m *DDnet) Params() []*ag.Value {
-	var ps []*ag.Value
-	for _, u := range m.units {
-		if u.conv != nil {
-			ps = append(ps, u.conv.Params()...)
-		}
-		if u.bn != nil {
-			ps = append(ps, u.bn.Params()...)
-		}
-	}
-	return ps
-}
-
-// SetTraining toggles batch-norm behaviour network-wide. Entering
-// training mode drops any compiled fused plan: its folded weights bake
-// in BN statistics that are about to change. (Entering eval mode does
-// NOT compile one — that is Warm's job — so the per-call
-// SetTraining(false) on the inference entry points stays cheap.)
-func (m *DDnet) SetTraining(train bool) {
-	if train {
-		m.plan.Store(nil)
-	}
-	for _, u := range m.units {
-		if u.bn != nil {
-			u.bn.SetTraining(train)
-		}
-	}
-}
-
-// StateTensors exposes batch-norm running statistics for serialization.
-func (m *DDnet) StateTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
-	for _, u := range m.units {
-		if u.bn != nil {
-			ts = append(ts, u.bn.RunningMean, u.bn.RunningVar)
-		}
-	}
-	return ts
-}
-
 // Enhance runs the network in eval mode on a single (H, W) image in
 // [0, 1] and returns the enhanced image, clamped back to [0, 1].
 func (m *DDnet) Enhance(img *tensor.Tensor) *tensor.Tensor {
@@ -272,15 +216,17 @@ func (m *DDnet) Enhance(img *tensor.Tensor) *tensor.Tensor {
 // order, so the outputs are bit-identical to N single-image Enhance
 // calls — the property that lets internal/serve micro-batch slices from
 // different scans without changing results (pinned by a regression
-// test). On a warm network (eval mode already set) concurrent callers
-// must still serialize: one forward pass at a time per weight set.
+// test). Once Warm (or any one forward) has put the network in eval
+// mode, concurrent callers may share it: each forward draws its
+// activations from its own scope and only reads the weights and the
+// compiled plan.
 func (m *DDnet) EnhanceBatch(imgs []*tensor.Tensor) []*tensor.Tensor {
 	return m.EnhanceBatchCtx(context.Background(), imgs)
 }
 
 // EnhanceBatchCtx is EnhanceBatch continuing the context's trace into
-// the forward pass. It runs the pooled tape-free eval forward against
-// the process-wide arena; the returned tensors are freshly allocated
+// the forward pass. It runs the tape-free eval forward against the
+// process-wide arena; the returned tensors are freshly allocated
 // and owned by the caller (they are never pooled back).
 func (m *DDnet) EnhanceBatchCtx(ctx context.Context, imgs []*tensor.Tensor) []*tensor.Tensor {
 	if len(imgs) == 0 {

@@ -7,18 +7,33 @@ import (
 	"computecovid19/internal/ag"
 	"computecovid19/internal/kernels"
 	"computecovid19/internal/memplan"
+	"computecovid19/internal/nn"
 	"computecovid19/internal/parallel"
 	"computecovid19/internal/tensor"
 )
 
-// The pooled eval forward is kernels.Walk driven by the eval backend:
-// the same layer order, kernel dispatch and span tree as the graph
-// backend, but every activation comes from a memplan.Scope and no
-// autograd tape is built, so a warm forward performs zero steady-state
-// heap allocations. Layer-wise it is bit-identical to the graph
-// forward; on a compiled plan each conv→BN→act position is one fused
-// kernel call, within the documented ULP budget. Both relations are
-// pinned by TestForwardOracle.
+// The eval forward is kernels.Walk driven by the eval backend: the same
+// layer order and span tree as the graph backend, but every activation
+// comes from a memplan.Scope, no autograd tape is built, and every
+// layer runs its compiled plan entry (nn.Trunk.Plan):
+//
+//   - every conv/deconv→BN→LeakyReLU triple (the stem, each dense
+//     layer's 1×1 bottleneck with BN2, the transitions, and the
+//     decoder's deconvolutions) is ONE ConvFused call — the BatchNorm
+//     folds into the packed weights/bias and the activation runs in
+//     the epilogue while the output tile is cache-hot;
+//   - dense-layer BN1 (unfoldable: its input is the dense concat, and
+//     the activation sits between it and the bottleneck) runs the
+//     single-pass BNActInfer;
+//   - transposed-convolution weights are flipped into convolution
+//     layout once, at compile time.
+//
+// The plan is compiled on the first forward (or at Warm), from packed
+// buffers drawn from memplan, so a warm forward performs zero
+// steady-state heap allocations. Folding reassociates each layer's
+// arithmetic by a few float32 ULPs, so the forward is held to the
+// graph forward within fusedBudget (TestForwardOracle), not bit for
+// bit.
 
 // unpoolTabs caches the ×2 bilinear un-pooling tables of one input
 // size, per decoder stage, so a forward resolves them with one atomic
@@ -44,51 +59,39 @@ func (m *DDnet) unpoolTables(h, w int) *unpoolTabs {
 	return t
 }
 
-// eval is the pooled inference backend of kernels.Walk. Walk reaches
-// its backend through an interface, so a per-forward value would
-// escape to the heap; evals are recycled through evalPool instead.
+// Warm switches the network to eval mode and compiles the plan, the
+// eager form of what the first eval forward does. Idempotent;
+// concurrent with other Warm calls but not with training (like all
+// inference entry points). Serving replicas warm before going
+// concurrent (core.Pipeline.Warm).
+func (m *DDnet) Warm() {
+	m.SetTraining(false)
+	m.Plan(m.Cfg.Slope)
+}
+
+// eval is the inference backend of kernels.Walk. Walk reaches its
+// backend through an interface, so a per-forward value would escape to
+// the heap; evals are recycled through evalPool instead.
 type eval struct {
-	m    *DDnet
 	sc   *memplan.Scope
 	tabs *unpoolTabs
 	dec  int // decoder stages done so far, selecting the un-pooling tables
 	// workers is the forward's kernel worker count (see split); every
 	// kernel the walk calls gets it.
 	workers int
-	// plan is the compiled fused plan when the network is warm; nil
-	// means the layer-wise path.
-	plan []folded
+	plan    []nn.Folded
 }
 
 var evalPool = sync.Pool{New: func() any { return new(eval) }}
 
-// Conv runs one conv(→BN→act) position: a single ConvFused call on the
-// compiled plan, conv → BN → in-place activation passes otherwise.
+// Conv runs one conv(→BN→act) position as a single ConvFused call.
 func (e *eval) Conv(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
-	if e.plan != nil {
-		return e.plan[l.Index].conv.Infer(e.sc, x, e.workers)
-	}
-	u := &e.m.units[l.Index]
-	c := u.conv.Infer(e.sc, x, e.workers)
-	if !l.BNAct {
-		return c
-	}
-	y := u.bn.Infer(e.sc, c)
-	e.sc.Free(c)
-	ag.EvalLeakyReLUInPlace(y, e.m.Cfg.Slope)
-	return y
+	return e.plan[l.Index].Infer(e.sc, x, e.workers)
 }
 
-// BNAct runs a standalone BatchNorm+LeakyReLU: the single-pass folded
-// form on the compiled plan, BN then in-place activation otherwise
-// (safe because the BN output is fresh and has no other reader).
+// BNAct runs a standalone BatchNorm+LeakyReLU in one pass.
 func (e *eval) BNAct(l kernels.Layer, x *tensor.Tensor) *tensor.Tensor {
-	if e.plan != nil {
-		return e.plan[l.Index].bn.Infer(e.sc, x, e.workers)
-	}
-	y := e.m.units[l.Index].bn.Infer(e.sc, x)
-	ag.EvalLeakyReLUInPlace(y, e.m.Cfg.Slope)
-	return y
+	return e.plan[l.Index].Infer(e.sc, x, e.workers)
 }
 
 func (e *eval) Pool(x *tensor.Tensor) *tensor.Tensor {
@@ -112,16 +115,11 @@ func (e *eval) Free(x *tensor.Tensor) { e.sc.Free(x) }
 // forwardEval runs the eval-mode forward on plain tensors from sc, its
 // kernels on the worker count of split s. The input x is owned by the
 // caller and is never freed here (the residual head reads it last); the
-// returned tensor is scope-owned. A warmed network runs the compiled
-// fused plan (plan.go); unwarmed models and training-adjacent callers
-// run layer-wise.
+// returned tensor is scope-owned.
 func (m *DDnet) forwardEval(ctx context.Context, sc *memplan.Scope, x *tensor.Tensor, s split) *tensor.Tensor {
 	e := evalPool.Get().(*eval)
-	*e = eval{m: m, sc: sc, tabs: m.unpoolTables(x.Shape[2], x.Shape[3]), workers: s.workers}
-	if pl := m.plan.Load(); pl != nil {
-		e.plan = *pl
-	}
-	sp, ksp := startForward(ctx, e.plan != nil)
+	*e = eval{sc: sc, tabs: m.unpoolTables(x.Shape[2], x.Shape[3]), workers: s.workers, plan: m.Plan(m.Cfg.Slope)}
+	sp, ksp := startForward(ctx, true)
 	if ksp != nil {
 		ksp.SetAttr("split", s.axis())
 		ksp.SetAttr("groups", s.groups)

@@ -22,8 +22,8 @@ func evalTestImages(rng *rand.Rand, n, h, w int) []*tensor.Tensor {
 	return imgs
 }
 
-// graphEnhance is the tape-building reference path EnhanceBatch used
-// before the pooled forward existed.
+// graphEnhance is the tape-building reference of the eval forward: the
+// graph forward in eval mode, clamped to [0, 1] as EnhanceBatch clamps.
 func graphEnhance(m *DDnet, imgs []*tensor.Tensor) []*tensor.Tensor {
 	h, w := imgs[0].Shape[0], imgs[0].Shape[1]
 	m.SetTraining(false)
@@ -55,9 +55,9 @@ func requireSameBits(t *testing.T, want, got []*tensor.Tensor, label string) {
 	}
 }
 
-// TestAllocsWarmEnhance pins the tentpole performance claim at the
-// network level: a warm EnhanceBatchInto performs zero steady-state
-// heap allocations per call.
+// TestAllocsWarmEnhance pins the pooled forward's performance claim on
+// a network that never called Warm: its first EnhanceBatchInto compiles
+// the plan, and every later one performs zero heap allocations.
 func TestAllocsWarmEnhance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := New(rng, TinyConfig())

@@ -38,30 +38,28 @@ func distinctBN(m *DDnet) {
 // TestForwardOracle is the one differential oracle over the walk's
 // forward backends. Every combination of
 //
-//	path    graph | eval layer-wise | eval fused plan
+//	path    graph | eval on a network that never called Warm (plan compiled by its
+//	        first forward) | eval after Warm
 //	batch   each image alone | three per forward (the last takes two) | all eight in one forward
 //	workers GOMAXPROCS 1 | 2 | 4 (the default worker count: it picks each forward's
 //	        parallel axis, and so every kernel's chunking)
 //	arena   cold | warm (second forward on the same arena) | release-poisoning | the global arena behind EnhanceBatch
 //
 // must stand in its documented relation to the graph forward of each
-// image alone on one worker: bit-identical for the graph and both
-// layer-wise paths, and for the fused plan within fusedBudget of it
-// while bit-identical to the first fused result — so batching, the
-// parallel axis, worker count and arena state never change a bit on any
-// path. The eval forwards take both planner branches (the kernel split
-// for one image or one worker, the slice split otherwise), and the
+// image alone on one worker: bit-identical for the graph, and for both
+// eval paths within fusedBudget of it while bit-identical to the first
+// eval result — so batching, the parallel axis, worker count, arena
+// state and when the plan was compiled never change a bit on any path.
+// The eval forwards take both planner branches (the kernel split for
+// one image or one worker, the slice split otherwise), and the
 // kernels/rung spans show that both ran.
 func TestForwardOracle(t *testing.T) {
 	imgs := evalTestImages(rand.New(rand.NewSource(11)), 8, 32, 32)
-	cold := New(rand.New(rand.NewSource(12)), TinyConfig())
+	lazy := New(rand.New(rand.NewSource(12)), TinyConfig())
 	warm := New(rand.New(rand.NewSource(12)), TinyConfig())
-	distinctBN(cold)
+	distinctBN(lazy)
 	distinctBN(warm)
 	warm.Warm()
-	if warm.plan.Load() == nil {
-		t.Fatal("Warm must compile the fused plan")
-	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer tensor.SetMemDebug(tensor.SetMemDebug(false))
@@ -71,19 +69,18 @@ func TestForwardOracle(t *testing.T) {
 
 	var ref []*tensor.Tensor
 	for _, img := range imgs {
-		ref = append(ref, graphEnhance(cold, []*tensor.Tensor{img})...)
+		ref = append(ref, graphEnhance(lazy, []*tensor.Tensor{img})...)
 	}
-	var fusedRef []*tensor.Tensor
+	var evalRef []*tensor.Tensor
 
 	paths := []struct {
 		name  string
 		m     *DDnet
 		graph bool
-		fused bool
 	}{
-		{name: "graph", m: cold, graph: true},
-		{name: "eval-layerwise", m: cold},
-		{name: "eval-fused", m: warm, fused: true},
+		{name: "graph", m: lazy, graph: true},
+		{name: "eval-lazy", m: lazy},
+		{name: "eval-warm", m: warm},
 	}
 	arenas := []string{"cold", "warm", "memdebug", "global"}
 	for _, p := range paths {
@@ -112,23 +109,20 @@ func TestForwardOracle(t *testing.T) {
 						}
 					}
 					label := fmt.Sprintf("%s/batch%d/workers%d/%s", p.name, batch, workers, arena)
-					if !p.fused {
+					if p.graph {
 						requireSameBits(t, ref, got, label+" vs graph")
 						continue
 					}
 					if d := maxAbsDiff(t, ref, got); d > fusedBudget {
 						t.Fatalf("%s drifted %g from the graph forward (budget %g)", label, d, fusedBudget)
 					}
-					if fusedRef == nil {
-						fusedRef = got
+					if evalRef == nil {
+						evalRef = got
 					}
-					requireSameBits(t, fusedRef, got, label+" vs first fused result")
+					requireSameBits(t, evalRef, got, label+" vs first eval result")
 				}
 			}
 		}
-	}
-	if cold.plan.Load() != nil {
-		t.Fatal("plain inference must not compile a plan (that is Warm's job)")
 	}
 	splits := map[string]bool{}
 	recs, _ := obs.TraceRecords()
@@ -223,11 +217,11 @@ func TestWarmConcurrentForwardsMixedSizes(t *testing.T) {
 
 // TestForwardSpanTree pins the trace both forward backends emit: the
 // forward span, the rung span beneath it (carrying the rung that ran —
-// fused on the compiled plan, gemm on the layer-wise forwards — the
-// planner's split, groups and kernel_workers, and plan=fused on the
-// compiled plan), and one span per walk stage beneath that, in walk
-// order. A slice-split batch emits that tree once per image, each under
-// the caller's span.
+// fused on every eval forward, warm or not, gemm on the graph forward —
+// and, on the eval forward, plan=fused and the planner's split, groups
+// and kernel_workers), and one span per walk stage beneath that, in
+// walk order. A slice-split batch emits that tree once per image, each
+// under the caller's span.
 func TestForwardSpanTree(t *testing.T) {
 	defer obs.Reset()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -237,7 +231,7 @@ func TestForwardSpanTree(t *testing.T) {
 		"ddnet/stem<-kernels/rung", "ddnet/enc0<-kernels/rung", "ddnet/enc1<-kernels/rung",
 		"ddnet/dec0<-kernels/rung", "ddnet/dec1<-kernels/rung",
 	}
-	for _, path := range []string{"graph", "eval-layerwise", "eval-fused"} {
+	for _, path := range []string{"graph", "eval-lazy", "eval-warm"} {
 		for _, n := range []int{1, 2} {
 			if path == "graph" && n == 2 {
 				continue // the graph forward has no planner
@@ -248,7 +242,7 @@ func TestForwardSpanTree(t *testing.T) {
 			switch path {
 			case "graph":
 				graphEnhance(m, img)
-			case "eval-fused":
+			case "eval-warm":
 				m.Warm()
 				fallthrough
 			default:
@@ -278,12 +272,12 @@ func TestForwardSpanTree(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s span tree:\n got %v\nwant %v", label, got, want)
 			}
-			if _, fused := attrs["plan"]; fused != (path == "eval-fused") {
+			if _, fused := attrs["plan"]; fused != (path != "graph") {
 				t.Fatalf("%s: plan=fused attribute present=%v", label, fused)
 			}
-			wantRung := "gemm"
-			if path == "eval-fused" {
-				wantRung = "fused"
+			wantRung := "fused"
+			if path == "graph" {
+				wantRung = "gemm"
 			}
 			if attrs["rung"] != wantRung {
 				t.Errorf("%s: kernels/rung rung=%q, want %q", label, attrs["rung"], wantRung)

@@ -80,20 +80,21 @@ func TestPinConstruction(t *testing.T) {
 	}
 }
 
-// TestPinEnhanceBits pins the output bits of both eval paths — on
-// freshly initialized weights and again with every BatchNorm given
-// distinct statistics and affine parameters through StateTensors() and
-// Params(), so a permuted unit or a wrong fold shows.
+// TestPinEnhanceBits pins the output bits of the clamped graph forward
+// (the constants of the layer-wise eval forward it replaced, which was
+// bit-identical to it) and of Enhance on the compiled plan — on freshly
+// initialized weights and again with every BatchNorm given distinct
+// statistics and affine parameters through StateTensors() and Params(),
+// so a permuted unit or a wrong fold shows.
 func TestPinEnhanceBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("output bits were recorded on amd64; other targets may fuse multiply-adds")
 	}
 	check := func(label string, m *DDnet, unfused, fused uint64) {
 		t.Helper()
-		if got := bitsSum(m.Enhance(pinImage())); got != unfused {
-			t.Errorf("%s: layer-wise Enhance checksum %#x, parent %#x", label, got, unfused)
+		if got := bitsSum(graphEnhance(m, []*tensor.Tensor{pinImage()})...); got != unfused {
+			t.Errorf("%s: clamped graph forward checksum %#x, parent %#x", label, got, unfused)
 		}
-		m.Warm()
 		if got := bitsSum(m.Enhance(pinImage())); got != fused {
 			t.Errorf("%s: fused Enhance checksum %#x, parent %#x", label, got, fused)
 		}

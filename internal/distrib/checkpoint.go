@@ -140,6 +140,11 @@ func (t *Trainer) Restore(s *Snapshot) error {
 		return nil
 	}
 	for node, m := range t.replicas {
+		// Back to training first: a replica evaluated since the trainer
+		// made it (an eval forward compiles a plan folded from its
+		// weights, see nn.Trunk) must drop that plan before the
+		// snapshot's weights replace the ones it was folded from.
+		m.SetTraining(true)
 		var params []*tensor.Tensor
 		for _, p := range m.Params() {
 			params = append(params, p.T)

@@ -2,12 +2,15 @@ package distrib
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"computecovid19/internal/ag"
+	"computecovid19/internal/ddnet"
 	"computecovid19/internal/tensor"
 )
 
@@ -158,5 +161,37 @@ func TestTrainerRestoreValidatesShapes(t *testing.T) {
 	s.Params = s.Params[:1] // drop a tensor
 	if err := tr.Restore(s); err == nil {
 		t.Fatal("restore with missing parameter tensor must fail")
+	}
+}
+
+// TestRestoreDropsCompiledPlan evaluates the master replica of a DDnet
+// trainer — its eval forward compiles a plan folded from the current
+// weights — then restores a snapshot with other weights: the next eval
+// forward must follow the restored weights (within the plan's 1e-3
+// budget of their graph forward), not the stale plan.
+func TestRestoreDropsCompiledPlan(t *testing.T) {
+	factory := func() Model { return ddnet.New(rand.New(rand.NewSource(3)), ddnet.TinyConfig()) }
+	tr := NewTrainer(factory, 2, 0.01, nil)
+	s := tr.Snapshot()
+	for _, st := range s.State {
+		for i := range st.Data {
+			st.Data[i] += 0.3
+		}
+	}
+	img := tensor.New(32, 32)
+	for i := range img.Data {
+		img.Data[i] = float32(i%37) / 36
+	}
+	master := tr.Master().(*ddnet.DDnet)
+	master.Enhance(img)
+	if err := tr.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	got := master.Enhance(img)
+	want := master.Forward(ag.Const(img.Reshape(1, 1, 32, 32))).T.Clamp(0, 1)
+	for i := range want.Data {
+		if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > 1e-3 {
+			t.Fatalf("element %d: eval forward after Restore %v, graph forward of the restored weights %v", i, got.Data[i], want.Data[i])
+		}
 	}
 }

@@ -15,14 +15,14 @@ import (
 // activation runs on them before the one store, so the epilogue costs
 // no pass over memory at all. The padded input the GEMM reads is the
 // panel, gemmBlock's 4-channel × 16-column register block is the compute-unit replication, and the AVX width is
-// the vector width (gemm.go). On the unfused path every layer pays two
-// extra full feature-map passes (BatchNorm read+write, activation
-// read+write) after the convolution; with inference-mode BatchNorm
-// folded into the weights at plan-compile time (nn.FoldConvBN), the
-// whole conv→BN→LeakyReLU sequence becomes one ConvFused call that
-// touches the output exactly once. Transposed convolutions additionally
-// stop re-flipping their weights per call: FlipDeconvWeights runs once
-// at warm time and the flipped panel is cached in the plan.
+// the vector width (gemm.go). Unfused, every layer would pay two extra
+// full feature-map passes (BatchNorm read+write, activation read+write)
+// after the convolution; with inference-mode BatchNorm folded into the
+// weights at plan-compile time (nn.Trunk.Plan), the whole
+// conv→BN→LeakyReLU sequence is one ConvFused call that touches the
+// output exactly once. Transposed convolutions additionally stop
+// re-flipping their weights per call: FlipDeconvWeights runs once at
+// plan-compile time and the flipped panel is cached in the plan.
 
 // Epilogue is the fused per-output-channel post-processing of ConvFused:
 // out[c][·] = act(Σ + Bias[c]), with act = LeakyReLU(Slope) when Act is

@@ -67,10 +67,10 @@ func gemmTile(t, nTiles, cols int) (q0, q1 int) {
 // convolution is exactly a convolution with the spatially flipped
 // filter, so the weights are transformed into the (OutC, InC, K, K)
 // flipped layout and ConvFused with the zero epilogue does the rest. It
-// pays the flip on every call into pooled scratch; it is the transposed
-// op of the graph and unwarmed eval forwards (ag.EvalConv2D). Warm inference goes
-// through the fused execution plan, which runs FlipDeconvWeights once
-// at plan-compile time and feeds the cached panel to ConvFused instead.
+// pays the flip on every call into pooled scratch; only the graph op
+// (ag.ConvTranspose2D) calls it. Inference goes through the fused
+// execution plan, which runs FlipDeconvWeights once at plan-compile
+// time and feeds the cached panel to ConvFused instead.
 func DeconvGEMM(x, w, out []float32, s ConvShape, workers int) {
 	// Pooled scratch; FlipDeconvWeights writes every element.
 	wc := memplan.GetFloats(s.OutC * s.InC * s.K * s.K)

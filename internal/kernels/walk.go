@@ -9,7 +9,7 @@ import (
 
 // The DDnet topology (the paper's Table 2) is written down exactly once,
 // in Walk. Everything that needs the network — construction, the
-// autograd forward, the pooled eval forward (layer-wise or fused), the
+// autograd forward, the pooled eval forward on the fused plan, the
 // Table 2 / Table 6 shape-and-count trace, and the per-class kernel
 // timing — is a Backend the walk drives, so a new rung or a new
 // interpreter is a backend, never another copy of the stage loops.

@@ -53,8 +53,14 @@ func SaveModule(w io.Writer, m Module) error {
 }
 
 // LoadModule reads parameters and state into m, which must have been
-// constructed with the same architecture used at save time.
+// constructed with the same architecture used at save time. It drops
+// the compiled plan of a module that embeds a Trunk — also when the
+// load fails part way, having overwritten some tensors — so the next
+// eval forward folds the weights just read.
 func LoadModule(r io.Reader, m Module) error {
+	if t, ok := m.(interface{ dropPlan() }); ok {
+		defer t.dropPlan()
+	}
 	return loadTensors(r, allTensors(m))
 }
 

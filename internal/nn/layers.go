@@ -8,11 +8,6 @@ import (
 	"computecovid19/internal/tensor"
 )
 
-// Each layer has two forwards over the same ag kernel: Forward on the
-// autograd tape, and Infer on plain tensors drawn from a memplan.Scope
-// — no tape, nothing allocated on a warm arena, bit-identical to
-// Forward in eval mode. Infer never frees its input.
-
 // Conv2D is a trainable 2D convolution layer — or, with Transposed set,
 // a transposed convolution (deconvolution), the reconstruction operator
 // of DDnet. The two differ only in weight layout, (outCh, inCh, k, k)
@@ -58,12 +53,6 @@ func (l *Conv2D) Forward(x *ag.Value) *ag.Value {
 	return ag.Conv2D(x, l.W, l.B)
 }
 
-// Infer applies the (transposed) convolution on the pooled eval path
-// on workers kernel workers (0: the default count).
-func (l *Conv2D) Infer(sc *memplan.Scope, x *tensor.Tensor, workers int) *tensor.Tensor {
-	return ag.EvalConv2D(sc, x, l.W.T, l.B.Tensor(), l.Transposed, workers)
-}
-
 // Params returns the weight (and bias, when present).
 func (l *Conv2D) Params() []*ag.Value {
 	if l.B != nil {
@@ -97,11 +86,6 @@ func NewConv3D(rng *rand.Rand, inCh, outCh, kernel int, bias bool, std float64) 
 
 // Forward applies the 3D convolution.
 func (l *Conv3D) Forward(x *ag.Value) *ag.Value { return ag.Conv3D(x, l.W, l.B) }
-
-// Infer applies the 3D convolution on the pooled eval path.
-func (l *Conv3D) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	return ag.EvalConv3D(sc, x, l.W.T, l.B.Tensor())
-}
 
 // Params returns the weight (and bias, when present).
 func (l *Conv3D) Params() []*ag.Value {
@@ -144,16 +128,6 @@ func (l *BatchNorm) Forward(x *ag.Value) *ag.Value {
 		l.training, l.Momentum, l.Eps)
 }
 
-// Infer normalizes x with the running statistics. The layer must be in
-// eval mode: batch statistics would mutate the running buffers, which
-// is never wanted on a serving path.
-func (l *BatchNorm) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
-	if l.training {
-		panic("nn: BatchNorm.Infer requires eval mode (call SetTraining(false))")
-	}
-	return ag.EvalBatchNorm(sc, x, l.Gamma.T, l.Beta.T, l.RunningMean, l.RunningVar, l.Eps)
-}
-
 // Params returns γ and β.
 func (l *BatchNorm) Params() []*ag.Value { return []*ag.Value{l.Gamma, l.Beta} }
 
@@ -190,7 +164,8 @@ func NewLinear(rng *rand.Rand, in, out int, std float64) *Linear {
 // Forward applies x·Wᵀ + b.
 func (l *Linear) Forward(x *ag.Value) *ag.Value { return ag.Linear(x, l.W, l.B) }
 
-// Infer applies x·Wᵀ + b on the pooled eval path.
+// Infer applies x·Wᵀ + b on plain tensors drawn from sc, with no tape:
+// the classifier head of the eval forward.
 func (l *Linear) Infer(sc *memplan.Scope, x *tensor.Tensor) *tensor.Tensor {
 	return ag.EvalLinear(sc, x, l.W.T, l.B.T)
 }
