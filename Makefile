@@ -138,7 +138,7 @@ fuzz:
 	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal); do \
 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
 			echo "fuzz $$t ./$$(dirname $$f)"; \
-			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./$$(dirname $$f); \
 		done; \
 	done
 

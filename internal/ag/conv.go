@@ -47,7 +47,8 @@ func Conv3D(x, w, b *Value) *Value {
 
 // conv2D runs a stride-1 "same" odd-square-kernel convolution — or,
 // with transposed set, transposed convolution — through the implicit
-// GEMM (kernels.ConvFused with the zero epilogue, or kernels.DeconvGEMM,
+// GEMM (kernels.ConvCompact, which halo-pads the input for
+// kernels.ConvFused, with the zero epilogue, or kernels.DeconvGEMM,
 // which flips the weights first), batch elements in series. Every DDnet layer has this
 // shape. Weights are (OutC, InC, K, K), or (InC, OutC, K, K) when
 // transposed; b may be nil.
@@ -67,7 +68,7 @@ func conv2D(x, w, b *tensor.Tensor, transposed bool) *tensor.Tensor {
 		if transposed {
 			kernels.DeconvGEMM(xi, w.Data, oi, ks, 0)
 		} else {
-			kernels.ConvFused(xi, w.Data, oi, ks, 0, kernels.Epilogue{})
+			kernels.ConvCompact(xi, w.Data, oi, ks, 0, kernels.Epilogue{})
 		}
 	}
 	addBias(out.Data, b, n, cout, h*wd)
@@ -133,7 +134,7 @@ func addBias(out []float32, b *tensor.Tensor, n, cout, cols int) {
 // conv3D cross-correlates (N, Cin, D, H, W) volumes with weights
 // (Cout, Cin, K, K, K) — a stride-1 "same" layer with an odd cubic
 // kernel, the only shape the classifier has — on the fused GEMM
-// (kernels.ConvFused), batch elements in series, with the bias (b may
+// (kernels.ConvCompact), batch elements in series, with the bias (b may
 // be nil) seeding each output's sum. The GEMM then adds the taps in
 // (ci, kz, ky, kx) order and a padded tap adds an exact zero, so the
 // bits are those of the direct loop nest (TestConv3DMatchesDirectNest).
@@ -149,7 +150,7 @@ func conv3D(x, w, b *tensor.Tensor) *tensor.Tensor {
 	}
 	in, o := ks.InLen(), ks.OutLen()
 	for ni := 0; ni < n; ni++ {
-		kernels.ConvFused(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
+		kernels.ConvCompact(x.Data[ni*in:(ni+1)*in], w.Data, out.Data[ni*o:(ni+1)*o], ks, 0, ep)
 	}
 	return out
 }

@@ -275,16 +275,21 @@ func TestClassifyPooledConcurrent(t *testing.T) {
 // BenchmarkEnhancePooled measures the warm whole-volume enhancement hot
 // path on two slices, which take the slice split on two or more procs;
 // the CI alloc gate holds its allocs/op at zero.
-func BenchmarkEnhancePooled(b *testing.B) { benchEnhancePooled(b, 2) }
+func BenchmarkEnhancePooled(b *testing.B) { benchEnhancePooled(b, 2, 32) }
 
 // BenchmarkEnhancePooledOneSlice is the same on one slice, which always
 // takes the kernel split, so both planner branches stay under
 // benchcheck's timing and allocation gates.
-func BenchmarkEnhancePooledOneSlice(b *testing.B) { benchEnhancePooled(b, 1) }
+func BenchmarkEnhancePooledOneSlice(b *testing.B) { benchEnhancePooled(b, 1, 32) }
 
-func benchEnhancePooled(b *testing.B, d int) {
+// BenchmarkEnhancePooledServed is the same at the served shape, an
+// 8×64×64 scan: what the enhance.direct workload of bench/ runs, for
+// benchcheck and for a -cpuprofile of the enhancement alone.
+func BenchmarkEnhancePooledServed(b *testing.B) { benchEnhancePooled(b, 8, 64) }
+
+func benchEnhancePooled(b *testing.B, d, size int) {
 	p := pooledTestPipeline(31)
-	v := pooledTestVolume(rand.New(rand.NewSource(32)), d, 32, 32)
+	v := pooledTestVolume(rand.New(rand.NewSource(32)), d, size, size)
 	out := volume.New(v.D, v.H, v.W)
 	ctx := context.Background()
 	// Warm past the arena's growth: concurrent slice-split groups

@@ -181,7 +181,8 @@ func (g *graph) Concat(vs [kernels.MaxFanIn]*ag.Value, n int) *ag.Value {
 	return ag.Concat(1, vs[:n]...)
 }
 
-func (g *graph) Free(*ag.Value) {} // the tape keeps every activation for backward
+func (g *graph) Reserve(int, int) {}
+func (g *graph) Free(*ag.Value)   {} // the tape keeps every activation for backward
 
 // Forward enhances a batch of (N, 1, H, W) images in [0, 1]. H and W
 // must be divisible by 2^Stages.
@@ -210,11 +211,10 @@ func (m *DDnet) Enhance(img *tensor.Tensor) *tensor.Tensor {
 }
 
 // EnhanceBatch runs the network in eval mode on a batch of same-size
-// (H, W) images in [0, 1] with a single (N, 1, H, W) forward pass and
-// returns the enhanced images, clamped back to [0, 1]. Every op in the
-// network treats batch samples independently with identical accumulation
-// order, so the outputs are bit-identical to N single-image Enhance
-// calls — the property that lets internal/serve micro-batch slices from
+// (H, W) images in [0, 1], one single-image forward per image, and
+// returns the enhanced images, clamped back to [0, 1]. The outputs are
+// bit-identical to N single-image Enhance calls whatever the batch —
+// the property that lets internal/serve micro-batch slices from
 // different scans without changing results (pinned by a regression
 // test). Once Warm (or any one forward) has put the network in eval
 // mode, concurrent callers may share it: each forward draws its

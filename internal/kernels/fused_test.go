@@ -54,11 +54,11 @@ func TestConvFusedMatchesSeparatePasses(t *testing.T) {
 		ep := Epilogue{Bias: randSlice(rng, s.OutC), Act: true, Slope: 0.01}
 
 		want := make([]float32, s.OutLen())
-		ConvFused(x, w, want, s, 1, Epilogue{})
+		ConvCompact(x, w, want, s, 1, Epilogue{})
 		refEpilogue(want, s, ep)
 
 		got := make([]float32, s.OutLen())
-		ConvFused(x, w, got, s, 1, ep)
+		ConvCompact(x, w, got, s, 1, ep)
 		if u := maxUlps(got, want, cancelFloor(want)); u > oracleBudgetULPs {
 			t.Fatalf("trial %d %+v: fused epilogue drifted %d ULPs from separate passes",
 				trial, s, u)
@@ -82,7 +82,7 @@ func TestConvFusedPreFlippedBitIdenticalToDeconv(t *testing.T) {
 	wf := make([]float32, len(w))
 	FlipDeconvWeights(w, wf, s)
 	got := make([]float32, s.OutLen())
-	ConvFused(x, wf, got, s, 1, Epilogue{})
+	ConvCompact(x, wf, got, s, 1, Epilogue{})
 	for i := range want {
 		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 			t.Fatalf("element %d: pre-flipped %x != per-call flip %x",
@@ -102,10 +102,10 @@ func TestConvFusedDeterministicAcrossWorkers(t *testing.T) {
 	ep := Epilogue{Bias: randSlice(rng, s.OutC), Act: true, Slope: 0.01}
 
 	want := make([]float32, s.OutLen())
-	ConvFused(x, w, want, s, 1, ep)
+	ConvCompact(x, w, want, s, 1, ep)
 	for _, workers := range []int{2, 4, 8} {
 		got := make([]float32, s.OutLen())
-		ConvFused(x, w, got, s, workers, ep)
+		ConvCompact(x, w, got, s, workers, ep)
 		for i := range want {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 				t.Fatalf("workers=%d element %d: %x != %x (worker count changed bits)",
@@ -127,7 +127,7 @@ func TestConvFusedBadOperandPanicsOnCaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, k := range []int{1, 3} {
 		s := ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k}
-		x := randSlice(rng, s.InLen())
+		x := randSlice(rng, s.InC*(s.H+k-1)*(s.W+k-1)) // halo-padded for K > 1
 		w := randSlice(rng, s.WeightLen())
 		out := make([]float32, s.OutLen())
 		bias := Epilogue{Bias: randSlice(rng, s.OutC), Act: true, Slope: 0.01}
@@ -144,6 +144,8 @@ func TestConvFusedBadOperandPanicsOnCaller(t *testing.T) {
 			{"even K", x, w, out, ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k + 1}, bias},
 			{"zero H", x, w, out, ConvShape{InC: 3, W: 40, OutC: 5, K: k}, bias},
 			{"negative D", x, w, out, ConvShape{InC: 3, D: -1, H: 32, W: 40, OutC: 5, K: k}, bias},
+			{"negative halo", x, w, out, ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k, Halo: -1}, bias},
+			{"out short of its halo", x, w, out, ConvShape{InC: 3, H: 32, W: 40, OutC: 5, K: k, Halo: 1}, bias},
 		} {
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
@@ -204,7 +206,7 @@ func TestConvFusedTilingRace(t *testing.T) {
 	w := randSlice(rng, s.WeightLen())
 	ep := Epilogue{Bias: randSlice(rng, s.OutC), Act: true, Slope: 0.01}
 	want := make([]float32, s.OutLen())
-	ConvFused(x, w, want, s, 1, ep)
+	ConvCompact(x, w, want, s, 1, ep)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -212,7 +214,7 @@ func TestConvFusedTilingRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			out := make([]float32, s.OutLen())
-			ConvFused(x, w, out, s, 4, ep)
+			ConvCompact(x, w, out, s, 4, ep)
 			for j := range want {
 				if math.Float32bits(out[j]) != math.Float32bits(want[j]) {
 					t.Errorf("concurrent fused conv diverged at element %d", j)

@@ -106,10 +106,13 @@ type Arch struct {
 // square kernel K with padding K/2. A depth D > 0 makes it volumetric:
 // CDHW buffers and a cubic K×K×K kernel padded K/2 on every axis. D == 0
 // is the 2D layer (one plane, no depth taps). Only ConvFused takes a
-// volumetric shape; the Variant kernels are 2D.
+// volumetric shape. ConvFused reads a K > 1 layer's input halo-padded
+// by K/2 (Pad) and writes its output halo-padded by Halo (0: compact);
+// the Variant kernels read and write compact buffers (InLen, OutLen).
 type ConvShape struct {
 	InC, H, W, OutC, K int
 	D                  int
+	Halo               int
 }
 
 // depth returns the number of planes and of depth taps: (1, 1) for a 2D
@@ -121,13 +124,13 @@ func (s ConvShape) depth() (d, kd int) {
 	return s.D, s.K
 }
 
-// InLen returns the input buffer length.
+// InLen returns the compact input buffer length.
 func (s ConvShape) InLen() int {
 	d, _ := s.depth()
 	return s.InC * d * s.H * s.W
 }
 
-// OutLen returns the output buffer length.
+// OutLen returns the compact output buffer length.
 func (s ConvShape) OutLen() int {
 	d, _ := s.depth()
 	return s.OutC * d * s.H * s.W

@@ -96,7 +96,7 @@ func oracleRungs() []rung {
 		rs = append(rs, rung{v.String(), v.Conv, v.Deconv})
 	}
 	gemm := func(x, w, out []float32, s ConvShape, workers int) {
-		ConvFused(x, w, out, s, workers, Epilogue{})
+		ConvCompact(x, w, out, s, workers, Epilogue{})
 	}
 	return append(rs, rung{"ConvFused/DeconvGEMM", gemm, DeconvGEMM})
 }

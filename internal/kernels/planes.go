@@ -127,17 +127,19 @@ func NewBilinearTable(in, out int) *BilinearTable {
 // Upsample resamples each of the c planes of h×w cells in x with
 // bilinear interpolation to the len(ty.Lo)×len(tx.Lo) planes of out
 // the tables were built for (DDnet's un-pooling, §2.2.2), on up to
-// workers workers (0: the default count). An operand that does not fit
-// panics here, on the caller's goroutine.
-func Upsample(x, out []float32, c, h, w int, ty, tx *BilinearTable, workers int) {
-	if c <= 0 || h <= 0 || w <= 0 || !ty.fits(h) || !tx.fits(w) {
+// workers workers (0: the default count). Each out plane is
+// halo-padded by halo cells on each side, its halo left as it is
+// (0: compact). An operand that does not fit panics here, on the
+// caller's goroutine.
+func Upsample(x, out []float32, c, h, w, halo int, ty, tx *BilinearTable, workers int) {
+	if c <= 0 || h <= 0 || w <= 0 || halo < 0 || !ty.fits(h) || !tx.fits(w) {
 		panic(fmt.Sprintf("kernels: Upsample of %d planes of %d×%d has a non-positive dimension or a table that does not fit", c, h, w))
 	}
-	if in, o := c*h*w, c*len(ty.Lo)*len(tx.Lo); len(x) < in || len(out) < o {
+	if in, o := c*h*w, c*(len(ty.Lo)+2*halo)*(len(tx.Lo)+2*halo); len(x) < in || len(out) < o {
 		panic(fmt.Sprintf("kernels: Upsample of %d planes of %d×%d needs %d inputs and %d outputs, got %d and %d",
 			c, h, w, in, o, len(x), len(out)))
 	}
-	opJob{op: opUpsample, x: x, out: out, h: h, w: w, ty: ty, tx: tx}.run(c, workers)
+	opJob{op: opUpsample, x: x, out: out, h: h, w: w, halo: halo, ty: ty, tx: tx}.run(c, workers)
 }
 
 // fits reports whether t maps onto an axis of in cells: it has an
@@ -214,6 +216,7 @@ type opJob struct {
 	argmax []int32   // MaxPool; nil when no backward will run
 	pool   PoolShape // MaxPool
 	h, w   int       // Upsample: the input plane
+	halo   int       // Upsample: the output planes' padding
 	ty, tx *BilinearTable
 	c, hw  int // BatchNormInfer, BNActInfer: channels and plane size
 	// scale and shift are γ and β for BatchNormInfer.
@@ -417,17 +420,18 @@ func window(o, k, s, p, n int) (lo, hi int) {
 // values as blending the four neighbours directly, with each source
 // row's horizontal pass shared by every output row that reads it.
 func (j *opJob) upsample(lo, hi int) {
-	h, w, ty, tx := j.h, j.w, j.ty, j.tx
+	h, w, p, ty, tx := j.h, j.w, j.halo, j.ty, j.tx
 	oh, ow := len(ty.Lo), len(tx.Lo)
+	plane, wp := (oh+2*p)*(ow+2*p), ow+2*p
 	rows := memplan.GetFloats(h * ow)
 	for pl := lo; pl < hi; pl++ {
-		x, out := j.x[pl*h*w:(pl+1)*h*w], j.out[pl*oh*ow:(pl+1)*oh*ow]
+		x, out := j.x[pl*h*w:(pl+1)*h*w], j.out[pl*plane+p*wp+p:]
 		for y := 0; y < h; y++ {
 			lerpRow(rows[y*ow:(y+1)*ow], x[y*w:(y+1)*w], tx)
 		}
 		for oy := 0; oy < oh; oy++ {
 			top, bot := rows[ty.Lo[oy]*ow:(ty.Lo[oy]+1)*ow], rows[ty.Hi[oy]*ow:(ty.Hi[oy]+1)*ow]
-			dst, wy := out[oy*ow:(oy+1)*ow], ty.Frac[oy]
+			dst, wy := out[oy*wp:oy*wp+ow], ty.Frac[oy]
 			for i := lerpRows(dst, top, bot, wy); i < len(dst); i++ {
 				t := top[i]
 				dst[i] = t + wy*(bot[i]-t)

@@ -29,11 +29,11 @@ func TestPlaneOpBadOperandPanicsOnCaller(t *testing.T) {
 	}{
 		{"MaxPool", "short out", func() { MaxPool(x, up[:c*4*6-1], nil, pool, 2) }},
 		{"MaxPool", "short argmax", func() { MaxPool(x, up, make([]int32, 1), pool, 2) }},
-		{"Upsample", "short x", func() { Upsample(x[:len(x)-1], up, c, h, w, ty, tx, 2) }},
-		{"Upsample", "short out", func() { Upsample(x, up[:len(up)-1], c, h, w, ty, tx, 2) }},
-		{"Upsample", "table for a taller plane", func() { Upsample(x, up, c, h/2, 2*w, ty, tx, 2) }},
-		{"Upsample", "source index out of range", func() { Upsample(x, up, c, h, w, bad, tx, 2) }},
-		{"Upsample", "zero planes", func() { Upsample(x, up, 0, h, w, ty, tx, 2) }},
+		{"Upsample", "short x", func() { Upsample(x[:len(x)-1], up, c, h, w, 0, ty, tx, 2) }},
+		{"Upsample", "short out", func() { Upsample(x, up[:len(up)-1], c, h, w, 0, ty, tx, 2) }},
+		{"Upsample", "table for a taller plane", func() { Upsample(x, up, c, h/2, 2*w, 0, ty, tx, 2) }},
+		{"Upsample", "source index out of range", func() { Upsample(x, up, c, h, w, 0, bad, tx, 2) }},
+		{"Upsample", "zero planes", func() { Upsample(x, up, 0, h, w, 0, ty, tx, 2) }},
 		{"BatchNormInfer", "short out", func() {
 			BatchNormInfer(x, x[:len(x)-1], c, h*w, stats(c), stats(c), stats(c), stats(c), 1e-5, 2)
 		}},
@@ -95,7 +95,7 @@ func BenchmarkPlaneOps(b *testing.B) {
 	b.Run("upsample_8x32x32", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Upsample(x, out, c, h, w, ty, tx, 1)
+			Upsample(x, out, c, h, w, 0, ty, tx, 1)
 		}
 	})
 }

@@ -114,9 +114,11 @@ func (r *timer) Pool(x timedBuf) timedBuf {
 func (r *timer) Unpool(x timedBuf) timedBuf {
 	out := r.buf(Dims{x.C, 2 * x.H, 2 * x.W})
 	ty, tx := NewBilinearTable(x.H, out.H), NewBilinearTable(x.W, out.W)
-	r.time(&r.t.Other, func() { Upsample(x.d, out.d, x.C, x.H, x.W, ty, tx, r.workers) })
+	r.time(&r.t.Other, func() { Upsample(x.d, out.d, x.C, x.H, x.W, 0, ty, tx, r.workers) })
 	return out
 }
+
+func (r *timer) Reserve(int, int) {}
 
 func (r *timer) Concat(vs [MaxFanIn]timedBuf, n int) timedBuf {
 	out := timedBuf{Dims: vs[0].Dims}

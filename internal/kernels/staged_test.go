@@ -169,7 +169,7 @@ func TestConvFusedMatchesStagedOracle(t *testing.T) {
 							for _, on := range avx {
 								useAVX = on
 								got := gemmValues(rng, "plain", s.OutLen())
-								ConvFused(x, w, got, s, rn.workers, ep)
+								ConvCompact(x, w, got, s, rn.workers, ep)
 								for i, v := range want[rn.ep] {
 									if math.Float32bits(got[i]) != math.Float32bits(v) {
 										t.Fatalf("%+v workers=%d %s avx=%v: element %d = %v, staged %v",

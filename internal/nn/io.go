@@ -53,10 +53,10 @@ func SaveModule(w io.Writer, m Module) error {
 }
 
 // LoadModule reads parameters and state into m, which must have been
-// constructed with the same architecture used at save time. It drops
-// the compiled plan of a module that embeds a Trunk — also when the
-// load fails part way, having overwritten some tensors — so the next
-// eval forward folds the weights just read.
+// constructed with the same architecture used at save time. The whole
+// file is read and checked before any tensor is written, so on error m
+// is unchanged. It drops the compiled plan of a module that embeds a
+// Trunk, so the next eval forward folds the weights just read.
 func LoadModule(r io.Reader, m Module) error {
 	if t, ok := m.(interface{ dropPlan() }); ok {
 		defer t.dropPlan()
@@ -134,6 +134,7 @@ func loadTensors(r io.Reader, ts []*tensor.Tensor) error {
 	if int(hdr[1]) != len(ts) {
 		return fmt.Errorf("nn: model has %d tensors, module expects %d", hdr[1], len(ts))
 	}
+	data := make([][]float32, len(ts))
 	for i, t := range ts {
 		var rank uint32
 		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
@@ -152,9 +153,13 @@ func loadTensors(r io.Reader, ts []*tensor.Tensor) error {
 					i, d, dim, t.Shape[d])
 			}
 		}
-		if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
+		data[i] = make([]float32, len(t.Data))
+		if err := binary.Read(r, binary.LittleEndian, data[i]); err != nil {
 			return err
 		}
+	}
+	for i, t := range ts {
+		copy(t.Data, data[i])
 	}
 	return nil
 }
