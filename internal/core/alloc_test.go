@@ -11,6 +11,7 @@ import (
 
 	"computecovid19/internal/classify"
 	"computecovid19/internal/ctsim"
+	"computecovid19/internal/dataset"
 	"computecovid19/internal/ddnet"
 	"computecovid19/internal/memplan"
 	"computecovid19/internal/segment"
@@ -226,22 +227,36 @@ func TestEnhancePooledConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// cohortVolume is the first phantom of a dataset cohort at d×size×size:
+// lungs, body wall and lesions, so segmentation meets many row runs,
+// components and holes, where pooledTestVolume's air square has one.
+func cohortVolume(d, size int) *volume.Volume {
+	cfg := dataset.DefaultCohortConfig()
+	cfg.Count, cfg.Depth, cfg.Size = 1, d, size
+	return dataset.BuildCohort(cfg)[0].Volume
+}
+
 // TestAllocsWarmPipelineClassify pins zero steady-state heap
 // allocations for a warm Classify + RecycleResult cycle — segmentation,
 // masking, windowing, and the classifier forward included — on one
 // proc and on two, where the classifier's convolution tiles split
-// across the worker pool.
+// across the worker pool. The cohort phantom comes second, so the
+// segmenter's run list grows past the air square's during its warm-up
+// and must then hold steady.
 func TestAllocsWarmPipelineClassify(t *testing.T) {
 	p := pooledTestPipeline(27)
-	v := pooledTestVolume(rand.New(rand.NewSource(28)), 8, 32, 32)
-
-	cycle := func() { p.RecycleResult(p.Classify(v)) }
-	for _, procs := range []int{1, 2} {
-		if procs > 1 && memplan.RaceEnabled {
-			continue // every dispatch recycles jobs through sync.Pools
-		}
-		if n := memplan.AllocsPerRun(procs, 5, cycle); n != 0 {
-			t.Fatalf("warm Classify+RecycleResult on %d procs allocates %v allocs/op, want 0", procs, n)
+	for _, v := range []*volume.Volume{
+		pooledTestVolume(rand.New(rand.NewSource(28)), 8, 32, 32),
+		cohortVolume(8, 32),
+	} {
+		cycle := func() { p.RecycleResult(p.Classify(v)) }
+		for _, procs := range []int{1, 2} {
+			if procs > 1 && memplan.RaceEnabled {
+				continue // every dispatch recycles jobs through sync.Pools
+			}
+			if n := memplan.AllocsPerRun(procs, 5, cycle); n != 0 {
+				t.Fatalf("warm Classify+RecycleResult on %d procs allocates %v allocs/op, want 0", procs, n)
+			}
 		}
 	}
 }
@@ -309,8 +324,17 @@ func benchEnhancePooled(b *testing.B, d, size int) {
 // classification hot path; the CI alloc gate holds its allocs/op at
 // zero.
 func BenchmarkClassifyPooled(b *testing.B) {
+	benchClassifyPooled(b, pooledTestVolume(rand.New(rand.NewSource(34)), 8, 32, 32))
+}
+
+// BenchmarkClassifyPooledServed is the same at the served shape on a
+// cohort phantom, an 8×64×64 scan with real lungs: what the
+// classify.direct workload of bench/ runs, for benchcheck and for a
+// -cpuprofile of segmentation and classification.
+func BenchmarkClassifyPooledServed(b *testing.B) { benchClassifyPooled(b, cohortVolume(8, 64)) }
+
+func benchClassifyPooled(b *testing.B, v *volume.Volume) {
 	p := pooledTestPipeline(33)
-	v := pooledTestVolume(rand.New(rand.NewSource(34)), 8, 32, 32)
 	// Warm past the pools' growth, as benchEnhancePooled does: on two or
 	// more procs the convolution tiles' jobs and panels overlap
 	// differently from call to call.

@@ -5,12 +5,16 @@
 // The paper uses NVIDIA's pre-trained AH-Net model "as is"; no training
 // was performed and no weights are published, so this reproduction
 // substitutes a classical algorithmic segmenter with the same contract
-// (volume in, binary lung map out): Hounsfield thresholding, removal of
-// the outside-body air via boundary flood fill, 3D connected-component
-// selection of the lung fields, morphological closing to re-include
-// vessels and COVID lesions, and per-slice hole filling. On our phantoms
-// it reaches Dice > 0.9 against the generative ground truth, which is
-// the regime the paper's segmenter operates in on real scans.
+// (volume in, binary lung map out): Hounsfield thresholding, clipping to
+// the body hull (which removes the outside-body air), 3D
+// connected-component selection of the lung fields, morphological
+// closing to re-include vessels and COVID lesions, and per-slice hole
+// filling. Every stage runs on one row-padded bitset, 64 voxels to a
+// word: the hull from zero counts and row ORs, the components over row
+// runs, the closing and the hole fill's flood by word shifts and adds.
+// On our phantoms it reaches Dice > 0.9 against the generative ground
+// truth, which is the regime the paper's segmenter operates in on real
+// scans.
 package segment
 
 import (
@@ -53,7 +57,7 @@ func DefaultOptions() Options {
 // on coarse grids), keeping the largest interior air components (the
 // lungs), morphological closing, and per-slice hole filling. It runs
 // on a throwaway Scratch; repeated callers should hold a Scratch and
-// use LungsInto, which computes the identical mask from pooled memory.
+// use LungsInto, which computes the identical mask in reused memory.
 func Lungs(v *volume.Volume, opt Options) []bool {
 	mask := make([]bool, len(v.Data))
 	NewScratch(nil).LungsInto(v, opt, mask)

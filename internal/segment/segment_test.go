@@ -185,8 +185,9 @@ func TestFillHolesConsolidation(t *testing.T) {
 }
 
 // The reference morphology: out-of-place dilation, erosion and closing
-// with one allocation per pass. LungsInto runs the in-place closing
-// (Scratch.closeInPlace); these are its oracle.
+// with one allocation per pass. LungsInto runs the bitset closing
+// (closeBits, reached from []bool masks through closeInPlace); these
+// are its oracle.
 
 // Dilate3D grows mask by a box of the given radius (separable passes
 // along x, y, z).
