@@ -14,18 +14,21 @@ import (
 // micro-kernel's registers: the bias seeds the accumulators and the
 // activation runs on them before the one store, so the epilogue costs
 // no pass over memory at all. The halo-padded input the GEMM reads is
-// the panel, resident because its producer wrote it so; gemmBlock's
-// 4-channel × 16-column register block is the compute-unit
-// replication, and the AVX width is the vector width (gemm.go). Each
-// output is stored once, in the layout its reader takes. Unfused, every
-// layer would pay two extra full feature-map passes (BatchNorm
-// read+write, activation read+write) after the convolution; with
-// inference-mode BatchNorm folded into the weights at plan-compile time
-// (nn.Trunk.Plan), the whole conv→BN→LeakyReLU sequence is one
-// ConvFused call that touches the output exactly once. Transposed
-// convolutions additionally stop
-// re-flipping their weights per call: FlipDeconvWeights runs once at
-// plan-compile time and the flipped panel is cached in the plan.
+// the panel, resident because its producer wrote it so; the register
+// blocks of 6, 4 or 1 channels × 16 columns (gemmBlock6, gemmBlock,
+// gemmBlock1, in the channel plan of gemmJob.block) are the
+// compute-unit replication, and the AVX width is the vector width
+// (gemm.go). No block runs a lane it does not need: a row narrower
+// than 16 columns shares its blocks with the rows after it
+// (gemmJob.span). Each output is stored once, in the layout its reader
+// takes. Unfused, every layer would pay two extra full feature-map
+// passes (BatchNorm read+write, activation read+write) after the
+// convolution; with inference-mode BatchNorm folded into the weights at
+// plan-compile time (nn.Trunk.Plan), the whole conv→BN→LeakyReLU
+// sequence is one ConvFused call that touches the output exactly once.
+// Transposed convolutions additionally stop re-flipping their weights
+// per call: FlipDeconvWeights runs once at plan-compile time and the
+// flipped panel is cached in the plan.
 
 // Epilogue is the fused per-output-channel post-processing of ConvFused:
 // out[c][·] = act(Σ + Bias[c]), with act = LeakyReLU(Slope) when Act is
@@ -67,7 +70,7 @@ func ConvFused(x, w, out []float32, s ConvShape, workers int, ep Epilogue) {
 	d, kd := s.depth()
 	do, ho, wo := s.grid(s.Halo)
 	j := gemmJob{x: x, w: w, out: out, s: s, cols: d * s.H * s.W, ds: do * ho * wo,
-		rows: s.K > 1 || s.Halo > 0, ep: ep, avx: useAVX}
+		rows: s.K > 1 || s.Halo > 0, ep: ep, avx: useAVX, six: s.OutC >= 6 && s.OutC%4 >= 2}
 	j.offs = getOffsets(s.InC * kd * s.K * s.K)
 	tapOffsets(j.offs, s)
 	j.nTiles = gemmTiles(j.cols, workers)
@@ -131,11 +134,12 @@ type gemmJob struct {
 	nTiles    int
 	ep        Epilogue
 	avx       bool // useAVX, read once on the caller's goroutine
+	six       bool // the channel plan starts with a 6-channel block
 }
 
 var (
 	gemmJobs sync.Pool // of *gemmJob
-	zeroBias [4]float32
+	zeroBias [6]float32
 )
 
 // offsetTables recycles tap-offset tables. It is a locked free list
@@ -172,87 +176,137 @@ func putOffsets(t []int32) {
 // Run multiplies the column tiles [lo, hi) with the epilogue fused
 // straight into out: the bias seeds each output element's accumulator
 // and the activation runs on the accumulators before they are stored.
-// A tile goes in runs contiguous in input and output: the whole tile
-// for a compact 1×1 (or 1³) layer, else a row at a time.
 func (j *gemmJob) Run(lo, hi int) {
 	for t := lo; t < hi; t++ {
-		q0, q1 := gemmTile(t, j.nTiles, j.cols)
-		for q := q0; q < q1; {
-			n := q1 - q
-			if j.rows {
-				n = min(n, j.s.W-q%j.s.W)
-			}
-			j.multiply(q, n)
-			q += n
-		}
+		j.multiply(gemmTile(t, j.nTiles, j.cols))
 	}
 }
 
-// multiply writes act(bias + w · panel) for the n output pixels from q
-// on of every output channel. With AVX the columns go in 16-column
-// blocks, all channels of a block before the next so its input window
-// stays in L1. The columns after the last whole block run as one more
-// block into a stack tile, of which they are copied out, when that
-// block's input window lies inside x (its extra columns read the
-// following row or halo and are dropped); otherwise, and without AVX,
-// gemmRow does them. Both give the same bits.
-func (j *gemmJob) multiply(q, n int) {
-	oc, r, ep, ds := j.s.OutC, len(j.offs), j.ep, j.ds
-	x, dst := j.x[j.s.at(q, j.s.K/2, 0):], j.out[j.s.at(q, j.s.Halo, j.s.Halo):]
-	blocked := 0
-	if j.avx {
-		blocked = n &^ 15
-	}
-	if blocked > 0 {
-		_ = x[int(j.offs[r-1])+blocked-1] // the highest offset is the last tap's
-	}
-	for c := 0; c < blocked; c += 16 {
-		j.block(dst[c:], ds, x[c:], 0, oc)
-	}
-	if blocked == n {
-		return
-	}
-	if j.avx && int(j.offs[r-1])+blocked+16 <= len(x) {
-		var tile [4 * 16]float32
-		for co := 0; co < oc; co += 4 {
-			c1 := min(co+4, oc)
-			j.block(tile[:], 16, x[blocked:], co, c1)
-			for c := co; c < c1; c++ {
-				copy(dst[c*ds+blocked:c*ds+n], tile[(c-co)*16:])
+// multiply writes act(bias + w · panel) for output pixels [q0, q1) of
+// every output channel, in runs contiguous in input and output: the
+// rest of a row for a K > 1 layer or a padded output, else the whole
+// tile. With AVX a run goes in 16-column blocks, all channels of a
+// block before the next so its input window stays in L1, each written
+// straight into out. A run shorter than 16 columns — a row tail, or a
+// whole row narrower than 16 — goes to span, whose block goes on into
+// the following rows. gemmRow does every run without AVX, and with it
+// only a layer whose x is too short for any block. All give the same
+// bits.
+func (j *gemmJob) multiply(q0, q1 int) {
+	s, last := j.s, int(j.offs[len(j.offs)-1]) // the highest offset is the last tap's
+	for q := q0; q < q1; {
+		n := q1 - q
+		if j.rows {
+			n = min(n, s.W-q%s.W)
+		}
+		xi, oi := s.at(q, s.K/2, 0), s.at(q, s.Halo, s.Halo)
+		if j.avx {
+			for ; n >= 16; n -= 16 {
+				j.block(j.out[oi:], j.ds, j.x[xi:xi+last+16], 0, s.OutC)
+				q, xi, oi = q+16, xi+16, oi+16
+			}
+			if n == 0 {
+				continue
+			}
+			if last+16 <= len(j.x) {
+				q = j.span(q, q1, xi, oi)
+				continue
 			}
 		}
-		return
-	}
-	for co := 0; co < oc; co++ {
-		row := dst[co*ds+blocked : co*ds+n]
-		gemmRow(j.w[co*r:(co+1)*r], x[blocked:], j.offs, row, ep.bias(co))
-		if ep.Act {
-			for k, v := range row {
-				if v < 0 {
-					row[k] = ep.Slope * v
+		r, ep := len(j.offs), j.ep
+		for co := 0; co < s.OutC; co++ {
+			row := j.out[co*j.ds+oi:][:n]
+			gemmRow(j.w[co*r:(co+1)*r], j.x[xi:], j.offs, row, ep.bias(co))
+			if ep.Act {
+				for k, v := range row {
+					if v < 0 {
+						row[k] = ep.Slope * v
+					}
 				}
 			}
 		}
+		q += n
 	}
 }
 
-// block computes one 16-column block of output channels [co0, co1)
-// into dst, channel co at dst[(co−co0)·ds:]: four channels at a time
-// (gemmBlock), the rest one at a time (gemmBlock1).
+// span runs one 16-column block from output pixel q, whose window
+// corner is x[xi], into a stack tile. Its lanes are consecutive window
+// corners in the padded input: past the end of q's row they run on
+// through the row's halo columns (and, at the end of a plane, its halo
+// rows) into the following rows, so a row narrower than 16 columns
+// shares the block with the rows after it. Near the end of x, where
+// those lanes would read past it, the block starts as many corners
+// before q as it must instead (the last pixel's window ends at the end
+// of the padded input, so it always fits). The lanes whose corner is
+// an interior pixel from q to q1 are copied out, row by row, to their
+// cells from out[oi] on; the halo lanes, and those before q, are
+// dropped. span returns the first pixel it did not write.
+func (j *gemmJob) span(q, q1, xi, oi int) int {
+	s, p := j.s, j.s.K/2
+	wp, wo := s.W+2*p, s.W+2*s.Halo // the input's and the output's row pitch
+	back := max(0, xi+int(j.offs[len(j.offs)-1])+16-len(j.x))
+	var cuts [16]struct{ lane, oi, n int } // each interior row piece
+	nc := 0
+	for lane := back; lane < 16 && q < q1; nc++ {
+		n := min(16-lane, q1-q, s.W-q%s.W)
+		cuts[nc].lane, cuts[nc].oi, cuts[nc].n = lane, oi, n
+		q, lane, oi = q+n, lane+n, oi+n
+		if q%s.W == 0 { // skip the halo columns, and at a plane's end its halo rows
+			lane, oi = lane+2*p, oi+2*s.Halo
+			if q/s.W%s.H == 0 {
+				lane, oi = lane+2*p*wp, oi+2*s.Halo*wo
+			}
+		}
+	}
+	var tile [6 * 16]float32
+	x := j.x[xi-back:]
+	for co := 0; co < s.OutC; {
+		c1 := min(co+4, s.OutC) // the tile takes up to four channels, or the 6-block
+		if co == 0 && j.six {
+			c1 = 6
+		}
+		j.block(tile[:], 16, x, co, c1)
+		for c := co; c < c1; c++ {
+			for _, cut := range cuts[:nc] {
+				copy(j.out[c*j.ds+cut.oi:][:cut.n], tile[(c-co)*16+cut.lane:])
+			}
+		}
+		co = c1
+	}
+	return q
+}
+
+// block computes output channels [co0, co1) of one 16-column block into
+// dst, channel co at dst[(co−co0)·ds:], by the channel plan, which
+// wastes no kernel on a lone pair or triple: a count ≡ 2 or 3 (mod 4)
+// of at least six (j.six) starts with one 6-channel block (gemmBlock6),
+// then come 4-channel blocks (gemmBlock) while four remain, then one
+// channel at a time (gemmBlock1). So 6 → 6, 10 → 6+4, 11 → 6+4+1,
+// 8 → 4+4 and 9 → 4+4+1. co0 is 0 or past the 6-block.
 func (j *gemmJob) block(dst []float32, ds int, x []float32, co0, co1 int) {
 	r, ep := len(j.offs), j.ep
 	co := co0
+	if co == 0 && j.six {
+		_ = dst[5*ds+15]
+		gemmBlock6(dst, ds, x, j.offs, j.w[:6*r], j.biases(0, 6), ep.Act, ep.Slope)
+		co = 6
+	}
 	for ; co+4 <= co1; co += 4 {
 		_ = dst[(co-co0+3)*ds+15]
-		bias := zeroBias[:]
-		if ep.Bias != nil {
-			bias = ep.Bias[co : co+4]
-		}
-		gemmBlock(dst[(co-co0)*ds:], ds, x, j.offs, j.w[co*r:(co+4)*r], bias, ep.Act, ep.Slope)
+		gemmBlock(dst[(co-co0)*ds:], ds, x, j.offs, j.w[co*r:(co+4)*r], j.biases(co, 4), ep.Act, ep.Slope)
 	}
 	for ; co < co1; co++ {
 		gemmBlock1(dst[(co-co0)*ds:][:16], x, j.offs, j.w[co*r:(co+1)*r], ep.bias(co), ep.Act, ep.Slope)
 	}
+}
+
+// biases returns the biases of output channels [co, co+n), zeros without
+// any.
+func (j *gemmJob) biases(co, n int) []float32 {
+	if j.ep.Bias == nil {
+		return zeroBias[:n]
+	}
+	return j.ep.Bias[co : co+n]
 }
 
 // FlipDeconvWeights rewrites stride-1 transposed-convolution weights

@@ -48,12 +48,19 @@ const poisonBits = 0x7fc0dead
 
 // FuzzConvFused holds ConvFused to the direct nest bit for bit over
 // K ∈ {1, 3, 5, 7}, 2D and 3D layers, widths that reach the 16-column
-// blocks and the row tails, 1, 2 and 4 workers, the AVX blocks on and
-// off, and a compact or halo-padded output. The padded input's spare
-// capacity and the output's halo and spare capacity are NaN-poisoned:
-// a read past the input that reached an output, or a write outside the
-// output's interior, shows up. For 2D layers with the zero epilogue the
-// nest is also held to convBaseline itself.
+// blocks, the row tails and the blocks that span rows, 1 to 12 output
+// channels (every block kernel and each mix of them), 1, 2 and 4
+// workers, the AVX blocks on and off, and a compact or halo-padded
+// output. The padded input's spare capacity and the output's halo and
+// spare capacity are NaN-poisoned: a read past the input that reached
+// an output, or a write outside the output's interior (a spanning
+// block's halo lane copied out), shows up. For 2D layers with the zero
+// epilogue the nest is also held to convBaseline itself. The seeds
+// after the first six are the classifier's served shapes: its growth
+// convolutions (6 channels, 3³) and transitions (10 and 11 channels,
+// 1³) at depths 1, 2 and 4 and rows 4, 8, 16 and 32 wide; the last two
+// have blocks that span from one plane into the next, of a padded
+// output.
 func FuzzConvFused(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0), uint8(31), uint8(63), uint8(2), uint8(3), uint8(0), uint8(0), true)
 	f.Add(int64(2), uint8(0), uint8(0), uint8(7), uint8(20), uint8(4), uint8(8), uint8(1), uint8(1), false)
@@ -61,12 +68,24 @@ func FuzzConvFused(f *testing.F) {
 	f.Add(int64(4), uint8(1), uint8(2), uint8(5), uint8(16), uint8(1), uint8(5), uint8(1), uint8(1), true)
 	f.Add(int64(5), uint8(2), uint8(3), uint8(2), uint8(7), uint8(2), uint8(6), uint8(2), uint8(2), false)
 	f.Add(int64(6), uint8(0), uint8(1), uint8(3), uint8(15), uint8(3), uint8(1), uint8(0), uint8(2), true)
+	f.Add(int64(7), uint8(1), uint8(4), uint8(7), uint8(31), uint8(4), uint8(5), uint8(0), uint8(0), true)
+	f.Add(int64(8), uint8(1), uint8(2), uint8(15), uint8(15), uint8(4), uint8(5), uint8(1), uint8(1), true)
+	f.Add(int64(9), uint8(1), uint8(1), uint8(7), uint8(7), uint8(4), uint8(5), uint8(2), uint8(1), true)
+	f.Add(int64(10), uint8(1), uint8(4), uint8(3), uint8(3), uint8(4), uint8(5), uint8(0), uint8(1), true)
+	f.Add(int64(11), uint8(0), uint8(4), uint8(15), uint8(31), uint8(4), uint8(9), uint8(1), uint8(1), true)
+	f.Add(int64(12), uint8(0), uint8(2), uint8(15), uint8(15), uint8(4), uint8(10), uint8(0), uint8(0), false)
+	f.Add(int64(13), uint8(1), uint8(1), uint8(7), uint8(7), uint8(4), uint8(10), uint8(1), uint8(1), true)
+	f.Add(int64(14), uint8(1), uint8(2), uint8(3), uint8(3), uint8(3), uint8(9), uint8(2), uint8(0), false)
+	f.Add(int64(15), uint8(0), uint8(1), uint8(7), uint8(7), uint8(4), uint8(5), uint8(0), uint8(1), true)
+	f.Add(int64(16), uint8(1), uint8(4), uint8(15), uint8(15), uint8(2), uint8(5), uint8(1), uint8(1), false)
+	f.Add(int64(17), uint8(0), uint8(3), uint8(2), uint8(3), uint8(4), uint8(10), uint8(1), uint8(1), true)
+	f.Add(int64(18), uint8(1), uint8(4), uint8(2), uint8(1), uint8(2), uint8(5), uint8(0), uint8(2), true)
 	orig := useAVX
 	f.Fuzz(func(t *testing.T, seed int64, ki, di, hi, wi, ci, oi, wk, halo uint8, avx bool) {
 		defer func() { useAVX = orig }()
 		useAVX = avx && orig
-		s := ConvShape{InC: 1 + int(ci)%5, D: int(di) % 4, H: 1 + int(hi)%24, W: 1 + int(wi)%48,
-			OutC: 1 + int(oi)%9, K: []int{1, 3, 5, 7}[ki%4], Halo: int(halo) % 3}
+		s := ConvShape{InC: 1 + int(ci)%5, D: int(di) % 5, H: 1 + int(hi)%24, W: 1 + int(wi)%48,
+			OutC: 1 + int(oi)%12, K: []int{1, 3, 5, 7}[ki%4], Halo: int(halo) % 3}
 		workers := []int{1, 2, 4}[wk%3]
 		rng := rand.New(rand.NewSource(seed))
 		x := gemmValues(rng, "plain", s.InLen())

@@ -24,8 +24,8 @@ import "computecovid19/internal/memplan"
 //     exact float32 zeros);
 //   - CU replication (the compute-unit factor of Tables 5 and 7):
 //     register blocking. gemmBlock keeps 4 output channels × 16 columns
-//     of accumulators in registers, so each input load feeds four
-//     channels and each weight broadcast 16 columns;
+//     of accumulators in registers (gemmBlock6 six), so each input load
+//     feeds four (six) channels and each weight broadcast 16 columns;
 //   - vectorization (the width factor): the columns are the vector
 //     lanes, 8 wide in AVX where the CPU has it and 4 wide in SSE
 //     (gemmRow) on any other amd64. Columns are independent sums, so

@@ -5,10 +5,10 @@ package kernels
 // run only where cpuHasAVX finds the instructions and the OS support
 // for the YMM state.
 
-// useAVX selects the AVX block kernels (gemmBlock, gemmBlock1) for
-// ConvFused; without them every column goes through gemmRow. It is set
-// once by the CPUID probe; tests clear it to run the fallback on AVX
-// hardware.
+// useAVX selects the AVX block kernels (gemmBlock, gemmBlock6,
+// gemmBlock1) for ConvFused; without them every column goes through
+// gemmRow. It is set once by the CPUID probe; tests clear it to run the
+// fallback on AVX hardware.
 var useAVX = cpuHasAVX()
 
 func cpuHasAVX() bool
@@ -39,6 +39,12 @@ func gemmTap(dst, p []float32, a float32) int
 //
 //go:noescape
 func gemmBlock(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32)
+
+// gemmBlock6 is gemmBlock for six output channels: x must hold
+// max(offs)+16 values, w 6·r, bias 6, and dst 5·ds+16.
+//
+//go:noescape
+func gemmBlock6(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32)
 
 // gemmBlock1 is gemmBlock for one output channel: dst[j] = act(bias +
 // Σ_t w[t]·x[offs[t]+j]) for j < 16. x must hold max(offs)+16 values,

@@ -92,11 +92,12 @@ tapdone:
 	VADDPS       acc1, Y12, acc1
 
 // The epilogue's LeakyReLU on one accumulator: lanes below zero (not
-// NaN, not -0) take the product with the slope in Y13; Y14 holds zero.
-#define LRELU(acc) \
-	VCMPPS    $0x11, Y14, acc, Y11; \
-	VMULPS    Y13, acc, Y12; \
-	VBLENDVPS Y11, Y12, acc, acc
+// NaN, not -0) take the product with the slope in Y13; Y14 holds zero,
+// and mask and prod are scratch.
+#define LRELU(acc, mask, prod) \
+	VCMPPS    $0x11, Y14, acc, mask; \
+	VMULPS    Y13, acc, prod; \
+	VBLENDVPS mask, prod, acc, acc
 
 // func gemmBlock(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32)
 //
@@ -143,14 +144,14 @@ blockepi:
 	JEQ  blockstore
 	VBROADCASTSS slope+132(FP), Y13
 	VXORPS Y14, Y14, Y14
-	LRELU(Y0)
-	LRELU(Y1)
-	LRELU(Y2)
-	LRELU(Y3)
-	LRELU(Y4)
-	LRELU(Y5)
-	LRELU(Y6)
-	LRELU(Y7)
+	LRELU(Y0, Y11, Y12)
+	LRELU(Y1, Y11, Y12)
+	LRELU(Y2, Y11, Y12)
+	LRELU(Y3, Y11, Y12)
+	LRELU(Y4, Y11, Y12)
+	LRELU(Y5, Y11, Y12)
+	LRELU(Y6, Y11, Y12)
+	LRELU(Y7, Y11, Y12)
 
 blockstore:
 	MOVQ    dst_base+0(FP), DI
@@ -167,6 +168,104 @@ blockstore:
 	ADDQ    BX, DI
 	VMOVUPS Y6, (DI)
 	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// TAP6 is TAP for gemmBlock6, whose twelve accumulators leave it Y12
+// and Y13 for the input, Y14 for the weight and Y15 for the products.
+#define TAP6(wrow, acc0, acc1) \
+	VBROADCASTSS (wrow)(AX*4), Y14; \
+	VMULPS       Y14, Y12, Y15; \
+	VADDPS       acc0, Y15, acc0; \
+	VMULPS       Y14, Y13, Y15; \
+	VADDPS       acc1, Y15, acc1
+
+// func gemmBlock6(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32)
+//
+// gemmBlock for six output channels, in twelve accumulators (Y0–Y11):
+// one load of the input window per tap feeds all six, where a 4-channel
+// block and two gemmBlock1 passes would load it three times and run two
+// dependent add chains each. The weight rows are R8–R11, R13 and DI.
+TEXT ·gemmBlock6(SB), NOSPLIT, $0-136
+	MOVQ offs_base+56(FP), R12
+	MOVQ offs_len+64(FP), CX
+	MOVQ x_base+32(FP), SI
+	MOVQ w_base+80(FP), R8
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	LEAQ (R11)(CX*4), R13
+	LEAQ (R13)(CX*4), DI
+	MOVQ bias_base+104(FP), DX
+	VBROADCASTSS (DX), Y0
+	VBROADCASTSS (DX), Y1
+	VBROADCASTSS 4(DX), Y2
+	VBROADCASTSS 4(DX), Y3
+	VBROADCASTSS 8(DX), Y4
+	VBROADCASTSS 8(DX), Y5
+	VBROADCASTSS 12(DX), Y6
+	VBROADCASTSS 12(DX), Y7
+	VBROADCASTSS 16(DX), Y8
+	VBROADCASTSS 16(DX), Y9
+	VBROADCASTSS 20(DX), Y10
+	VBROADCASTSS 20(DX), Y11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JZ   sixepi
+
+sixloop:
+	MOVLQSX (R12)(AX*4), DX
+	VMOVUPS (SI)(DX*4), Y12
+	VMOVUPS 32(SI)(DX*4), Y13
+	TAP6(R8, Y0, Y1)
+	TAP6(R9, Y2, Y3)
+	TAP6(R10, Y4, Y5)
+	TAP6(R11, Y6, Y7)
+	TAP6(R13, Y8, Y9)
+	TAP6(DI, Y10, Y11)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  sixloop
+
+sixepi:
+	CMPB act+128(FP), $0
+	JEQ  sixstore
+	VBROADCASTSS slope+132(FP), Y13
+	VXORPS Y14, Y14, Y14
+	LRELU(Y0, Y12, Y15)
+	LRELU(Y1, Y12, Y15)
+	LRELU(Y2, Y12, Y15)
+	LRELU(Y3, Y12, Y15)
+	LRELU(Y4, Y12, Y15)
+	LRELU(Y5, Y12, Y15)
+	LRELU(Y6, Y12, Y15)
+	LRELU(Y7, Y12, Y15)
+	LRELU(Y8, Y12, Y15)
+	LRELU(Y9, Y12, Y15)
+	LRELU(Y10, Y12, Y15)
+	LRELU(Y11, Y12, Y15)
+
+sixstore:
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    ds+24(FP), BX
+	SHLQ    $2, BX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPS Y10, (DI)
+	VMOVUPS Y11, 32(DI)
 	VZEROUPPER
 	RET
 
@@ -199,8 +298,8 @@ oneepi:
 	JEQ  onestore
 	VBROADCASTSS slope+104(FP), Y13
 	VXORPS Y14, Y14, Y14
-	LRELU(Y0)
-	LRELU(Y1)
+	LRELU(Y0, Y11, Y12)
+	LRELU(Y1, Y11, Y12)
 
 onestore:
 	MOVQ    dst_base+0(FP), DI

@@ -15,6 +15,10 @@ func gemmBlock(dst []float32, ds int, x []float32, offs []int32, w []float32, bi
 	panic("kernels: gemmBlock needs amd64")
 }
 
+func gemmBlock6(dst []float32, ds int, x []float32, offs []int32, w []float32, bias []float32, act bool, slope float32) {
+	panic("kernels: gemmBlock6 needs amd64")
+}
+
 func gemmBlock1(dst, x []float32, offs []int32, w []float32, bias float32, act bool, slope float32) {
 	panic("kernels: gemmBlock1 needs amd64")
 }

@@ -137,14 +137,15 @@ func TestGemmRowMatchesScalarLoop(t *testing.T) {
 }
 
 // TestGemmBlockMatchesScalarLoop pins the AVX block kernels to the Go
-// loop bit for bit: gemmBlock's four channels and gemmBlock1's one are
-// each gemmRowScalar over 16 columns, then the LeakyReLU when act is
-// set. It sweeps reduction lengths 1–5 (a loop that runs once or a few
-// times), 27 (a 3³ single-channel layer) and 648, taps in and out of
-// address order, unaligned operands, output rows longer than the block
-// (ds > 16), every value regime with and without the activation, and
-// checks that nothing outside the 4 × 16 block is written: not between
-// its rows and not past its end.
+// loop bit for bit: gemmBlock6's six channels, gemmBlock's four and
+// gemmBlock1's one are each gemmRowScalar over 16 columns, then the
+// LeakyReLU when act is set. It sweeps reduction lengths 1–5 (a loop
+// that runs once or a few times), 27 (a 3³ single-channel layer) and
+// 648, taps in and out of address order, unaligned operands, output
+// rows longer than the block (ds > 16), every value regime (NaN, ±Inf
+// and ±0 among the specials) with and without the activation, and
+// checks that nothing outside the channels × 16 block is written: not
+// between its rows and not past its end.
 func TestGemmBlockMatchesScalarLoop(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this CPU: ConvFused never calls the block kernels")
@@ -154,7 +155,7 @@ func TestGemmBlockMatchesScalarLoop(t *testing.T) {
 	for _, regime := range []string{"plain", "specials", "subnormal", "overflow"} {
 		for _, r := range []int{1, 2, 3, 4, 5, 27, 648} {
 			for trial := 0; trial < 8; trial++ {
-				for _, nc := range []int{4, 1} {
+				for _, nc := range []int{6, 4, 1} {
 					act := trial%2 == 1
 					slope := gemmValues(rng, "plain", 1)[0]
 					offs, span := gemmOffsets(rng, r, 16, 16+rng.Intn(9), trial >= 4)
@@ -177,9 +178,12 @@ func TestGemmBlockMatchesScalarLoop(t *testing.T) {
 					buf := gemmValues(rng, "plain", off+(nc-1)*ds+16+guard)
 					orig := append([]float32(nil), buf...)
 					got := buf[off:]
-					if nc == 4 {
+					switch nc {
+					case 6:
+						gemmBlock6(got, ds, x, offs, w, bias, act, slope)
+					case 4:
 						gemmBlock(got, ds, x, offs, w, bias, act, slope)
-					} else {
+					default:
 						gemmBlock1(got, x, offs, w, bias[0], act, slope)
 					}
 
@@ -219,9 +223,15 @@ func BenchmarkGemmRow(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmBlock times four output channels over the same r × n
-// shapes as BenchmarkGemmRow, 16 columns per gemmBlock call; GMAC/s
-// counts all four channels.
+// BenchmarkGemmBlock times each AVX block kernel — gemmBlock6's six
+// channels, gemmBlock's four and gemmBlock1's one — over the same r × n
+// shapes as BenchmarkGemmRow, 16 columns per call, then at the
+// classifier's narrowest served rows: its growth convolution (24
+// channels in, 3³, r = 648) on 4 × 8 × 8 with a padded output, through
+// ConvFused on one worker, with 6, 4 or 1 output channels so that one
+// kernel does all the work. GMAC/s counts the useful multiply-adds of
+// every channel: on the 8-wide rows a lane that lands on a halo column
+// does work that counts for nothing.
 func BenchmarkGemmBlock(b *testing.B) {
 	if !useAVX {
 		b.Skip("no AVX on this CPU")
@@ -230,17 +240,41 @@ func BenchmarkGemmBlock(b *testing.B) {
 	for _, sh := range []struct{ r, n int }{{27, 4096}, {200, 1024}, {648, 2048}} {
 		x := gemmValues(rng, "plain", sh.r*(sh.n+16))
 		offs, _ := gemmOffsets(rng, sh.r, sh.n, sh.n+16, false)
-		w := gemmValues(rng, "plain", 4*sh.r)
-		bias := []float32{0.5, 0.5, 0.5, 0.5}
-		dst := make([]float32, 4*sh.n)
-		b.Run(fmt.Sprintf("r%d_n%d", sh.r, sh.n), func(b *testing.B) {
-			b.SetBytes(int64(4 * sh.r * sh.n))
-			for i := 0; i < b.N; i++ {
-				for q := 0; q < sh.n; q += 16 {
-					gemmBlock(dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
+		w := gemmValues(rng, "plain", 6*sh.r)
+		bias := []float32{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+		dst := make([]float32, 6*sh.n)
+		for _, nc := range []int{6, 4, 1} {
+			b.Run(fmt.Sprintf("r%d_n%d/c%d", sh.r, sh.n, nc), func(b *testing.B) {
+				b.SetBytes(int64(4 * sh.r * sh.n))
+				for i := 0; i < b.N; i++ {
+					for q := 0; q < sh.n; q += 16 {
+						switch nc {
+						case 6:
+							gemmBlock6(dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
+						case 4:
+							gemmBlock(dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
+						default:
+							gemmBlock1(dst[q:q+16], x[q:], offs, w, bias[0], false, 0)
+						}
+					}
 				}
+				b.ReportMetric(float64(nc*sh.r*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+	}
+	for _, nc := range []int{6, 4, 1} {
+		s := ConvShape{InC: 24, D: 4, H: 8, W: 8, OutC: nc, K: 3, Halo: 1}
+		do, ho, wo := s.grid(s.Halo)
+		xp := make([]float32, s.padLen())
+		Pad(gemmValues(rng, "plain", s.InLen()), xp, s)
+		w := gemmValues(rng, "plain", s.WeightLen())
+		out := make([]float32, nc*do*ho*wo)
+		ep := Epilogue{Bias: gemmValues(rng, "plain", nc)}
+		b.Run(fmt.Sprintf("w8_r648/c%d", nc), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ConvFused(xp, w, out, s, 1, ep)
 			}
-			b.ReportMetric(float64(4*sh.r*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(float64(s.OutLen()*648)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
 	}
 }

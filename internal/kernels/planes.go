@@ -472,11 +472,14 @@ func (j *opJob) batchNorm(lo, hi int) {
 	}
 }
 
+// bnAct maps channels [lo, hi): bnActRow's vector step first, then
+// the Go loop, which has the same bits, for the rest.
 func (j *opJob) bnAct(lo, hi int) {
-	x, out, hw, slope := j.x, j.out, j.hw, j.slope
+	hw, slope := j.hw, j.slope
 	for ci := lo; ci < hi; ci++ {
 		s, t := j.scale[ci], j.shift[ci]
-		for i := ci * hw; i < (ci+1)*hw; i++ {
+		x, out := j.x[ci*hw:(ci+1)*hw], j.out[ci*hw:(ci+1)*hw]
+		for i := bnActRow(out, x, s, t, slope); i < hw; i++ {
 			v := s*x[i] + t
 			if v < 0 {
 				v = slope * v

@@ -1,9 +1,10 @@
 package kernels
 
 // The plane kernels of planes_amd64.s are SSE, in the amd64 baseline,
-// so they run on every amd64 CPU with no probe. Each covers a row of
-// n >= 4 columns in full and returns n, or returns 0 and does nothing
-// for a shorter row, which the Go loop in planes.go then does.
+// so they run on every amd64 CPU with no probe. Each pool and up-sample
+// kernel covers a row of n >= 4 columns in full and returns n, or
+// returns 0 and does nothing for a shorter row, which the Go loop in
+// planes.go then does; bnActRow returns how far it got.
 
 // maxPairs sets dst[j] to the first-wins maximum of src[2j] and
 // src[2j+1]. src must hold 2·len(dst) values.
@@ -36,3 +37,10 @@ func lerpRows(dst, top, bot []float32, wy float32) int
 //
 //go:noescape
 func lerpPairs(dst, src []float32, f0, f1 float32) int
+
+// bnActRow sets dst[j] = lrelu(s·src[j] + t), LeakyReLU with slope,
+// for j < len(dst) &^ 3 and returns that count; the Go loop does the
+// rest. dst may be src; src must hold len(dst) &^ 3 values.
+//
+//go:noescape
+func bnActRow(dst, src []float32, s, t, slope float32) int

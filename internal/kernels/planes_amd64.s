@@ -219,3 +219,49 @@ lpairsloop:
 
 lpairsdone:
 	RET
+
+// func bnActRow(dst, src []float32, s, t, slope float32) int
+//
+// dst[j] = lrelu(s·src[j] + t) for j < len(dst) &^ 3, four per step:
+// one MULPS and one ADDPS, then, in the lanes where the sum is below
+// zero (CMPPS LT: never a NaN, never −0), its product with slope,
+// merged in by ANDPS/ANDNPS/ORPS. That is the Go loop's multiply, add
+// and compare, lane for lane, so every bit is its own. Unlike the
+// kernels above it has no overlapping last step, because dst may be
+// src: it returns len(dst) &^ 3 and leaves the tail to the Go loop.
+// src must hold that many values.
+TEXT ·bnActRow(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   dst_len+8(FP), CX
+	ANDQ   $-4, CX
+	MOVQ   CX, ret+64(FP)
+	MOVQ   src_base+24(FP), SI
+	MOVSS  s+48(FP), X4
+	SHUFPS $0, X4, X4
+	MOVSS  t+52(FP), X5
+	SHUFPS $0, X5, X5
+	MOVSS  slope+56(FP), X6
+	SHUFPS $0, X6, X6
+	XORPS  X7, X7
+	SHRQ   $2, CX
+	JZ     bnactdone
+	XORQ   AX, AX
+
+bnactloop:
+	MOVUPS (SI)(AX*1), X0
+	MULPS  X4, X0
+	ADDPS  X5, X0
+	MOVAPS X0, X1
+	CMPPS  X7, X1, $1
+	MOVAPS X0, X2
+	MULPS  X6, X2
+	ANDPS  X1, X2
+	ANDNPS X0, X1
+	ORPS   X2, X1
+	MOVUPS X1, (DI)(AX*1)
+	ADDQ   $16, AX
+	DECQ   CX
+	JNZ    bnactloop
+
+bnactdone:
+	RET

@@ -14,3 +14,5 @@ func maxRows(dst, src []float32, stride, rows int) int { return 0 }
 func lerpRows(dst, top, bot []float32, wy float32) int { return 0 }
 
 func lerpPairs(dst, src []float32, f0, f1 float32) int { return 0 }
+
+func bnActRow(dst, src []float32, s, t, slope float32) int { return 0 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -54,6 +55,60 @@ func TestPlaneOpBadOperandPanicsOnCaller(t *testing.T) {
 		}()
 		if !strings.HasPrefix(msg, "kernels: "+tc.op) {
 			t.Errorf("%s %s: recovered %q, want %s's operand panic", tc.op, tc.name, msg, tc.op)
+		}
+	}
+}
+
+// TestBNActInferMatchesScalarLoop holds BNActInfer — bnActRow's vector
+// step, then the Go loop for the tail — to the scalar loop bit for bit:
+// planes of 1 to 13 cells and of 64 (every tail of the four-wide step,
+// and planes too short for a step), inputs with NaN, ±0, ±Inf,
+// subnormals and ±MaxFloat32 among plain values, a zero and a −0 shift,
+// slopes 0.01 and 0 (where −Inf times the slope is NaN), out of place
+// and in place, on 1, 2 and 4 workers.
+func TestBNActInferMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32, -1e-40,
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	const c = 5
+	for _, hw := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64} {
+		for _, slope := range []float32{0.01, 0} {
+			x := gemmValues(rng, "plain", c*hw)
+			for i := range x {
+				if i%3 == 0 {
+					x[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			scale, shift := gemmValues(rng, "plain", c), gemmValues(rng, "plain", c)
+			shift[0], shift[1] = 0, float32(math.Copysign(0, -1))
+			want := make([]float32, c*hw)
+			for i, v := range x {
+				v = scale[i/hw]*v + shift[i/hw]
+				if v < 0 {
+					v = slope * v
+				}
+				want[i] = v
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, inPlace := range []bool{false, true} {
+					got := make([]float32, c*hw)
+					if inPlace {
+						copy(got, x)
+						BNActInfer(got, got, c, hw, scale, shift, slope, workers)
+					} else {
+						BNActInfer(x, got, c, hw, scale, shift, slope, workers)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("hw=%d slope=%v workers=%d in place %v: element %d of x=%v is %v (%#08x), scalar loop %v (%#08x)",
+								hw, slope, workers, inPlace, i, x[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
 		}
 	}
 }
