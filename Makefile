@@ -5,7 +5,7 @@ GO ?= go
 BENCHTIME ?=
 BENCHFLAGS = -bench . -benchmem -run '^$$' $(if $(BENCHTIME),-benchtime=$(BENCHTIME))
 
-.PHONY: build test race vet crossarch fmt lint lint-tools chaos cluster-chaos cover alloc fuzz bench-smoke bench benchcheck loc ci clean
+.PHONY: build test race vet crossarch fmt lint lint-tools chaos cluster-chaos cover alloc fuzz wiresweep bench-smoke bench benchcheck loc ci clean
 
 # Pinned static-analysis tool versions; `make lint-tools` installs them
 # (CI does this — it needs network, so it is not part of `make lint`).
@@ -142,6 +142,15 @@ fuzz:
 		done; \
 	done
 
+# The scan codec's exhaustive check: every finite float32 written by
+# appendFloat32 and read back by parseFloat32 must give its own bits,
+# strconv's bits and the literal's end. `make test` walks one pattern in
+# 4099 of TestEveryFloat32RoundTrips; -wiresweep walks all 2^32, on
+# GOMAXPROCS workers (20 minutes on 2 vCPUs). The nightly lane
+# runs it.
+wiresweep:
+	$(GO) test -run '^TestEveryFloat32RoundTrips$$' -count=1 -timeout 3h -v ./internal/serve/ -wiresweep
+
 # bench/ is its own module (the BENCHMARK.json yardstick), so neither
 # `go build ./...` nor `go test ./...` compiles it and a signature it
 # relies on can break unnoticed until the benchmark driver runs. This
@@ -160,13 +169,15 @@ ci: build lint crossarch test race chaos cluster-chaos alloc bench-smoke cover
 # range), the parallel-for overhead benchmark, the kernel benchmarks
 # (the four Table 7 rungs and the ConvFused GEMM as "fused", by
 # BenchmarkConvRungs/BenchmarkDeconvRungs, and the served max pools and
-# up-sample, by BenchmarkPlaneOps), and the pooled pipeline hot
-# paths (whose allocs/op must stay 0 — see `make alloc`).
+# up-sample, by BenchmarkPlaneOps), the pooled pipeline hot
+# paths (whose allocs/op must stay 0 — see `make alloc`), and the scan
+# wire decode (BenchmarkReadScan, a cohort and an enhanced-like body).
 bench:
 	$(GO) test $(BENCHFLAGS) ./internal/obs/
 	$(GO) test $(BENCHFLAGS) ./internal/parallel/
 	$(GO) test $(BENCHFLAGS) ./internal/kernels/
 	$(GO) test $(BENCHFLAGS) ./internal/core/
+	$(GO) test $(BENCHFLAGS) ./internal/serve/
 
 # Benchmark-regression gate: benchmark a baseline checkout (BASE_REF,
 # default origin/main or HEAD~1) against HEAD and fail on >15% ns/op

@@ -271,6 +271,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return le.Uint64(b[:])
 	}
 
+	// A CRC-valid payload can still claim any count, and every count
+	// sizes an allocation, so each is held to the bytes left to back it
+	// before anything is allocated: n items of size bytes must fit.
+	fits := func(n, size uint64) bool { return n <= uint64(rd.Len())/size }
+
 	s := &Snapshot{}
 	s.Step = gu64()
 	s.Epoch = gu64()
@@ -282,6 +287,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		s.RNG[i] = gu64()
 	}
 	if n := gu32(); n > 0 && ferr == nil {
+		if !fits(uint64(n), 4) {
+			return nil, fmt.Errorf("distrib: checkpoint order claims %d entries, more than the payload holds", n)
+		}
 		s.Order = make([]uint32, n)
 		for i := range s.Order {
 			s.Order[i] = gu32()
@@ -293,17 +301,36 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if ferr != nil {
 			break
 		}
+		if !fits(uint64(count), 4) { // each tensor has at least its rank
+			return nil, fmt.Errorf("distrib: checkpoint group %d claims %d tensors, more than the payload holds", g, count)
+		}
 		ts := make([]*tensor.Tensor, 0, count)
 		for i := 0; i < int(count) && ferr == nil; i++ {
-			rank := gu32()
-			shape := make([]int, rank)
-			numel := 1
-			for d := range shape {
-				shape[d] = int(gu32())
-				numel *= shape[d]
+			rank := uint64(gu32())
+			if ferr == nil && !fits(rank, 4) {
+				return nil, fmt.Errorf("distrib: checkpoint tensor %d/%d claims rank %d, more than the payload holds", g, i, rank)
 			}
-			if ferr != nil || numel < 0 || uint64(numel)*4 > plen {
+			// Every dimension, and their product, is at most the floats
+			// left: checked before each multiply, so it cannot wrap.
+			tooLarge := func() error {
+				return fmt.Errorf("distrib: checkpoint tensor %d/%d claims a shape larger than the payload holds", g, i)
+			}
+			limit := uint64(rd.Len()) / 4
+			shape := make([]int, rank)
+			numel := uint64(1)
+			for d := range shape {
+				dim := uint64(gu32())
+				if dim > limit || dim > 0 && numel > limit/dim {
+					return nil, tooLarge()
+				}
+				numel *= dim
+				shape[d] = int(dim)
+			}
+			if ferr != nil {
 				return nil, fmt.Errorf("distrib: checkpoint tensor %d/%d has implausible shape", g, i)
+			}
+			if !fits(numel, 4) {
+				return nil, tooLarge()
 			}
 			t := tensor.New(shape...)
 			for j := range t.Data {

@@ -2,6 +2,8 @@ package distrib
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -194,4 +196,92 @@ func TestRestoreDropsCompiledPlan(t *testing.T) {
 			t.Fatalf("element %d: eval forward after Restore %v, graph forward of the restored weights %v", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// framed wraps payload in the checkpoint container: magic, version,
+// length and the payload's CRC, so a reader gets past the framing to the
+// field decoder.
+func framed(payload []byte) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(ckptMagic), make([]byte, 12)...)
+	le.PutUint32(out[8:], ckptVersion)
+	le.PutUint64(out[12:], uint64(len(payload)))
+	out = append(out, payload...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// payloadOf returns the payload of an encoded checkpoint.
+func payloadOf(t testing.TB, s *Snapshot) []byte {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	return b[len(ckptMagic)+12 : len(b)-4]
+}
+
+// scalarBytes is the payload's fixed prefix: step, epoch, cursor,
+// nodes, Adam's step, the learning rate and the RNG state.
+const scalarBytes = 8 + 8 + 8 + 4 + 8 + 8 + 4*8
+
+// TestReadSnapshotRefusesImpossibleCounts: a CRC-valid payload whose
+// order length, tensor count, rank, dimensions, their product or the
+// element count claim more than its bytes can hold is refused as such,
+// before anything is sized by the claim. Each claim is small or wraps
+// to small, so a decoder without the bound would allocate little and
+// fail as truncated or decode a wrong shape, never allocate the claim;
+// each case fails if its bound is taken out.
+func TestReadSnapshotRefusesImpossibleCounts(t *testing.T) {
+	le := binary.LittleEndian
+	u32s := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = le.AppendUint32(b, v)
+		}
+		return b
+	}
+	prefix := make([]byte, scalarBytes)
+	with := func(tail ...[]byte) []byte {
+		return append(prefix[:scalarBytes:scalarBytes], bytes.Join(tail, nil)...)
+	}
+	const shape = "shape larger than the payload holds"
+	for _, c := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		// order length, [order], count, then rank, dims and data per tensor
+		{"order", "order claims", with(u32s(3), u32s(1, 2))},
+		{"tensors", "claims 3 tensors", with(u32s(0, 3), u32s(0, 0))},
+		{"rank", "claims rank 4", with(u32s(0, 1, 4), u32s(1, 1, 1))},
+		{"dimension", shape, with(u32s(0, 1, 2, 7, 8))},
+		// After a zero dimension only the per-dimension bound stops a
+		// huge one, which a 32-bit int would read as negative.
+		{"dimension after zero", shape, with(u32s(0, 1, 2, 0, 1<<32-1), u32s(0, 0, 0))},
+		{"elements", shape, with(u32s(0, 1, 2, 3, 3), u32s(1, 2, 3, 4, 5, 6, 7, 8))},
+		// Four dimensions of 2^16, each within the 2^16+ floats left,
+		// whose product wraps a 64-bit count to 0.
+		{"wrapping product", shape, with(u32s(0, 1, 4, 1<<16, 1<<16, 1<<16, 1<<16), make([]byte, 4<<16))},
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(framed(c.payload)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadSnapshot error %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds the field decoder arbitrary CRC-valid payloads:
+// it must refuse or decode without panicking, and what it decodes must
+// re-encode to the bytes it read.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Add(payloadOf(f, demoSnapshot()))
+	f.Add(payloadOf(f, &Snapshot{}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := ReadSnapshot(bytes.NewReader(framed(payload)))
+		if err != nil {
+			return
+		}
+		if again := payloadOf(t, s); !bytes.HasPrefix(payload, again) {
+			t.Fatalf("decoded snapshot re-encodes to %x, not a prefix of the payload %x", again, payload)
+		}
+	})
 }

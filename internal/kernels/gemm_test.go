@@ -225,7 +225,10 @@ func BenchmarkGemmRow(b *testing.B) {
 
 // BenchmarkGemmBlock times each AVX block kernel — gemmBlock6's six
 // channels, gemmBlock's four and gemmBlock1's one — over the same r × n
-// shapes as BenchmarkGemmRow, 16 columns per call, then at the
+// shapes as BenchmarkGemmRow, 16 columns per call (r = 648 as a served
+// layer reads it: the 24 × 27 taps of tapOffsets over a padded 24 ×
+// 4 × 34 × 34 panel, 0.44 MB, where rows n+16 floats apart would span
+// 5.3 MB and time cache misses instead of the kernel), then at the
 // classifier's narrowest served rows: its growth convolution (24
 // channels in, 3³, r = 648) on 4 × 8 × 8 with a padded output, through
 // ConvFused on one worker, with 6, 4 or 1 output channels so that one
@@ -240,6 +243,11 @@ func BenchmarkGemmBlock(b *testing.B) {
 	for _, sh := range []struct{ r, n int }{{27, 4096}, {200, 1024}, {648, 2048}} {
 		x := gemmValues(rng, "plain", sh.r*(sh.n+16))
 		offs, _ := gemmOffsets(rng, sh.r, sh.n, sh.n+16, false)
+		if sh.r == 648 {
+			s := ConvShape{InC: 24, D: 2, H: 32, W: 32, OutC: 6, K: 3}
+			x = gemmValues(rng, "plain", s.padLen())
+			tapOffsets(offs, s)
+		}
 		w := gemmValues(rng, "plain", 6*sh.r)
 		bias := []float32{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
 		dst := make([]float32, 6*sh.n)

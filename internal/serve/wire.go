@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -332,6 +334,10 @@ func parseData(b []byte, i, size int) ([]float32, int, bool) {
 			return nil, i, false
 		}
 		data = append(data, f)
+		if end+1 < len(b) && b[end] == ',' && b[end+1] > ' ' {
+			i = end + 1 // no whitespace, as AppendScan writes it
+			continue
+		}
 		i = skipSpace(b, end)
 		if i == len(b) {
 			return nil, i, false
@@ -347,50 +353,125 @@ func parseData(b []byte, i, size int) ([]float32, int, bool) {
 	}
 }
 
-// float32Pow10 holds the powers of ten a float32 represents exactly.
-var float32Pow10 = [...]float32{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
-
 // parseFloat32 parses the JSON number at b[i] to the bits
 // strconv.ParseFloat(s, 32) gives it, returning the end of the number;
 // ok is false when no number starts there or it overflows float32. The
-// digits are read once: a number whose digits form an integer below
-// 2^24 with a decimal exponent within ±10 is one correctly rounded
-// float32 multiply or divide of two exact values — strconv's own exact
-// case — and only the rest are handed to strconv.
+// digits are read once, into a decimal mantissa N and exponent p with
+// value N·10^p, and exactFloat32 rounds every N·10^p that one float64
+// operation computes exactly enough; strconv rounds the rest.
+//
+// A scan is made of plain decimals, and those are read eight bytes at a
+// time, with no branch per digit: when at least 17 bytes of body follow
+// the sign, one load takes the integer digits (1 to 7, no leading zero)
+// and, after a '.', a second the fraction digits (1 to 8), so N < 10^15
+// and -8 <= p <= 0, always the exact case. Anything else — more digits,
+// an exponent, a leading zero, the body's last bytes — goes to
+// scanNumber, which reads a byte at a time.
 func parseFloat32(b []byte, i int) (float32, int, bool) {
 	j := i
 	neg := j < len(b) && b[j] == '-'
 	if neg {
 		j++
 	}
-	var mant uint32
-	exp := 0
-	exact := true
-	digit := func(c byte) {
-		if exact {
-			mant = mant*10 + uint32(c-'0')
-			exact = mant < 1<<24
+	var mant uint64
+	exp, end, ok := 0, 0, false
+	if len(b)-j >= 17 {
+		w := (*[17]byte)(b[j:])
+		x := binary.LittleEndian.Uint64(w[:8])
+		if n := digitRun(x); 0 < n && n < 8 && (n == 1 || w[0] != '0') {
+			mant, end, ok = digitsValue(x, n), n, true
+			if w[n] == '.' {
+				y := binary.LittleEndian.Uint64(w[n+1:])
+				m := digitRun(y)
+				mant = mant*uint64Pow10[m] + digitsValue(y, m)
+				exp, end = -m, n+1+m
+				ok = m > 0
+			}
+			c := w[end] // a ninth fraction digit, or an exponent, is scanNumber's
+			ok = ok && (c < '0' || c > '9') && c|0x20 != 'e'
+			end += j
 		}
 	}
+	if !ok {
+		if mant, exp, end, ok = scanNumber(b, j); !ok {
+			return 0, i, false
+		}
+	}
+	if f, ok := exactFloat32(mant, exp); ok {
+		if neg {
+			f = -f
+		}
+		return f, end, true
+	}
+	f, err := strconv.ParseFloat(string(b[i:end]), 32)
+	return float32(f), end, err == nil
+}
+
+// The bytes of a uint64 loaded little endian from the body, the first
+// byte lowest: each constant here repeats its byte eight times.
+const (
+	lanes    = 0x0101010101010101
+	laneTops = 0x8080808080808080
+)
+
+// digitRun returns how many of x's bytes, lowest first, are ASCII
+// digits before the first that is not; 8 when all are. A byte c is a
+// digit when neither c+0x46 (':' and above reach 0x80) nor c-0x30
+// (below '0' wraps past 0x7f) sets its top bit; a byte from 0xba up
+// wraps the sum but sets the difference's. Carries and borrows start
+// only at a byte that is not a digit, so none reaches the lowest one.
+func digitRun(x uint64) int {
+	return bits.TrailingZeros64(((x+0x46*lanes)|(x-0x30*lanes))&laneTops) >> 3
+}
+
+// digitsValue returns the value of the n (1 to 8) ASCII digits in x's
+// lowest bytes; for n = 0, a value no caller uses. Shifted up, the
+// digits take the high bytes and zeros (leading zero digits) the rest;
+// three multiply-shifts then sum neighbouring digits, pairs and quads
+// (Lemire, "Number parsing at a gigabyte per second",
+// arXiv:2101.11408). The shift is masked to 63, which changes no count
+// in range and spares the compiler's guard.
+func digitsValue(x uint64, n int) uint64 {
+	x = (x & (0x0f * lanes)) << ((64 - 8*n) & 63)
+	x = (x * (10<<8 + 1) >> 8) & 0x00ff00ff00ff00ff
+	x = (x * (100<<16 + 1) >> 16) & 0x0000ffff0000ffff
+	return x * (10000<<32 + 1) >> 32
+}
+
+// uint64Pow10 scales an integer part past its fraction's digits.
+var uint64Pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// scanNumber reads the JSON number at b[j], past its sign, a byte at a
+// time, returning N and p of its value N·10^p and its end; ok is false
+// when no number starts there. N counts every digit while it is below
+// 2^53, and once past it stays past, so a mantissa or an exponent
+// (beyond four digits) too long to be exact comes back as N >= 2^53,
+// which exactFloat32 leaves to strconv.
+func scanNumber(b []byte, j int) (mant uint64, exp, end int, ok bool) {
+	digit := func(k int) bool { return k < len(b) && '0' <= b[k] && b[k] <= '9' }
 	switch {
 	case j < len(b) && b[j] == '0':
 		j++
-	case j < len(b) && '1' <= b[j] && b[j] <= '9':
-		for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
-			digit(b[j])
+	case digit(j):
+		for ; digit(j); j++ {
+			if mant < 1<<53 {
+				mant = mant*10 + uint64(b[j]-'0')
+			}
 		}
 	default:
-		return 0, i, false
+		return 0, 0, j, false
 	}
 	if j < len(b) && b[j] == '.' {
 		j++
 		k := j
-		for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
-			digit(b[j])
+		for ; digit(j); j++ {
+			if mant < 1<<53 {
+				mant = mant*10 + uint64(b[j]-'0')
+			}
 			exp--
 		}
 		if j == k {
-			return 0, i, false
+			return 0, 0, j, false
 		}
 	}
 	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
@@ -403,32 +484,55 @@ func parseFloat32(b []byte, i int) (float32, int, bool) {
 			j++
 		}
 		k, e := j, 0
-		for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
-			if e < 1000 {
+		for ; digit(j); j++ {
+			if j-k < 4 {
 				e = e*10 + int(b[j]-'0')
 			}
 		}
-		if j == k {
-			return 0, i, false
+		switch {
+		case j == k:
+			return 0, 0, j, false
+		case j-k > 4:
+			mant = 1 << 53
 		}
 		exp += sign * e
 	}
-	if exact && (mant == 0 || -10 <= exp && exp <= 10) {
-		f := float32(mant)
-		switch {
-		case mant == 0:
-		case exp > 0:
-			f *= float32Pow10[exp]
-		case exp < 0:
-			f /= float32Pow10[-exp]
-		}
-		if neg {
-			f = -f
-		}
-		return f, j, true
+	return mant, exp, j, true
+}
+
+// float64Pow10 holds the powers of ten float64 represents exactly.
+var float64Pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat32 returns N·10^p rounded to float32 as strconv rounds it,
+// when N is 0, or when N < 2^53 and either -8 <= p <= 0, or p > 0 and
+// N·10^p < 2^53; ok is false otherwise.
+//
+// Both operands of the one float64 multiply or divide are exact, and
+// for p >= 0 so is the product. For p = -e < 0 the quotient v = N/10^e
+// is rounded twice, to float64 and then to float32, and that is the
+// rounding strconv does unless the first step moves v across, or onto,
+// a float32 midpoint m = M·2^k (M odd, M < 2^25); a v equal to m stays
+// m, which float64 holds. Otherwise 10^e·2^max(0,-k)·(v-m) is a nonzero
+// integer, so |v-m| >= 2^min(0,k)/10^e, while the float64 step moves v
+// by at most 2^-53·|v|:
+//   - k >= 0: |v-m| >= 10^-e, and 2^-53·|v| < 10^-e since N < 2^53;
+//   - k < 0: |v-m| >= m/(M·10^e) > m/(2^25·10^8) > 2.9e-16·m, so
+//     2^-53·|v| <= 2^-53·(m+|v-m|) < (0.39+2^-53)·|v-m|.
+//
+// Either way the float64 quotient stays strictly on v's side of m. The
+// bound on the second case is why e stops at 8: at 9 it is 2.9e-17.
+func exactFloat32(mant uint64, exp int) (float32, bool) {
+	switch {
+	case mant == 0:
+		return 0, true
+	case mant >= 1<<53 || exp < -8 || exp >= len(float64Pow10):
+		return 0, false
+	case exp < 0:
+		return float32(float64(mant) / float64Pow10[-exp]), true
 	}
-	f, err := strconv.ParseFloat(string(b[i:j]), 32)
-	return float32(f), j, err == nil
+	f := float64(mant) * float64Pow10[exp]
+	return float32(f), f < 1<<53
 }
 
 // AppendScan appends to dst the bytes json.Marshal(req) returns, and

@@ -2,8 +2,8 @@
 # benchcheck: benchmark-regression gate.
 #
 # Checks out a baseline ref into a temporary git worktree, runs the
-# kernel, observability, and pipeline benchmarks in both trees with
-# identical settings, and fails when HEAD regresses any benchmark
+# kernel, observability, pipeline and wire-decode benchmarks in both
+# trees with identical settings, and fails when HEAD regresses any benchmark
 # present in both by more than THRESHOLD percent ns/op. Benchmarks that
 # exist on only one side (renamed or newly added) are reported and
 # skipped, so adding a rung never breaks the gate.
@@ -27,7 +27,8 @@
 #   COUNT       go test -count; the gate compares per-benchmark medians
 #               across runs to suppress scheduler noise (default: 5)
 #   PKGS        packages to benchmark (default: ./internal/kernels/
-#               ./internal/obs/ ./internal/core/ ./internal/parallel/)
+#               ./internal/obs/ ./internal/core/ ./internal/parallel/
+#               ./internal/serve/)
 #   GITHUB_STEP_SUMMARY  when set (GitHub Actions sets it), both
 #               benchdiff passes also append their verdicts there as
 #               markdown tables
@@ -63,7 +64,7 @@ THRESHOLD="${THRESHOLD:-15}"
 FLOOR="${FLOOR:-20}"
 BENCHTIME="${BENCHTIME:-200ms}"
 COUNT="${COUNT:-5}"
-PKGS="${PKGS:-./internal/kernels/ ./internal/obs/ ./internal/core/ ./internal/parallel/}"
+PKGS="${PKGS:-./internal/kernels/ ./internal/obs/ ./internal/core/ ./internal/parallel/ ./internal/serve/}"
 
 tmp="$(mktemp -d -t benchcheck.XXXXXXXX)"
 cleanup() {
