@@ -16,10 +16,11 @@ import (
 // no pass over memory at all. The halo-padded input the GEMM reads is
 // the panel, resident because its producer wrote it so; the register
 // blocks of 6, 4 or 1 channels × 16 columns (gemmBlock6, gemmBlock,
-// gemmBlock1, in the channel plan of gemmJob.block) are the
-// compute-unit replication, and the AVX width is the vector width
-// (gemm.go). No block runs a lane it does not need: a row narrower
-// than 16 columns shares its blocks with the rows after it
+// gemmBlock1, in the channel plan of gemmJob.block), or × 32 in their
+// AVX-512 twins (gemmBlock6Z, gemmBlockZ, gemmBlock1Z), are the
+// compute-unit replication, and the AVX or AVX-512 width is the vector
+// width (gemm.go). No block runs a lane it does not need: a row
+// narrower than a block shares its blocks with the rows after it
 // (gemmJob.span). Each output is stored once, in the layout its reader
 // takes. Unfused, every layer would pay two extra full feature-map
 // passes (BatchNorm read+write, activation read+write) after the
@@ -70,7 +71,7 @@ func ConvFused(x, w, out []float32, s ConvShape, workers int, ep Epilogue) {
 	d, kd := s.depth()
 	do, ho, wo := s.grid(s.Halo)
 	j := gemmJob{x: x, w: w, out: out, s: s, cols: d * s.H * s.W, ds: do * ho * wo,
-		rows: s.K > 1 || s.Halo > 0, ep: ep, avx: useAVX, six: s.OutC >= 6 && s.OutC%4 >= 2}
+		rows: s.K > 1 || s.Halo > 0, ep: ep, avx: useAVX, zmm: useAVX512, six: s.OutC >= 6 && s.OutC%4 >= 2}
 	j.offs = getOffsets(s.InC * kd * s.K * s.K)
 	tapOffsets(j.offs, s)
 	j.nTiles = gemmTiles(j.cols, workers)
@@ -133,7 +134,7 @@ type gemmJob struct {
 	rows      bool // a halo on either side splits runs at output rows
 	nTiles    int
 	ep        Epilogue
-	avx       bool // useAVX, read once on the caller's goroutine
+	avx, zmm  bool // useAVX and useAVX512, read once on the caller's goroutine
 	six       bool // the channel plan starts with a 6-channel block
 }
 
@@ -185,13 +186,14 @@ func (j *gemmJob) Run(lo, hi int) {
 // multiply writes act(bias + w · panel) for output pixels [q0, q1) of
 // every output channel, in runs contiguous in input and output: the
 // rest of a row for a K > 1 layer or a padded output, else the whole
-// tile. With AVX a run goes in 16-column blocks, all channels of a
-// block before the next so its input window stays in L1, each written
-// straight into out. A run shorter than 16 columns — a row tail, or a
-// whole row narrower than 16 — goes to span, whose block goes on into
-// the following rows. gemmRow does every run without AVX, and with it
-// only a layer whose x is too short for any block. All give the same
-// bits.
+// tile. With AVX-512 a run goes in 32-column ZMM blocks while 32
+// columns remain, then at most one 16-column YMM block; with AVX alone,
+// in YMM blocks. All channels of a block go before the next block, so
+// its input window stays in L1, each written straight into out. A run
+// shorter than 16 columns — a row tail, or a whole row narrower than
+// 16 — goes to span, whose block goes on into the following rows.
+// gemmRow does every run without AVX, and with it only a layer whose x
+// is too short for any block. All give the same bits.
 func (j *gemmJob) multiply(q0, q1 int) {
 	s, last := j.s, int(j.offs[len(j.offs)-1]) // the highest offset is the last tap's
 	for q := q0; q < q1; {
@@ -201,8 +203,12 @@ func (j *gemmJob) multiply(q0, q1 int) {
 		}
 		xi, oi := s.at(q, s.K/2, 0), s.at(q, s.Halo, s.Halo)
 		if j.avx {
+			for ; j.zmm && n >= 32; n -= 32 {
+				j.block(j.out[oi:], j.ds, 32, j.x[xi:xi+last+32], 0, s.OutC)
+				q, xi, oi = q+32, xi+32, oi+32
+			}
 			for ; n >= 16; n -= 16 {
-				j.block(j.out[oi:], j.ds, j.x[xi:xi+last+16], 0, s.OutC)
+				j.block(j.out[oi:], j.ds, 16, j.x[xi:xi+last+16], 0, s.OutC)
 				q, xi, oi = q+16, xi+16, oi+16
 			}
 			if n == 0 {
@@ -229,12 +235,13 @@ func (j *gemmJob) multiply(q0, q1 int) {
 	}
 }
 
-// span runs one 16-column block from output pixel q, whose window
-// corner is x[xi], into a stack tile. Its lanes are consecutive window
-// corners in the padded input: past the end of q's row they run on
-// through the row's halo columns (and, at the end of a plane, its halo
-// rows) into the following rows, so a row narrower than 16 columns
-// shares the block with the rows after it. Near the end of x, where
+// span runs one block from output pixel q, whose window corner is
+// x[xi], into a stack tile: 32 columns wide with AVX-512 where x holds
+// that many past the last tap's offset, else 16. Its lanes are
+// consecutive window corners in the padded input: past the end of q's
+// row they run on through the row's halo columns (and, at the end of a
+// plane, its halo rows) into the following rows, so a row narrower than
+// the block shares it with the rows after it. Near the end of x, where
 // those lanes would read past it, the block starts as many corners
 // before q as it must instead (the last pixel's window ends at the end
 // of the padded input, so it always fits). The lanes whose corner is
@@ -244,11 +251,15 @@ func (j *gemmJob) multiply(q0, q1 int) {
 func (j *gemmJob) span(q, q1, xi, oi int) int {
 	s, p := j.s, j.s.K/2
 	wp, wo := s.W+2*p, s.W+2*s.Halo // the input's and the output's row pitch
-	back := max(0, xi+int(j.offs[len(j.offs)-1])+16-len(j.x))
-	var cuts [16]struct{ lane, oi, n int } // each interior row piece
+	last, lanes := int(j.offs[len(j.offs)-1]), 16
+	if j.zmm && last+32 <= len(j.x) {
+		lanes = 32
+	}
+	back := max(0, xi+last+lanes-len(j.x))
+	var cuts [32]struct{ lane, oi, n int } // each interior row piece
 	nc := 0
-	for lane := back; lane < 16 && q < q1; nc++ {
-		n := min(16-lane, q1-q, s.W-q%s.W)
+	for lane := back; lane < lanes && q < q1; nc++ {
+		n := min(lanes-lane, q1-q, s.W-q%s.W)
 		cuts[nc].lane, cuts[nc].oi, cuts[nc].n = lane, oi, n
 		q, lane, oi = q+n, lane+n, oi+n
 		if q%s.W == 0 { // skip the halo columns, and at a plane's end its halo rows
@@ -258,17 +269,17 @@ func (j *gemmJob) span(q, q1, xi, oi int) int {
 			}
 		}
 	}
-	var tile [6 * 16]float32
+	var tile [6 * 32]float32
 	x := j.x[xi-back:]
 	for co := 0; co < s.OutC; {
 		c1 := min(co+4, s.OutC) // the tile takes up to four channels, or the 6-block
 		if co == 0 && j.six {
 			c1 = 6
 		}
-		j.block(tile[:], 16, x, co, c1)
+		j.block(tile[:], lanes, lanes, x, co, c1)
 		for c := co; c < c1; c++ {
 			for _, cut := range cuts[:nc] {
-				copy(j.out[c*j.ds+cut.oi:][:cut.n], tile[(c-co)*16+cut.lane:])
+				copy(j.out[c*j.ds+cut.oi:][:cut.n], tile[(c-co)*lanes+cut.lane:])
 			}
 		}
 		co = c1
@@ -276,27 +287,42 @@ func (j *gemmJob) span(q, q1, xi, oi int) int {
 	return q
 }
 
-// block computes output channels [co0, co1) of one 16-column block into
-// dst, channel co at dst[(co−co0)·ds:], by the channel plan, which
-// wastes no kernel on a lone pair or triple: a count ≡ 2 or 3 (mod 4)
-// of at least six (j.six) starts with one 6-channel block (gemmBlock6),
-// then come 4-channel blocks (gemmBlock) while four remain, then one
-// channel at a time (gemmBlock1). So 6 → 6, 10 → 6+4, 11 → 6+4+1,
-// 8 → 4+4 and 9 → 4+4+1. co0 is 0 or past the 6-block.
-func (j *gemmJob) block(dst []float32, ds int, x []float32, co0, co1 int) {
-	r, ep := len(j.offs), j.ep
+// block computes output channels [co0, co1) of one block of lanes (16:
+// the YMM kernels, 32: the ZMM ones) into dst, channel co at
+// dst[(co−co0)·ds:], by the channel plan, which wastes no kernel on a
+// lone pair or triple: a count ≡ 2 or 3 (mod 4) of at least six
+// (j.six) starts with one 6-channel block (gemmBlock6), then come
+// 4-channel blocks (gemmBlock) while four remain, then one channel at a
+// time (gemmBlock1). So 6 → 6, 10 → 6+4, 11 → 6+4+1, 8 → 4+4 and
+// 9 → 4+4+1. co0 is 0 or past the 6-block.
+func (j *gemmJob) block(dst []float32, ds, lanes int, x []float32, co0, co1 int) {
+	r, ep, z := len(j.offs), j.ep, lanes == 32
 	co := co0
 	if co == 0 && j.six {
-		_ = dst[5*ds+15]
-		gemmBlock6(dst, ds, x, j.offs, j.w[:6*r], j.biases(0, 6), ep.Act, ep.Slope)
+		_ = dst[5*ds+lanes-1]
+		if z {
+			gemmBlock6Z(dst, ds, x, j.offs, j.w[:6*r], j.biases(0, 6), ep.Act, ep.Slope)
+		} else {
+			gemmBlock6(dst, ds, x, j.offs, j.w[:6*r], j.biases(0, 6), ep.Act, ep.Slope)
+		}
 		co = 6
 	}
 	for ; co+4 <= co1; co += 4 {
-		_ = dst[(co-co0+3)*ds+15]
-		gemmBlock(dst[(co-co0)*ds:], ds, x, j.offs, j.w[co*r:(co+4)*r], j.biases(co, 4), ep.Act, ep.Slope)
+		d, w, b := dst[(co-co0)*ds:], j.w[co*r:(co+4)*r], j.biases(co, 4)
+		_ = d[3*ds+lanes-1]
+		if z {
+			gemmBlockZ(d, ds, x, j.offs, w, b, ep.Act, ep.Slope)
+		} else {
+			gemmBlock(d, ds, x, j.offs, w, b, ep.Act, ep.Slope)
+		}
 	}
 	for ; co < co1; co++ {
-		gemmBlock1(dst[(co-co0)*ds:][:16], x, j.offs, j.w[co*r:(co+1)*r], ep.bias(co), ep.Act, ep.Slope)
+		d, w := dst[(co-co0)*ds:][:lanes], j.w[co*r:(co+1)*r]
+		if z {
+			gemmBlock1Z(d, x, j.offs, w, ep.bias(co), ep.Act, ep.Slope)
+		} else {
+			gemmBlock1(d, x, j.offs, w, ep.bias(co), ep.Act, ep.Slope)
+		}
 	}
 }
 

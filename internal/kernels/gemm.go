@@ -26,11 +26,15 @@ import "computecovid19/internal/memplan"
 //     register blocking. gemmBlock keeps 4 output channels × 16 columns
 //     of accumulators in registers (gemmBlock6 six), so each input load
 //     feeds four (six) channels and each weight broadcast 16 columns;
+//     their ZMM twins (gemmBlockZ, gemmBlock6Z) keep 32 columns, so each
+//     broadcast feeds 32;
 //   - vectorization (the width factor): the columns are the vector
-//     lanes, 8 wide in AVX where the CPU has it and 4 wide in SSE
-//     (gemmRow) on any other amd64. Columns are independent sums, so
-//     the lanes keep each element's reduction order and every output
-//     bit; other architectures run gemmRow's Go loop.
+//     lanes, 16 wide in AVX-512 and 8 wide in AVX where the CPU has
+//     them, and 4 wide in SSE (gemmRow) on any other amd64. Columns are
+//     independent sums and every width runs the same multiply, then
+//     add, per tap (no fused multiply-add), so the lanes keep each
+//     element's reduction order and every output bit; other
+//     architectures run gemmRow's Go loop.
 //
 // Work is distributed over column tiles, not output channels, so the
 // GEMM parallelizes cleanly even for the decoder's single-channel

@@ -136,66 +136,107 @@ func TestGemmRowMatchesScalarLoop(t *testing.T) {
 	}
 }
 
-// TestGemmBlockMatchesScalarLoop pins the AVX block kernels to the Go
-// loop bit for bit: gemmBlock6's six channels, gemmBlock's four and
-// gemmBlock1's one are each gemmRowScalar over 16 columns, then the
-// LeakyReLU when act is set. It sweeps reduction lengths 1–5 (a loop
-// that runs once or a few times), 27 (a 3³ single-channel layer) and
-// 648, taps in and out of address order, unaligned operands, output
-// rows longer than the block (ds > 16), every value regime (NaN, ±Inf
-// and ±0 among the specials) with and without the activation, and
-// checks that nothing outside the channels × 16 block is written: not
-// between its rows and not past its end.
+// laneWidths are ConvFused's three vector settings: the Go loop with
+// gemmRow's SSE step, the 16-column AVX blocks, and the 32-column
+// AVX-512 blocks with the AVX ones for what is left.
+var laneWidths = []struct {
+	name     string
+	avx, zmm bool
+}{{"go/sse", false, false}, {"avx", true, false}, {"avx512", true, true}}
+
+// useLanes selects laneWidths[k] for ConvFused, or the widest narrower
+// setting the CPU has, reporting whether it has this one; restore puts
+// the probes' settings back.
+func useLanes(k int) (ok bool, restore func()) {
+	y, z := useAVX, useAVX512
+	useAVX, useAVX512 = laneWidths[k].avx && y, laneWidths[k].zmm && z
+	return useAVX == laneWidths[k].avx && useAVX512 == laneWidths[k].zmm,
+		func() { useAVX, useAVX512 = y, z }
+}
+
+// runBlock runs the block kernel for nc (6, 4 or 1) channels × lanes
+// (16: YMM, 32: ZMM) columns.
+func runBlock(lanes, nc int, dst []float32, ds int, x []float32, offs []int32, w, bias []float32, act bool, slope float32) {
+	switch {
+	case lanes == 32 && nc == 6:
+		gemmBlock6Z(dst, ds, x, offs, w, bias, act, slope)
+	case lanes == 32 && nc == 4:
+		gemmBlockZ(dst, ds, x, offs, w, bias, act, slope)
+	case lanes == 32:
+		gemmBlock1Z(dst[:32], x, offs, w, bias[0], act, slope)
+	case nc == 6:
+		gemmBlock6(dst, ds, x, offs, w, bias, act, slope)
+	case nc == 4:
+		gemmBlock(dst, ds, x, offs, w, bias, act, slope)
+	default:
+		gemmBlock1(dst[:16], x, offs, w, bias[0], act, slope)
+	}
+}
+
+// TestGemmBlockMatchesScalarLoop pins the block kernels to the Go loop
+// bit for bit, the AVX ones over 16 columns and, where the CPU has
+// AVX-512, their ZMM twins over 32: the six channels of gemmBlock6 and
+// gemmBlock6Z, the four of gemmBlock and gemmBlockZ and the one of
+// gemmBlock1 and gemmBlock1Z are each gemmRowScalar over the block's
+// columns, then the LeakyReLU when act is set. It sweeps reduction
+// lengths 1–5 (a loop that runs once or a few times), 27 (a 3³
+// single-channel layer) and 648, taps in and out of address order,
+// unaligned operands, output rows longer than the block (ds > lanes),
+// every value regime (NaN, ±Inf, ±0 and subnormals among the specials)
+// with and without the activation, and checks that nothing outside the
+// channels × lanes block is written: not between its rows and not past
+// its end.
 func TestGemmBlockMatchesScalarLoop(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this CPU: ConvFused never calls the block kernels")
+	}
+	widths := []int{16}
+	if useAVX512 {
+		widths = append(widths, 32)
+	} else {
+		t.Log("no AVX-512 on this CPU: the ZMM blocks are not run")
 	}
 	rng := rand.New(rand.NewSource(29))
 	const guard = 7
 	for _, regime := range []string{"plain", "specials", "subnormal", "overflow"} {
 		for _, r := range []int{1, 2, 3, 4, 5, 27, 648} {
 			for trial := 0; trial < 8; trial++ {
-				for _, nc := range []int{6, 4, 1} {
-					act := trial%2 == 1
-					slope := gemmValues(rng, "plain", 1)[0]
-					offs, span := gemmOffsets(rng, r, 16, 16+rng.Intn(9), trial >= 4)
-					off := 1 + 2*rng.Intn(2)
-					x := gemmValues(rng, regime, off+span)[off:]
-					w := gemmValues(rng, regime, 1+nc*r)[1:]
-					bias := gemmValues(rng, regime, nc)
-					ds := 16 + rng.Intn(5)
+				for _, lanes := range widths {
+					for _, nc := range []int{6, 4, 1} {
+						act := trial%2 == 1
+						slope := gemmValues(rng, "plain", 1)[0]
+						offs, span := gemmOffsets(rng, r, lanes, lanes+rng.Intn(9), trial >= 4)
+						off := 1 + 2*rng.Intn(2)
+						x := gemmValues(rng, regime, off+span)[off:]
+						w := gemmValues(rng, regime, 1+nc*r)[1:]
+						bias := gemmValues(rng, regime, nc)
+						ds := lanes + rng.Intn(5)
 
-					want := make([]float32, nc*ds)
-					for c := 0; c < nc; c++ {
-						row := want[c*ds : c*ds+16]
-						gemmRowScalar(w[c*r:(c+1)*r], x, offs, row, bias[c])
-						for j, v := range row {
-							if act && v < 0 {
-								row[j] = slope * v
+						want := make([]float32, nc*ds)
+						for c := 0; c < nc; c++ {
+							row := want[c*ds : c*ds+lanes]
+							gemmRowScalar(w[c*r:(c+1)*r], x, offs, row, bias[c])
+							for j, v := range row {
+								if act && v < 0 {
+									row[j] = slope * v
+								}
 							}
 						}
-					}
-					buf := gemmValues(rng, "plain", off+(nc-1)*ds+16+guard)
-					orig := append([]float32(nil), buf...)
-					got := buf[off:]
-					switch nc {
-					case 6:
-						gemmBlock6(got, ds, x, offs, w, bias, act, slope)
-					case 4:
-						gemmBlock(got, ds, x, offs, w, bias, act, slope)
-					default:
-						gemmBlock1(got, x, offs, w, bias[0], act, slope)
-					}
+						buf := gemmValues(rng, "plain", off+(nc-1)*ds+lanes+guard)
+						orig := append([]float32(nil), buf...)
+						got := buf[off:]
+						runBlock(lanes, nc, got, ds, x, offs, w, bias, act, slope)
 
-					for i := range buf {
-						c, j := (i-off)/ds, (i-off)%ds
-						if i >= off && c < nc && j < 16 {
-							if g, w := got[c*ds+j], want[c*ds+j]; !sameBits(g, w) {
-								t.Fatalf("%s r=%d nc=%d act=%v trial %d: channel %d column %d = %v (%#08x), scalar loop %v (%#08x)",
-									regime, r, nc, act, trial, c, j, g, math.Float32bits(g), w, math.Float32bits(w))
+						for i := range buf {
+							c, j := (i-off)/ds, (i-off)%ds
+							if i >= off && c < nc && j < lanes {
+								if g, w := got[c*ds+j], want[c*ds+j]; !sameBits(g, w) {
+									t.Fatalf("%s r=%d lanes=%d nc=%d act=%v trial %d: channel %d column %d = %v (%#08x), scalar loop %v (%#08x)",
+										regime, r, lanes, nc, act, trial, c, j, g, math.Float32bits(g), w, math.Float32bits(w))
+								}
+							} else if math.Float32bits(buf[i]) != math.Float32bits(orig[i]) {
+								t.Fatalf("%s r=%d lanes=%d nc=%d ds=%d: wrote element %d, outside the block", regime, r, lanes, nc, ds, i-off)
 							}
-						} else if math.Float32bits(buf[i]) != math.Float32bits(orig[i]) {
-							t.Fatalf("%s r=%d nc=%d ds=%d: wrote element %d, outside the block", regime, r, nc, ds, i-off)
 						}
 					}
 				}
@@ -223,18 +264,21 @@ func BenchmarkGemmRow(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmBlock times each AVX block kernel — gemmBlock6's six
-// channels, gemmBlock's four and gemmBlock1's one — over the same r × n
-// shapes as BenchmarkGemmRow, 16 columns per call (r = 648 as a served
-// layer reads it: the 24 × 27 taps of tapOffsets over a padded 24 ×
-// 4 × 34 × 34 panel, 0.44 MB, where rows n+16 floats apart would span
-// 5.3 MB and time cache misses instead of the kernel), then at the
-// classifier's narrowest served rows: its growth convolution (24
-// channels in, 3³, r = 648) on 4 × 8 × 8 with a padded output, through
-// ConvFused on one worker, with 6, 4 or 1 output channels so that one
-// kernel does all the work. GMAC/s counts the useful multiply-adds of
+// BenchmarkGemmBlock times each block kernel — gemmBlock6's six
+// channels, gemmBlock's four and gemmBlock1's one (c6, c4, c1: 16
+// columns per call, YMM) and their ZMM twins (z6, z4, z1: 32 columns
+// per call) — over the same r × n shapes as BenchmarkGemmRow (r = 648
+// as a served layer reads it: the 24 × 27 taps of tapOffsets over a
+// padded 24 × 4 × 34 × 34 panel, 0.44 MB, where rows n+16 floats apart
+// would span 5.3 MB and time cache misses instead of the kernel), then
+// at the classifier's narrowest served rows: its growth convolution
+// (24 channels in, 3³, r = 648) on 4 × 8 × 8 with a padded output,
+// through ConvFused on one worker, with 6, 4 or 1 output channels so
+// that one kernel does all the work, on the AVX blocks alone (c) and
+// with the AVX-512 ones (z). GMAC/s counts the useful multiply-adds of
 // every channel: on the 8-wide rows a lane that lands on a halo column
-// does work that counts for nothing.
+// does work that counts for nothing. BenchmarkLaneCeiling gives the
+// instruction pattern's own ceilings.
 func BenchmarkGemmBlock(b *testing.B) {
 	if !useAVX {
 		b.Skip("no AVX on this CPU")
@@ -251,38 +295,47 @@ func BenchmarkGemmBlock(b *testing.B) {
 		w := gemmValues(rng, "plain", 6*sh.r)
 		bias := []float32{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
 		dst := make([]float32, 6*sh.n)
-		for _, nc := range []int{6, 4, 1} {
-			b.Run(fmt.Sprintf("r%d_n%d/c%d", sh.r, sh.n, nc), func(b *testing.B) {
-				b.SetBytes(int64(4 * sh.r * sh.n))
-				for i := 0; i < b.N; i++ {
-					for q := 0; q < sh.n; q += 16 {
-						switch nc {
-						case 6:
-							gemmBlock6(dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
-						case 4:
-							gemmBlock(dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
-						default:
-							gemmBlock1(dst[q:q+16], x[q:], offs, w, bias[0], false, 0)
+		for _, lanes := range []int{16, 32} {
+			for _, nc := range []int{6, 4, 1} {
+				kind := "c"
+				if lanes == 32 {
+					kind = "z"
+				}
+				b.Run(fmt.Sprintf("r%d_n%d/%s%d", sh.r, sh.n, kind, nc), func(b *testing.B) {
+					if lanes == 32 && !useAVX512 {
+						b.Skip("no AVX-512 on this CPU")
+					}
+					b.SetBytes(int64(4 * sh.r * sh.n))
+					for i := 0; i < b.N; i++ {
+						for q := 0; q < sh.n; q += lanes {
+							runBlock(lanes, nc, dst[q:], sh.n, x[q:], offs, w, bias, false, 0)
 						}
 					}
-				}
-				b.ReportMetric(float64(nc*sh.r*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-			})
+					b.ReportMetric(float64(nc*sh.r*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				})
+			}
 		}
 	}
-	for _, nc := range []int{6, 4, 1} {
-		s := ConvShape{InC: 24, D: 4, H: 8, W: 8, OutC: nc, K: 3, Halo: 1}
-		do, ho, wo := s.grid(s.Halo)
-		xp := make([]float32, s.padLen())
-		Pad(gemmValues(rng, "plain", s.InLen()), xp, s)
-		w := gemmValues(rng, "plain", s.WeightLen())
-		out := make([]float32, nc*do*ho*wo)
-		ep := Epilogue{Bias: gemmValues(rng, "plain", nc)}
-		b.Run(fmt.Sprintf("w8_r648/c%d", nc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ConvFused(xp, w, out, s, 1, ep)
-			}
-			b.ReportMetric(float64(s.OutLen()*648)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-		})
+	for _, k := range []int{1, 2} {
+		for _, nc := range []int{6, 4, 1} {
+			s := ConvShape{InC: 24, D: 4, H: 8, W: 8, OutC: nc, K: 3, Halo: 1}
+			do, ho, wo := s.grid(s.Halo)
+			xp := make([]float32, s.padLen())
+			Pad(gemmValues(rng, "plain", s.InLen()), xp, s)
+			w := gemmValues(rng, "plain", s.WeightLen())
+			out := make([]float32, nc*do*ho*wo)
+			ep := Epilogue{Bias: gemmValues(rng, "plain", nc)}
+			b.Run(fmt.Sprintf("w8_r648/%c%d", " cz"[k], nc), func(b *testing.B) {
+				ok, restore := useLanes(k)
+				defer restore()
+				if !ok {
+					b.Skip("no " + laneWidths[k].name + " on this CPU")
+				}
+				for i := 0; i < b.N; i++ {
+					ConvFused(xp, w, out, s, 1, ep)
+				}
+				b.ReportMetric(float64(s.OutLen()*648)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
 	}
 }

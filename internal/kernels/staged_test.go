@@ -119,17 +119,12 @@ func convStaged(x, w, out []float32, s ConvShape, ep Epilogue) {
 // 7} × D ∈ {0 (2D), 1, 2, 3} × H×W ∈ {1×1, 3×5, 7×9, 17×19, 64×64},
 // each with InC ∈ {1, 3, 8} × OutC ∈ {1, 2, 3, 4, 5, 6, 9} (whole
 // channel quads, leftovers, and both), on 1, 2 and 4 workers with the
-// zero, bias and bias+LeakyReLU epilogues, with the AVX block kernels
-// on and (where the CPU has them) off. Shapes of up to 1024 output
+// zero, bias and bias+LeakyReLU epilogues, in each of laneWidths' three
+// settings the CPU has: the Go loop, the AVX blocks, and the AVX-512
+// blocks with the AVX ones. Shapes of up to 1024 output
 // pixels run every worker × epilogue pair; the larger ones one pair
 // each, in turn, so the sweep stays seconds long.
 func TestConvFusedMatchesStagedOracle(t *testing.T) {
-	avx := []bool{false}
-	if useAVX {
-		orig := useAVX
-		t.Cleanup(func() { useAVX = orig })
-		avx = append(avx, true)
-	}
 	type run struct {
 		workers int
 		ep      string
@@ -166,14 +161,19 @@ func TestConvFusedMatchesStagedOracle(t *testing.T) {
 								want[rn.ep] = make([]float32, s.OutLen())
 								convStaged(x, w, want[rn.ep], s, ep)
 							}
-							for _, on := range avx {
-								useAVX = on
+							for k, lw := range laneWidths {
+								ok, restore := useLanes(k)
+								if !ok {
+									restore()
+									continue
+								}
 								got := gemmValues(rng, "plain", s.OutLen())
 								ConvCompact(x, w, got, s, rn.workers, ep)
+								restore()
 								for i, v := range want[rn.ep] {
 									if math.Float32bits(got[i]) != math.Float32bits(v) {
-										t.Fatalf("%+v workers=%d %s avx=%v: element %d = %v, staged %v",
-											s, rn.workers, rn.ep, on, i, got[i], v)
+										t.Fatalf("%+v workers=%d %s %s: element %d = %v, staged %v",
+											s, rn.workers, rn.ep, lw.name, i, got[i], v)
 									}
 								}
 							}

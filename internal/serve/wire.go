@@ -505,7 +505,7 @@ var float64Pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // exactFloat32 returns N·10^p rounded to float32 as strconv rounds it,
-// when N is 0, or when N < 2^53 and either -8 <= p <= 0, or p > 0 and
+// when N is 0, or when N < 2^53 and either -12 <= p <= 0, or p > 0 and
 // N·10^p < 2^53; ok is false otherwise.
 //
 // Both operands of the one float64 multiply or divide are exact, and
@@ -513,20 +513,23 @@ var float64Pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9
 // is rounded twice, to float64 and then to float32, and that is the
 // rounding strconv does unless the first step moves v across, or onto,
 // a float32 midpoint m = M·2^k (M odd, M < 2^25); a v equal to m stays
-// m, which float64 holds. Otherwise 10^e·2^max(0,-k)·(v-m) is a nonzero
-// integer, so |v-m| >= 2^min(0,k)/10^e, while the float64 step moves v
-// by at most 2^-53·|v|:
-//   - k >= 0: |v-m| >= 10^-e, and 2^-53·|v| < 10^-e since N < 2^53;
-//   - k < 0: |v-m| >= m/(M·10^e) > m/(2^25·10^8) > 2.9e-16·m, so
-//     2^-53·|v| <= 2^-53·(m+|v-m|) < (0.39+2^-53)·|v-m|.
+// m, which float64 holds. Otherwise v-m = N/(2^e·5^e) - M·2^k is not
+// zero, and the float64 step moves v by at most 2^-53·|v|:
+//   - e+k >= 0: 10^e·(v-m) = N - M·2^(e+k)·5^e is an integer, so
+//     |v-m| >= 10^-e, and 2^-53·|v| < 10^-e since N < 2^53;
+//   - e+k < 0: 5^e·2^-k·(v-m) = N·2^(-e-k) - M·5^e is an integer, so
+//     |v-m| >= 2^k/5^e. The step is at most 2^-53·(m+|v-m|), and
+//     2^-53·m < 2^(k-28) since M < 2^25; for e <= 12, 5^e < 0.91·2^28,
+//     so 2^(k-28) < 0.91·2^k/5^e <= 0.91·|v-m|, and the step is below
+//     (0.91+2^-53)·|v-m|.
 //
 // Either way the float64 quotient stays strictly on v's side of m. The
-// bound on the second case is why e stops at 8: at 9 it is 2.9e-17.
+// second case is why e stops at 12: 5^13 > 2^28.
 func exactFloat32(mant uint64, exp int) (float32, bool) {
 	switch {
 	case mant == 0:
 		return 0, true
-	case mant >= 1<<53 || exp < -8 || exp >= len(float64Pow10):
+	case mant >= 1<<53 || exp < -12 || exp >= len(float64Pow10):
 		return 0, false
 	case exp < 0:
 		return float32(float64(mant) / float64Pow10[-exp]), true

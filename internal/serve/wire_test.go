@@ -293,7 +293,8 @@ func checkParseFloat32(t *testing.T, s string) {
 // TestParseFloat32MatchesStrconv drives the number parse over both
 // sides of every limit it has — 7 and 8 integer and fraction digits
 // (the digit runs' width), 15 to 19 digits and mantissas around 2^53
-// (the exact case's), exponents -8/-9 and 22/23, leading-zero
+// (the exact case's), exponents -8/-9 (the digit runs' fraction width),
+// -12/-13 (the exact case's) and 22/23, leading-zero
 // fractions, signed and spelled-out zeros — and over random digit
 // strings with signs, fraction points and exponents anywhere.
 func TestParseFloat32MatchesStrconv(t *testing.T) {
@@ -303,6 +304,8 @@ func TestParseFloat32MatchesStrconv(t *testing.T) {
 		"0.123456789", "0.01", "0.00000001", "0.000000001", "0.0000123", "-0.000456",
 		"123456789012345", "1234567890123456", "12345678901234567", "1234567890123456789",
 		"1.23456789012345", "12345678.9012345", "1e-8", "1e-9", "12345e-8", "12345e-9",
+		"1e-12", "1e-13", "12345e-12", "12345e-13", "0.123456789012", "0.1234567890123",
+		"9007199254740991e-12", "9007199254740991e-13", "3.620224571228027", "36.20224571228027",
 		"1e22", "1e23", "3e22", "9e21", "1.5e22", "123e20", "4e15", "5e15", "0.5e23",
 		"16777216", "16777217", "16777215.5", "33554431", "33554433", "-1000", "-999.9863",
 		// N·10^p past 2^53, where a float64 product would round twice wrongly
@@ -333,6 +336,40 @@ func TestParseFloat32MatchesStrconv(t *testing.T) {
 			s += fmt.Sprintf("e%d", rng.Intn(60)-30)
 		}
 		checkParseFloat32(t, s)
+	}
+}
+
+// TestParseFloat32NearMidpoints searches where exactFloat32's one
+// float64 division is closest to rounding wrongly: literals N·10^-e with
+// e = 9…12 fraction digits (the widest it takes) next to float32
+// midpoints, the decimal nearest the midpoint of a random float32 and
+// its successor and the two on each side, for magnitudes from 2^-20 to
+// 2^13, in both the fraction and the exponent spelling; each must read
+// as strconv reads it.
+func TestParseFloat32NearMidpoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	n := 25000
+	if memplan.RaceEnabled {
+		n /= 16
+	}
+	for i := 0; i < n; i++ {
+		bits := uint32(127-20+rng.Intn(34))<<23 | rng.Uint32()&(1<<23-1)
+		f := math.Float32frombits(bits)
+		mid := (float64(f) + float64(math.Nextafter32(f, math.MaxFloat32))) / 2 // exact
+		for e := 9; e <= 12; e++ {
+			if mid*math.Pow10(e) >= 1<<53 {
+				continue
+			}
+			near, err := strconv.ParseUint(strings.Replace(strconv.FormatFloat(mid, 'f', e, 64), ".", "", 1), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := near - 2; d <= near+2; d++ {
+				digits := fmt.Sprintf("%0*d", e+1, d)
+				checkParseFloat32(t, digits[:len(digits)-e]+"."+digits[len(digits)-e:])
+				checkParseFloat32(t, fmt.Sprintf("-%de-%d", d, e))
+			}
+		}
 	}
 }
 
