@@ -1,11 +1,10 @@
-// Command ccserve runs the ComputeCOVID19+ pipeline as a batched
-// inference service: an HTTP/JSON API backed by a warm worker pool, a
-// micro-batching scheduler for Enhancement AI, bounded-queue admission
-// control, and a content-addressed result cache.
+// Command ccserve runs the ComputeCOVID19+ pipeline as an inference
+// service: an HTTP/JSON API backed by a warm worker pool, bounded-queue
+// admission control, and a content-addressed result cache.
 //
 // Usage:
 //
-//	ccserve [-addr :8844] [-workers 4] [-queue 128] [-batch 8] ...
+//	ccserve [-addr :8844] [-workers 0] [-queue 128] [-cache 256] ...
 //
 // API:
 //
@@ -43,10 +42,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8844", "listen address")
-	workers := flag.Int("workers", 4, "pipeline worker replicas")
+	workers := flag.Int("workers", 0, "scans processed at once (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 128, "admission queue depth (full queue answers 429)")
-	batch := flag.Int("batch", 8, "enhancement micro-batch size")
-	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batch fill timeout")
 	cacheSize := flag.Int("cache", 256, "result cache entries (negative disables)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to finish accepted scans on shutdown")
@@ -84,8 +81,6 @@ func main() {
 		Pipeline:        pipeline,
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		BatchSize:       *batch,
-		BatchTimeout:    *batchTimeout,
 		CacheSize:       *cacheSize,
 		DefaultDeadline: *deadline,
 		ModelVersion:    fmt.Sprintf("demo-seed%d", *seed),
@@ -124,7 +119,7 @@ func main() {
 	}()
 
 	log.Info("serving", "addr", *addr, "workers", *workers, "queue", *queue,
-		"batch", *batch, "cache", *cacheSize, "enhance", *enhance, "flight_dir", *flightDir)
+		"cache", *cacheSize, "enhance", *enhance, "flight_dir", *flightDir)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Error("listener failed", "err", err)
 		os.Exit(1)

@@ -159,7 +159,7 @@ func TestShardedEnhanceBitIdentical(t *testing.T) {
 	v := shardVolume(9)
 	want := p.Enhance(v)
 
-	cfg := serve.Config{Pipeline: p, Workers: 1, BatchSize: 4}
+	cfg := serve.Config{Pipeline: p, Workers: 1}
 	_, r0 := startReplica(t, cfg)
 	_, r1 := startReplica(t, cfg)
 	_, r2 := startReplica(t, cfg)
@@ -194,7 +194,7 @@ func TestShardedEnhanceBitIdenticalUnderRedispatch(t *testing.T) {
 	v := shardVolume(9)
 	want := p.Enhance(v)
 
-	cfg := serve.Config{Pipeline: p, Workers: 1, BatchSize: 4}
+	cfg := serve.Config{Pipeline: p, Workers: 1}
 	_, r0 := startReplica(t, cfg)
 	_, r1 := startReplica(t, cfg)
 	_, r2 := startReplica(t, cfg)
@@ -251,7 +251,7 @@ func TestShardedScanMatchesUnsharded(t *testing.T) {
 	v := shardVolume(8)
 	want := p.Classify(p.Enhance(v))
 
-	cfg := serve.Config{Pipeline: p, Workers: 1, BatchSize: 4}
+	cfg := serve.Config{Pipeline: p, Workers: 1}
 	_, r0 := startReplica(t, cfg)
 	_, r1 := startReplica(t, cfg)
 	_, r2 := startReplica(t, cfg)

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"computecovid19/internal/memplan"
 	"computecovid19/internal/obs"
 	"computecovid19/internal/volume"
 )
@@ -65,38 +64,32 @@ func (s *Server) handleEnhance(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	sp.SetAttr("slices", req.D)
-	in := &volume.Volume{D: req.D, H: req.H, W: req.W, Data: req.Data}
-	out, recycle := s.enhanceChunk(ctx, in)
+	out, pooled := s.enhance(ctx, &volume.Volume{D: req.D, H: req.H, W: req.W, Data: req.Data})
 
 	enhanceChunkSeconds.Observe(time.Since(start).Seconds())
 	enhanceChunksTotal.Inc()
 	writeScan(w, &ScanRequest{D: out.D, H: out.H, W: out.W, Data: out.Data})
-	if recycle {
+	if pooled {
 		s.cfg.Pipeline.RecycleVolume(out)
 	}
 }
 
-// enhanceChunk picks the enhancement backend for one chunk, in the same
-// precedence order the scan path uses: the Enhance test seam, the
-// micro-batcher (chunks from concurrent scatters share batches exactly
-// like concurrent scans do), the pooled EnhanceInto path, or — with no
-// pipeline at all (Process-stub replicas) — an identity echo. recycle
-// reports whether out came from the pipeline's volume pool and must be
-// recycled after the response is written.
-func (s *Server) enhanceChunk(ctx context.Context, in *volume.Volume) (out *volume.Volume, recycle bool) {
+// enhance is the one enhancement path of the server, shared by the scan
+// worker and POST /v1/enhance: the Enhance seam when set, else
+// Pipeline.EnhanceInto into a volume from the pipeline's pool — the code
+// core runs for direct callers. With no pipeline or no enhancer the
+// input passes through unchanged, as core.Pipeline.Enhance does. pooled
+// reports whether out came from the pipeline's pool; the caller recycles
+// it then, once out is consumed.
+func (s *Server) enhance(ctx context.Context, v *volume.Volume) (out *volume.Volume, pooled bool) {
+	p := s.cfg.Pipeline
 	switch {
 	case s.cfg.Enhance != nil:
-		return s.cfg.Enhance(in), false
-	case s.batcher != nil:
-		mem := s.enhArenas.Get().(*memplan.Arena)
-		out = s.enhanceVolume(ctx, mem, in)
-		s.enhArenas.Put(mem)
-		return out, out != in
-	case s.cfg.Pipeline != nil:
-		out = s.cfg.Pipeline.GetVolume(in.D, in.H, in.W)
-		s.cfg.Pipeline.EnhanceInto(ctx, in, out)
-		return out, true
-	default:
-		return in, false
+		return s.cfg.Enhance(v), false
+	case p == nil || p.Enhancer == nil:
+		return v, false
 	}
+	out = p.GetVolume(v.D, v.H, v.W)
+	p.EnhanceInto(ctx, v, out)
+	return out, true
 }

@@ -2,7 +2,7 @@ package serve
 
 import "computecovid19/internal/obs"
 
-// Serving telemetry. Each admission, queue, batch, and cache decision
+// Serving telemetry. Each admission, queue, and cache decision
 // reports here; /metrics exposes the registry in Prometheus format.
 var (
 	admittedTotal  = obs.GetCounter("serve_admitted_total")
@@ -12,12 +12,8 @@ var (
 	cacheMisses    = obs.GetCounter("serve_cache_misses_total")
 	queueDepth     = obs.GetGauge("serve_queue_depth")
 
-	// Batch sizes span 1..128 slices in doubling buckets.
-	batchSizeHist = obs.GetHistogram("serve_batch_size", obs.ExpBuckets(1, 2, 8))
-	// End-to-end latency from admission to completion, and the pure
-	// batched-forward cost per micro-batch.
-	requestSeconds      = obs.GetHistogram("serve_request_seconds", nil)
-	enhanceBatchSeconds = obs.GetHistogram("serve_enhance_batch_seconds", nil)
+	// End-to-end latency from admission to completion.
+	requestSeconds = obs.GetHistogram("serve_request_seconds", nil)
 
 	// Chunk-range enhancement endpoint (the gateway's scatter/gather
 	// unit): completions, concurrency-bound rejections, and the

@@ -1,4 +1,4 @@
-// Package serve is the batched inference server that puts the
+// Package serve is the inference server that puts the
 // ComputeCOVID19+ pipeline behind an HTTP/JSON API. The paper's headline
 // claim is workflow acceleration — days of RT-PCR turnaround replaced by
 // a minutes-long CT pipeline (§1, Figure 4) — and ROADMAP's north star
@@ -9,18 +9,16 @@
 //   - a bounded admission queue with backpressure (429 + Retry-After
 //     when full), per-request deadlines, and graceful drain on shutdown;
 //   - a worker pool sharing one warm core.Pipeline (weights are
-//     read-only after Pipeline.Warm, so replicas share storage);
-//   - a micro-batching scheduler that groups enhancement slices from
-//     concurrent scans into batched DDnet forward passes — the same
-//     fill-or-timeout batching model internal/workflow uses for RT-PCR
-//     thermocycler plates, now applied to the GPU-style batch economics
-//     of the enhancement network;
+//     read-only after Pipeline.Warm, so replicas share storage); each
+//     worker runs its scan through Pipeline.EnhanceInto and
+//     Pipeline.ClassifyCtx, the same code core runs for direct callers;
 //   - a content-addressed LRU result cache keyed by volume hash + model
-//     version, so re-submitted scans return in O(1).
+//     version, so re-submitted scans return in O(1);
+//   - a chunk-range enhance endpoint (POST /v1/enhance), the replica
+//     side of the cluster gateway's slice sharding.
 //
-// Every queue, batch, and cache decision reports into internal/obs
-// (queue-depth gauge, admission/rejection counters, batch-size and
-// end-to-end latency histograms). The server's throughput and latency
+// Every queue and cache decision reports into internal/obs (queue-depth
+// gauge, admission/rejection counters, end-to-end latency histogram). The server's throughput and latency
 // are measured by the serve.scan and serve.cached workloads of the
 // repository's benchmark (bench/).
 package serve
@@ -34,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,16 +49,15 @@ type Config struct {
 	// Pipeline is the warm diagnostic pipeline. New calls Warm on it, so
 	// the worker pool can share its weights without racing.
 	Pipeline *core.Pipeline
-	// Workers is the number of concurrent segment+classify workers.
+	// Workers is the number of scans processed at once, each through
+	// the whole pipeline. Defaults to runtime.GOMAXPROCS(0).
 	Workers int
 	// QueueDepth bounds the admission queue; submissions beyond it get
 	// 429 + Retry-After.
 	QueueDepth int
-	// BatchSize is the micro-batch fill target for DDnet enhancement
-	// slices; BatchTimeout fires a partial batch so a lone scan is never
-	// stuck waiting for traffic.
-	BatchSize    int
-	BatchTimeout time.Duration
+	// Deprecated: BatchSize has no effect. Every scan is enhanced by
+	// its own worker, with no batching across scans.
+	BatchSize int
 	// CacheSize is the result-cache capacity in entries; negative
 	// disables caching.
 	CacheSize int
@@ -72,15 +70,15 @@ type Config struct {
 	// MaxVoxels rejects oversized volumes at admission (413).
 	MaxVoxels int
 	// Process overrides the pipeline backend — the seam load tests and
-	// custom models plug into. When set, Pipeline may be nil and
-	// micro-batching is bypassed.
+	// custom models plug into. When set, Pipeline may be nil and the
+	// scan path runs no enhancement.
 	Process func(v *volume.Volume) core.Result
 	// Enhance overrides the enhancement stage everywhere it runs — the
 	// chunk-range endpoint (POST /v1/enhance) and the scan path's
 	// pre-process enhancement — the seam chaos tests and calibrated
 	// benches plug into, parallel to Process for segment+classify. When
-	// nil, enhancement uses the pipeline (micro-batched when enabled),
-	// or passes the input through when no enhancer exists.
+	// nil, enhancement runs Pipeline.EnhanceInto, or passes the input
+	// through when no enhancer exists.
 	Enhance func(v *volume.Volume) *volume.Volume
 	// EnhanceConcurrency bounds concurrent chunk-range enhancements;
 	// excess requests get 429 + Retry-After so the gateway re-dispatches
@@ -104,16 +102,13 @@ type ScanResult struct {
 
 // Server is a running (or startable) inference server.
 type Server struct {
-	cfg     Config
-	store   *store
-	cache   *resultCache
-	batcher *batcher
-	slo     *obs.SLO
+	cfg   Config
+	store *store
+	cache *resultCache
+	slo   *obs.SLO
 
-	// Chunk-range enhancement state: a free list of per-request arenas
-	// (the batcher path stages slices from one) and the inflight count
-	// behind the EnhanceConcurrency admission bound.
-	enhArenas   sync.Pool
+	// enhInflight counts chunk-range enhancements in flight, behind the
+	// EnhanceConcurrency admission bound.
 	enhInflight atomic.Int64
 
 	queue chan *job
@@ -133,16 +128,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config needs a Pipeline or a Process backend")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 128
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = 2 * time.Millisecond
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256
@@ -163,31 +152,22 @@ func New(cfg Config) (*Server, error) {
 		queue: make(chan *job, cfg.QueueDepth),
 		slo:   obs.NewSLO(cfg.SLO),
 	}
-	s.enhArenas.New = func() any { return memplan.New() }
 	obs.NewBuildInfo().Register()
 	if cfg.Pipeline != nil {
 		cfg.Pipeline.Warm()
-		if cfg.Process == nil && cfg.Pipeline.Enhancer != nil {
-			s.batcher = newBatcher(cfg.Pipeline.Enhancer, cfg.BatchSize, cfg.BatchTimeout)
-		}
 	}
 	return s, nil
 }
 
-// Start launches the worker pool and (when enhancement is enabled) the
-// micro-batching scheduler.
+// Start launches the worker pool.
 func (s *Server) Start() {
-	if s.batcher != nil {
-		go s.batcher.run()
-	}
 	s.wg.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
 }
 
-// Drain stops admission, lets every accepted job finish, and shuts the
-// batcher down. It returns ctx.Err when the context expires first; the
+// Drain stops admission and lets every accepted job finish. It returns ctx.Err when the context expires first; the
 // workers keep finishing in the background in that case.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
@@ -204,9 +184,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		if s.batcher != nil {
-			s.batcher.stop()
-		}
 		close(done)
 	}()
 	select {

@@ -16,6 +16,7 @@ import (
 	"computecovid19/internal/core"
 	"computecovid19/internal/dataset"
 	"computecovid19/internal/ddnet"
+	"computecovid19/internal/memplan"
 	"computecovid19/internal/volume"
 )
 
@@ -96,7 +97,7 @@ func poll(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) J
 	}
 }
 
-// TestEndToEnd runs the real pipeline — batched DDnet enhancement,
+// TestEndToEnd runs the real pipeline — DDnet enhancement,
 // segmentation, classification — behind the HTTP API on tiny phantom
 // volumes: submit, poll, and check the diagnosis agrees with calling the
 // pipeline directly.
@@ -104,8 +105,7 @@ func TestEndToEnd(t *testing.T) {
 	p := testPipeline(t, true, 1)
 	cases := testCohort(t, 2, 3)
 	s, ts := startServer(t, Config{
-		Pipeline: p, Workers: 2, QueueDepth: 8, BatchSize: 4,
-		BatchTimeout: time.Millisecond, CacheSize: -1,
+		Pipeline: p, Workers: 2, QueueDepth: 8, CacheSize: -1,
 	})
 
 	for i, c := range cases {
@@ -124,7 +124,7 @@ func TestEndToEnd(t *testing.T) {
 			t.Fatalf("case %d: positive flag inconsistent", i)
 		}
 		// The served result must match the offline pipeline exactly: the
-		// micro-batched enhancement path is bit-identical to Diagnose.
+		// served enhancement path is bit-identical to Diagnose.
 		want := p.Diagnose(c.Volume)
 		if got.Result.Probability != want.Probability {
 			t.Fatalf("case %d: served %v != offline %v", i, got.Result.Probability, want.Probability)
@@ -132,6 +132,35 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if err := s.Drain(drainCtx(t, 10*time.Second)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocsServeEnhance is the allocation gate on the server's one
+// enhance path: a warm enhance of an 8×64×64 scan, followed by the
+// recycle its caller does, allocates nothing on one proc or on two.
+func TestAllocsServeEnhance(t *testing.T) {
+	s, err := New(Config{Pipeline: testPipeline(t, true, 41)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	v := volume.New(8, 64, 64)
+	for i := range v.Data {
+		v.Data[i] = float32(rng.Float64()*1400 - 1000)
+	}
+	ctx := context.Background()
+	cycle := func() {
+		if out, pooled := s.enhance(ctx, v); pooled {
+			s.cfg.Pipeline.RecycleVolume(out)
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		if procs > 1 && memplan.RaceEnabled {
+			continue // every dispatch recycles jobs through sync.Pools
+		}
+		if n := memplan.AllocsPerRun(procs, 10, cycle); n != 0 {
+			t.Fatalf("warm enhance+recycle on %d procs allocates %v allocs/op, want 0", procs, n)
+		}
 	}
 }
 
@@ -252,8 +281,8 @@ func TestCacheHit(t *testing.T) {
 }
 
 // TestConcurrentLoadAndDrain is the acceptance hammer: 64+ in-flight
-// scans from 32 goroutines against the real pipeline (micro-batched
-// enhancement included), zero dropped completions, and a clean drain —
+// scans from 32 goroutines against the real pipeline (enhancement
+// included), zero dropped completions, and a clean drain —
 // run under -race by make ci.
 func TestConcurrentLoadAndDrain(t *testing.T) {
 	p := testPipeline(t, true, 9)
@@ -263,8 +292,7 @@ func TestConcurrentLoadAndDrain(t *testing.T) {
 		requests = 64
 	)
 	s, ts := startServer(t, Config{
-		Pipeline: p, Workers: 8, QueueDepth: requests, BatchSize: 8,
-		BatchTimeout: time.Millisecond, CacheSize: -1,
+		Pipeline: p, Workers: 8, QueueDepth: requests, CacheSize: -1,
 	})
 
 	ids := make([]string, requests)
@@ -572,7 +600,7 @@ var wrappingDims = map[string]string{
 // TestWrappingDimensionsRejected: every wrapping body is refused with a
 // 4xx on both volume-carrying endpoints before anything is sized by the
 // declared dimensions (pre-fix, the first one killed the process with
-// an unrecoverable out-of-memory in enhanceVolume), and the server
+// an unrecoverable out-of-memory in the enhancement), and the server
 // still answers afterwards.
 func TestWrappingDimensionsRejected(t *testing.T) {
 	s, _ := startServer(t, Config{

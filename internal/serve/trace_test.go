@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,9 +15,7 @@ import (
 	"time"
 
 	"computecovid19/internal/core"
-	"computecovid19/internal/ddnet"
 	"computecovid19/internal/obs"
-	"computecovid19/internal/tensor"
 	"computecovid19/internal/volume"
 )
 
@@ -58,8 +55,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	p := testPipeline(t, true, 21)
 	cases := testCohort(t, 1, 23)
 	s, ts := startServer(t, Config{
-		Pipeline: p, Workers: 1, QueueDepth: 8, BatchSize: 4,
-		BatchTimeout: time.Millisecond, CacheSize: -1,
+		Pipeline: p, Workers: 1, QueueDepth: 8, CacheSize: -1,
 	})
 
 	inbound := inboundSpanContext()
@@ -217,69 +213,6 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	}
 	if !linked {
 		t.Fatal("no enhance batch links the request's enhance span")
-	}
-}
-
-// TestBatcherLinksManyRequestTraces drives the micro-batcher directly:
-// slices from N distinct request traces filling one batch must produce
-// one batch span carrying N links, one per request trace.
-func TestBatcherLinksManyRequestTraces(t *testing.T) {
-	defer obs.Reset()
-	obs.Reset()
-	obs.Enable()
-
-	const n = 4
-	rng := rand.New(rand.NewSource(31))
-	b := newBatcher(ddnet.New(rng, ddnet.TinyConfig()), n, time.Second)
-	go b.run()
-
-	spans := make([]*obs.Span, n)
-	outs := make([]chan *tensor.Tensor, n)
-	for i := range spans {
-		spans[i] = obs.Start(fmt.Sprintf("request-%d", i))
-		img := tensor.New(32, 32)
-		for j := range img.Data {
-			img.Data[j] = rng.Float32()
-		}
-		outs[i] = b.submit(img, spans[i].Context())
-	}
-	for i, out := range outs {
-		if enh := <-out; enh == nil {
-			t.Fatalf("slice %d lost", i)
-		}
-		spans[i].End()
-	}
-	b.stop()
-
-	recs, _ := obs.TraceRecords()
-	var batch obs.SpanRecord
-	batches := 0
-	for _, r := range recs {
-		if r.Name == "serve/enhance_batch" {
-			batch = r
-			batches++
-		}
-	}
-	if batches != 1 {
-		t.Fatalf("got %d batch spans, want 1 (size %d fill)", batches, n)
-	}
-	if len(batch.Links) != n {
-		t.Fatalf("batch links %d traces, want %d", len(batch.Links), n)
-	}
-	want := make(map[obs.SpanContext]bool, n)
-	for _, sp := range spans {
-		want[sp.Context()] = true
-	}
-	for _, l := range batch.Links {
-		if !want[l] {
-			t.Fatalf("batch links unknown span %+v", l)
-		}
-		delete(want, l)
-	}
-	for _, sp := range spans {
-		if sp.TraceID() == batch.Trace {
-			t.Fatal("the batch span must root its own trace, not join a request's")
-		}
 	}
 }
 

@@ -5,32 +5,24 @@ import (
 	"fmt"
 	"time"
 
-	"computecovid19/internal/ctsim"
-	"computecovid19/internal/memplan"
 	"computecovid19/internal/obs"
-	"computecovid19/internal/tensor"
-	"computecovid19/internal/volume"
 )
 
 // worker is one replica loop: it pulls admitted jobs off the queue and
 // runs the diagnostic pipeline on them. All workers share the warm
-// pipeline's weights (read-only after Pipeline.Warm); enhancement routes
-// through the micro-batcher, segmentation + classification run in the
-// worker itself via core.Pipeline.ClassifyCtx.
+// pipeline's weights (read-only after Pipeline.Warm); each runs its
+// scan's enhancement (see enhance) and then segmentation +
+// classification via core.Pipeline.ClassifyCtx, so Workers is the
+// number of scans in flight through the pipeline at once.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	// Each worker stages its normalized slices from a private arena, so
-	// workers never contend on pooled memory; steady-state scans of one
-	// geometry circulate the same buffers between the worker and the
-	// batcher without touching the heap.
-	mem := memplan.New()
 	for j := range s.queue {
 		queueDepth.Add(-1)
-		s.process(j, mem)
+		s.process(j)
 	}
 }
 
-func (s *Server) process(j *job, mem *memplan.Arena) {
+func (s *Server) process(j *job) {
 	// The queue span ends at dequeue: its duration is the admission
 	// wait. The process span covers this worker's share of the request.
 	j.qspan.End()
@@ -59,18 +51,17 @@ func (s *Server) process(j *job, mem *memplan.Arena) {
 		r := s.cfg.Process(vol)
 		res = ScanResult{Probability: r.Probability, Positive: r.Positive}
 	} else {
-		enhanced := vol
+		enhanced, pooled := vol, false
 		if !j.preEnhanced {
-			enhanced = s.enhanceVolume(ctx, mem, vol)
+			enhanced, pooled = s.enhance(ctx, vol)
 		}
 		r := s.cfg.Pipeline.ClassifyCtx(ctx, enhanced)
 		res = ScanResult{Probability: r.Probability, Positive: r.Positive}
-		// The lung mask and (when enhancement ran) the enhanced volume
-		// are this worker's to recycle. vol is the client's payload —
-		// never pooled — so the no-enhancer and cache-hit paths stay
-		// copy-safe.
+		// The lung mask and a pooled enhanced volume are this worker's
+		// to recycle. vol is the client's payload — never pooled — so
+		// the no-enhancer and pre-enhanced paths stay copy-safe.
 		s.cfg.Pipeline.RecycleResult(r)
-		if enhanced != vol {
+		if pooled {
 			s.cfg.Pipeline.RecycleVolume(enhanced)
 		}
 	}
@@ -105,51 +96,4 @@ func (s *Server) endJobTrace(j *job, root, sp *obs.Span, failed bool, reason str
 	if failed && s.cfg.FlightDir != "" {
 		obs.DumpFlightTrace(s.cfg.FlightDir, root.TraceID(), reason)
 	}
-}
-
-// enhanceVolume runs Enhancement AI over an HU volume through the
-// micro-batcher: all D slices are submitted up front (so one scan can
-// fill a batch by itself) and collected in order. Every slice carries
-// the scan's enhance-span identity, which the batch span links — the
-// fan-in edge connecting N request traces to one batch trace. Input
-// slices are staged from the worker arena (ownership moves to the
-// batcher at submit), enhanced slices come back from the batcher arena
-// and are released here after the copy-out, and the output volume comes
-// from the pipeline's recycle pool. Without an enhancer the input
-// volume passes through unchanged, matching core.Pipeline.Enhance
-// semantics.
-func (s *Server) enhanceVolume(ctx context.Context, mem *memplan.Arena, v *volume.Volume) *volume.Volume {
-	if s.cfg.Enhance != nil {
-		_, esp := obs.StartCtx(ctx, "serve/enhance")
-		defer esp.End()
-		esp.SetAttr("slices", v.D)
-		return s.cfg.Enhance(v)
-	}
-	if s.batcher == nil {
-		return v
-	}
-	_, esp := obs.StartCtx(ctx, "serve/enhance")
-	defer esp.End()
-	esp.SetAttr("slices", v.D)
-	sc := esp.Context()
-	p := s.cfg.Pipeline
-	outs := make([]chan *tensor.Tensor, v.D)
-	for z := 0; z < v.D; z++ {
-		img := mem.Get(v.H, v.W)
-		sl := v.Slice(z)
-		for i, hu := range sl {
-			img.Data[i] = float32(ctsim.NormalizeHU(float64(hu), p.WindowLo, p.WindowHi))
-		}
-		outs[z] = s.batcher.submit(img, sc)
-	}
-	out := p.GetVolume(v.D, v.H, v.W)
-	for z := 0; z < v.D; z++ {
-		enh := <-outs[z]
-		dst := out.Slice(z)
-		for i, val := range enh.Data {
-			dst[i] = float32(ctsim.DenormalizeHU(float64(val), p.WindowLo, p.WindowHi))
-		}
-		mem.Release(enh)
-	}
-	return out
 }
