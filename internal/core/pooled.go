@@ -116,12 +116,12 @@ func (p *Pipeline) RecycleResult(r Result) {
 // zero-allocation form of the enhancement stage. out must match v's
 // dimensions and is fully overwritten; with no enhancer the input is
 // copied. Unlike Enhance, the forward-pass spans continue the context's
-// trace.
+// trace, under its core/enhance span.
 func (p *Pipeline) EnhanceInto(ctx context.Context, v, out *volume.Volume) {
 	if out.D != v.D || out.H != v.H || out.W != v.W {
 		panic("core: EnhanceInto output must match the input dimensions")
 	}
-	_, sp := obs.StartCtx(ctx, "core/enhance")
+	ctx, sp := obs.StartCtx(ctx, "core/enhance")
 	start := time.Now()
 	defer func() {
 		stageEnhanceSeconds.Observe(time.Since(start).Seconds())

@@ -44,9 +44,9 @@ func recordsByID(recs []obs.SpanRecord) map[obs.SpanID]obs.SpanRecord {
 // TestRequestTraceEndToEnd is the golden-path trace test: one scan
 // through the real pipeline must produce a single request trace —
 // continued from the inbound traceparent — whose span tree runs
-// handler → queue → worker → enhance, with the enhance span linked from
-// a batch trace that descends through ddnet/forward into the selected
-// kernel rung.
+// handler → queue → worker → core/enhance, which descends through
+// ddnet/forward into the selected kernel rung, and on into segmentation
+// and classification.
 func TestRequestTraceEndToEnd(t *testing.T) {
 	defer obs.Reset()
 	obs.Reset()
@@ -102,34 +102,53 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 
 	// Golden span tree of the request trace: every edge the scan must
 	// traverse, as child←parent pairs — from the HTTP handler through
-	// queue and worker down into the diagnostic pipeline stages.
+	// queue and worker down into the diagnostic pipeline stages and the
+	// DDnet walk. Edges are collected as a set, because every slice
+	// opens its own ddnet/forward subtree.
 	wantEdges := []string{
 		"core/classify<-core/diagnose",
 		"core/diagnose<-serve/process",
+		"core/enhance<-serve/process",
 		"core/segment<-core/diagnose",
-		"serve/enhance<-serve/process",
+		"ddnet/dec0<-kernels/rung",
+		"ddnet/dec1<-kernels/rung",
+		"ddnet/enc0<-kernels/rung",
+		"ddnet/enc1<-kernels/rung",
+		"ddnet/forward<-core/enhance",
+		"ddnet/stem<-kernels/rung",
+		"kernels/rung<-ddnet/forward",
 		"serve/http<-serve/request",
 		"serve/process<-serve/request",
 		"serve/queue<-serve/request",
 		"serve/request<-inbound",
 	}
-	var gotEdges []string
-	var enhance, request obs.SpanRecord
+	edgeSet := map[string]bool{}
+	var request obs.SpanRecord
+	var inTrace int
+	forwards := map[obs.SpanID]bool{}
+	var rungs []obs.SpanRecord
 	for _, r := range recs {
 		if r.Trace != inbound.Trace {
 			continue
 		}
+		inTrace++
 		parent := "inbound"
 		if r.Parent != inbound.Span {
 			parent = byID[r.Parent].Name
 		}
-		gotEdges = append(gotEdges, r.Name+"<-"+parent)
+		edgeSet[r.Name+"<-"+parent] = true
 		switch r.Name {
-		case "serve/enhance":
-			enhance = r
 		case "serve/request":
 			request = r
+		case "ddnet/forward":
+			forwards[r.ID] = true
+		case "kernels/rung":
+			rungs = append(rungs, r)
 		}
+	}
+	var gotEdges []string
+	for e := range edgeSet {
+		gotEdges = append(gotEdges, e)
 	}
 	sort.Strings(gotEdges)
 	if strings.Join(gotEdges, "\n") != strings.Join(wantEdges, "\n") {
@@ -140,79 +159,38 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		t.Fatal("response traceparent must name the serve/request span")
 	}
 
+	// Every forward is one slice, whichever parallel axis it picked, and
+	// holds one rung span carrying the rung and the planner's choice.
+	if d := cases[0].Volume.D; len(forwards) != d {
+		t.Fatalf("request trace has %d ddnet/forward spans for %d slices", len(forwards), d)
+	}
+	if len(rungs) != len(forwards) {
+		t.Fatalf("request trace has %d kernels/rung spans for %d forwards", len(rungs), len(forwards))
+	}
+	for _, rung := range rungs {
+		if !forwards[rung.Parent] {
+			t.Fatal("kernels/rung span outside a ddnet/forward")
+		}
+		attrs := map[string]string{}
+		for _, a := range rung.Attrs {
+			attrs[a.Key] = fmt.Sprint(a.Value)
+		}
+		if attrs["rung"] == "" {
+			t.Fatal("kernels/rung span must carry the selected rung name")
+		}
+		if want := map[bool]string{true: "kernels", false: "slices"}[attrs["groups"] == "1"]; attrs["split"] != want || attrs["kernel_workers"] == "" {
+			t.Fatalf("kernels/rung span attributes %v: want split=%s with groups and kernel_workers", attrs, want)
+		}
+	}
+
 	// The flight recorder retained the complete request trace.
 	ft, ok := obs.FlightTraceByID(inbound.Trace)
 	if !ok {
 		t.Fatal("request trace missing from flight recorder")
 	}
-	if ft.Root != "serve/request" || len(ft.Spans) != len(wantEdges) {
+	if ft.Root != "serve/request" || len(ft.Spans) != inTrace {
 		t.Fatalf("flight trace root=%q spans=%d, want serve/request with %d spans",
-			ft.Root, len(ft.Spans), len(wantEdges))
-	}
-
-	// Follow the batch link: some enhance batch must link our enhance
-	// span, and its own trace must descend through the DDnet forward
-	// into the selected kernel rung.
-	linked := false
-	for _, r := range recs {
-		if r.Name != "serve/enhance_batch" {
-			continue
-		}
-		for _, l := range r.Links {
-			if l.Trace == inbound.Trace && l.Span == enhance.ID {
-				linked = true
-			}
-		}
-		if !linked {
-			continue
-		}
-		// The batch's forward picked its parallel axis: one forward span
-		// for the kernel split, one per slice for the slice split. Each
-		// forward span holds one rung span carrying the rung and the
-		// planner's choice.
-		forwards := map[obs.SpanID]bool{}
-		var rungs []obs.SpanRecord
-		for _, br := range recs {
-			if br.Trace != r.Trace {
-				continue
-			}
-			switch br.Name {
-			case "ddnet/forward":
-				if br.Parent == r.ID {
-					forwards[br.ID] = true
-				}
-			case "kernels/rung":
-				rungs = append(rungs, br)
-			}
-		}
-		if len(forwards) == 0 {
-			t.Fatal("batch trace missing ddnet/forward under the batch span")
-		}
-		if len(rungs) != len(forwards) {
-			t.Fatalf("batch trace has %d kernels/rung spans for %d forwards", len(rungs), len(forwards))
-		}
-		for _, rung := range rungs {
-			if !forwards[rung.Parent] {
-				t.Fatal("batch trace missing kernels/rung under ddnet/forward")
-			}
-			attrs := map[string]string{}
-			for _, a := range rung.Attrs {
-				attrs[a.Key] = fmt.Sprint(a.Value)
-			}
-			if attrs["rung"] == "" {
-				t.Fatal("kernels/rung span must carry the selected rung name")
-			}
-			if want := map[bool]string{true: "kernels", false: "slices"}[attrs["groups"] == "1"]; attrs["split"] != want || attrs["kernel_workers"] == "" {
-				t.Fatalf("kernels/rung span attributes %v: want split=%s with groups and kernel_workers", attrs, want)
-			}
-			if attrs["split"] == "kernels" && len(forwards) != 1 {
-				t.Fatalf("a kernel-split batch ran %d forwards, want 1", len(forwards))
-			}
-		}
-		break
-	}
-	if !linked {
-		t.Fatal("no enhance batch links the request's enhance span")
+			ft.Root, len(ft.Spans), inTrace)
 	}
 }
 
