@@ -241,15 +241,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// chromeEvent is one trace_event in the Chrome/Perfetto JSON format:
-// complete events (ph "X") with microsecond timestamps, plus flow
-// events (ph "s"/"f") rendering cross-trace span links as arrows.
+// chromeEvent is one trace_event in the Chrome/Perfetto JSON format: a
+// complete event (ph "X") with microsecond timestamps.
 type chromeEvent struct {
 	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	ID   string         `json:"id,omitempty"` // flow binding id
-	BP   string         `json:"bp,omitempty"` // flow binding point
 	PID  int            `json:"pid"`
 	TID  int64          `json:"tid"`
 	Ts   float64        `json:"ts"`
@@ -260,22 +256,9 @@ type chromeEvent struct {
 // writeChromeTrace renders records in the trace_event JSON object
 // format ({"traceEvents": [...]}), loadable in chrome://tracing and
 // Perfetto. TIDs are goroutine ids, so concurrent work renders on its
-// own track; span links (batch → request fan-in) become flow arrows
-// when the linked span is present in the buffer.
+// own track.
 func writeChromeTrace(w io.Writer, recs []SpanRecord) error {
-	// Where each span lives in the viewer, for flow-arrow endpoints.
-	type spanPos struct {
-		ts  float64
-		tid int64
-	}
-	index := make(map[SpanID]spanPos)
-	for _, r := range recs {
-		if !r.ID.IsZero() {
-			index[r.ID] = spanPos{ts: float64(r.Start.Nanoseconds()) / 1e3, tid: r.TID}
-		}
-	}
 	events := make([]chromeEvent, 0, len(recs))
-	flowID := 0
 	for _, r := range recs {
 		ev := chromeEvent{
 			Name: r.Name,
@@ -296,17 +279,6 @@ func writeChromeTrace(w io.Writer, recs []SpanRecord) error {
 			}
 		}
 		events = append(events, ev)
-		for _, link := range r.Links {
-			src, ok := index[link.Span]
-			if !ok {
-				continue // linked span not in the buffer; nothing to draw
-			}
-			flowID++
-			id := strconv.Itoa(flowID)
-			events = append(events,
-				chromeEvent{Name: "link", Cat: "link", Ph: "s", ID: id, PID: 1, TID: src.tid, Ts: src.ts},
-				chromeEvent{Name: "link", Cat: "link", Ph: "f", ID: id, BP: "e", PID: 1, TID: r.TID, Ts: ev.Ts})
-		}
 	}
 	// Stable viewer-friendly order: by start time, then track.
 	sort.SliceStable(events, func(i, j int) bool {

@@ -25,7 +25,6 @@ type Span struct {
 	id     SpanID
 	parent SpanID
 	attrs  []Attr
-	links  []SpanContext
 }
 
 // Start begins a root span in a fresh trace. It returns nil when span
@@ -141,16 +140,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// Link records a causal reference to a span in another trace — the
-// batch span links every request span it serves, and the Chrome
-// exporter renders the links as flow arrows.
-func (s *Span) Link(sc SpanContext) {
-	if s == nil || sc.IsZero() {
-		return
-	}
-	s.links = append(s.links, sc)
-}
-
 // End closes the span and commits it to the trace buffer and the flight
 // recorder.
 func (s *Span) End() {
@@ -167,7 +156,6 @@ func (s *Span) End() {
 		Start:  s.start.Sub(traceEpoch()),
 		Dur:    now.Sub(s.start),
 		Attrs:  s.attrs,
-		Links:  s.links,
 	}
 	addRecord(r)
 	flight.close(r)
@@ -185,7 +173,6 @@ type SpanRecord struct {
 	Start  time.Duration `json:"start_ns"`
 	Dur    time.Duration `json:"dur_ns"`
 	Attrs  []Attr        `json:"attrs,omitempty"`
-	Links  []SpanContext `json:"links,omitempty"`
 }
 
 // maxTraceRecords bounds trace-buffer memory; ~256k spans ≈ tens of MB.

@@ -59,9 +59,7 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 }
 
 // SpanContext is the propagatable identity of a span: enough to continue
-// its trace in another goroutine or process, or to link it from a span
-// in a different trace (the micro-batcher links the request spans each
-// batch serves).
+// its trace in another goroutine or process.
 type SpanContext struct {
 	Trace TraceID `json:"trace_id"`
 	Span  SpanID  `json:"span_id"`
@@ -169,9 +167,9 @@ func newSpanID() SpanID {
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine N [running]:"). It costs a few hundred nanoseconds, so it
 // is computed only when span collection is enabled; the id gives every
-// goroutine a stable Chrome-trace track, so concurrent spans (worker
-// pool, DDP ranks, the batcher) render side by side instead of stacking
-// on one synthetic track.
+// goroutine a stable Chrome-trace track, so concurrent spans (serving
+// workers, slice-split forwards, DDP ranks) render side by side instead
+// of stacking on one synthetic track.
 func goroutineID() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
