@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# loc: report non-test Go and assembly lines per internal/* package at a
-# baseline ref and in this tree, with the net delta — ROADMAP aim 2 makes
+# loc: report non-test Go and assembly lines per internal/* package and
+# per cmd/* command at a baseline ref and in this tree, with the net delta — ROADMAP aim 2 makes
 # net line count a reported metric ("negative is good").
 #
 # Lines are plain `wc -l` over *.go files that are not *_test.go and
@@ -26,12 +26,13 @@ fi
 
 base="$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")"
 trap 'rm -rf "$base"' EXIT
-git archive "$BASE_REF" internal | tar -x -C "$base"
+git archive "$BASE_REF" internal cmd | tar -x -C "$base"
 
-# count ROOT prints "package lines" for every package under ROOT/internal.
+# count ROOT prints "package lines" for every package under ROOT/internal
+# and ROOT/cmd.
 count() {
-    (cd "$1" && find internal \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print0 |
-        xargs -0 awk 'FNR == 1 { n = split(FILENAME, p, "/"); pkg = p[2] } { lines[pkg]++ }
+    (cd "$1" && find internal cmd \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print0 |
+        xargs -0 awk 'FNR == 1 { n = split(FILENAME, p, "/"); pkg = p[1] "/" p[2] } { lines[pkg]++ }
             END { for (pkg in lines) print pkg, lines[pkg] }')
 }
 
@@ -40,7 +41,7 @@ table="$({
     echo "|---|---:|---:|---:|"
     join -a1 -a2 -e0 -o 0,1.2,2.2 <(count "$base" | sort) <(count . | sort) |
         awk '{ d = $3 - $2; b += $2; h += $3
-               printf "| internal/%s | %d | %d | %+d |\n", $1, $2, $3, d }
+               printf "| %s | %d | %d | %+d |\n", $1, $2, $3, d }
              END { printf "| **total** | %d | %d | %+d |\n", b, h, h - b }'
 })"
 echo "$table"
