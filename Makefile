@@ -25,7 +25,7 @@ test:
 # Race-check the concurrency-heavy packages: the obs metric registry
 # and span buffer, the parallel-for pool, the kernel ladder's tiling,
 # the memplan arena, the DDP trainer, the pooled pipeline, the
-# inference server (worker pool + micro-batcher + admission control),
+# inference server (worker pool + admission control + chunk endpoint),
 # the cluster gateway (router, hedges, prober), DDnet's eval forward
 # (the differential oracle, the fused plan, and concurrent warm
 # forwards sharing the table cache and recycled backends), the

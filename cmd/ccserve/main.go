@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -56,6 +57,9 @@ func main() {
 	sloObjective := flag.Float64("slo-objective", 0.95, "SLO: target fraction of requests under the latency threshold")
 	sloWindow := flag.Duration("slo-window", time.Hour, "SLO: error-budget accounting window")
 	flag.Parse()
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 
 	log := obs.Log()
 	flush, err := obs.Setup(*tracePath, "", *pprofAddr)

@@ -157,10 +157,10 @@ func (p *Pipeline) DiagnoseCtx(ctx context.Context, v *volume.Volume) Result {
 
 // Classify runs the tail of Diagnose — segmentation, masking,
 // classification — on an already-enhanced HU volume. It exists for
-// serving paths that enhance volumes out of band (internal/serve batches
-// enhancement across concurrent scans) and counts as a completed scan in
-// the pipeline metrics. On a warm pipeline (see Warm) it is safe for
-// concurrent use.
+// callers that enhance out of band (internal/serve enhances through
+// EnhanceInto, or takes pre-enhanced volumes) and counts as a completed
+// scan in the pipeline metrics. On a warm pipeline (see Warm) it is safe
+// for concurrent use.
 func (p *Pipeline) Classify(enhanced *volume.Volume) Result {
 	return p.ClassifyCtx(context.Background(), enhanced)
 }

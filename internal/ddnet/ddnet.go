@@ -191,8 +191,8 @@ func (m *DDnet) Forward(x *ag.Value) *ag.Value {
 }
 
 // ForwardCtx is Forward continuing the context's trace: the forward
-// span nests under the caller's active span (the serving micro-batch,
-// a training step), so a request trace reaches layer depth.
+// span nests under the caller's active span, so the caller's trace
+// reaches layer depth.
 func (m *DDnet) ForwardCtx(ctx context.Context, x *ag.Value) *ag.Value {
 	sp, ksp := startForward(ctx, false)
 	defer sp.End()
@@ -214,8 +214,7 @@ func (m *DDnet) Enhance(img *tensor.Tensor) *tensor.Tensor {
 // (H, W) images in [0, 1], one single-image forward per image, and
 // returns the enhanced images, clamped back to [0, 1]. The outputs are
 // bit-identical to N single-image Enhance calls whatever the batch —
-// the property that lets internal/serve micro-batch slices from
-// different scans without changing results (pinned by a regression
+// so grouping slices never changes a result (pinned by a regression
 // test). Once Warm (or any one forward) has put the network in eval
 // mode, concurrent callers may share it: each forward draws its
 // activations from its own scope and only reads the weights and the

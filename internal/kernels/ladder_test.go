@@ -213,7 +213,7 @@ func TestRungsMatchNaiveOnTable2Shapes(t *testing.T) {
 // oracle budget: within one rung, the worker count must not change a
 // single bit (tiles and channel rows partition the output, and each
 // output element's accumulation order is fixed). This is what lets
-// serve micro-batch on warm weights without result drift.
+// concurrent scans share warm weights without result drift.
 func TestRungsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := ConvShape{InC: 5, H: 23, W: 29, OutC: 7, K: 5}

@@ -18,9 +18,9 @@
 //     side of the cluster gateway's slice sharding.
 //
 // Every queue and cache decision reports into internal/obs (queue-depth
-// gauge, admission/rejection counters, end-to-end latency histogram). The server's throughput and latency
-// are measured by the serve.scan and serve.cached workloads of the
-// repository's benchmark (bench/).
+// gauge, admission/rejection counters, end-to-end latency histogram).
+// The server's throughput and latency are measured by the serve.scan and
+// serve.cached workloads of the repository's benchmark (bench/).
 package serve
 
 import (
@@ -167,8 +167,9 @@ func (s *Server) Start() {
 	}
 }
 
-// Drain stops admission and lets every accepted job finish. It returns ctx.Err when the context expires first; the
-// workers keep finishing in the background in that case.
+// Drain stops admission and lets every accepted job finish. It returns
+// ctx.Err when the context expires first; the workers keep finishing in
+// the background in that case.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true

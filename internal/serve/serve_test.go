@@ -139,6 +139,9 @@ func TestEndToEnd(t *testing.T) {
 // enhance path: a warm enhance of an 8×64×64 scan, followed by the
 // recycle its caller does, allocates nothing on one proc or on two.
 func TestAllocsServeEnhance(t *testing.T) {
+	if memplan.RaceEnabled {
+		t.Skip("sync.Pool drops objects on purpose under -race")
+	}
 	s, err := New(Config{Pipeline: testPipeline(t, true, 41)})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +158,6 @@ func TestAllocsServeEnhance(t *testing.T) {
 		}
 	}
 	for _, procs := range []int{1, 2} {
-		if procs > 1 && memplan.RaceEnabled {
-			continue // every dispatch recycles jobs through sync.Pools
-		}
 		if n := memplan.AllocsPerRun(procs, 10, cycle); n != 0 {
 			t.Fatalf("warm enhance+recycle on %d procs allocates %v allocs/op, want 0", procs, n)
 		}
