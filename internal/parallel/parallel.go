@@ -88,16 +88,41 @@ func (j *forJob) run() {
 }
 
 // release drops one reference and recycles the job when it was the
-// last. sync.Pool's Put/Get pair synchronizes with the next owner's
-// plain-field writes, so reuse is race-free.
+// last. The free list's lock orders the recycle before the next
+// owner's plain-field writes, so reuse is race-free.
 func (j *forJob) release() {
 	if j.refs.Add(-1) == 0 {
 		j.body = nil // do not pin the loop body while pooled
-		jobPool.Put(j)
+		freeJobs.Lock()
+		freeJobs.list = append(freeJobs.list, j)
+		freeJobs.Unlock()
 	}
 }
 
-var jobPool = sync.Pool{New: func() any { return new(forJob) }}
+// freeJobs recycles forJobs. A pool worker whose thread is not running
+// leaves its wake-ups parked in the dispatch channel, each holding a
+// finished job until the worker drains it, so startPool fills the list
+// with enough jobs to cover a full channel as well as the ones workers
+// and callers hold: a warm dispatch then never allocates, however far
+// the workers lag. It is a locked list rather than a sync.Pool, which
+// drops its items at every GC.
+var freeJobs struct {
+	sync.Mutex
+	list []*forJob
+}
+
+// getJob returns a recycled job, or a new one when none is free.
+func getJob() *forJob {
+	freeJobs.Lock()
+	defer freeJobs.Unlock()
+	n := len(freeJobs.list)
+	if n == 0 {
+		return new(forJob)
+	}
+	j := freeJobs.list[n-1]
+	freeJobs.list = freeJobs.list[:n-1]
+	return j
+}
 
 // dispatchSpin bounds the post-job spin: a worker that just finished a
 // job yields this many times looking for the next dispatch before
@@ -120,6 +145,11 @@ func startPool() {
 		cap = 64
 	}
 	jobs = make(chan *forJob, cap)
+	freeJobs.Lock()
+	for i := 0; i < cap+2*nw; i++ {
+		freeJobs.list = append(freeJobs.list, new(forJob))
+	}
+	freeJobs.Unlock()
 	for i := 0; i < nw; i++ {
 		go poolWorker()
 	}
@@ -182,7 +212,7 @@ func ForJob(n, workers int, job Job) {
 	poolOnce.Do(startPool)
 	chunk := (n + workers - 1) / workers
 	nchunks := (n + chunk - 1) / chunk
-	j := jobPool.Get().(*forJob)
+	j := getJob()
 	j.body, j.n, j.chunk = job, n, chunk
 	j.next.Store(0)
 	j.refs.Store(1)

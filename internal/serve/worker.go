@@ -72,23 +72,25 @@ func (s *Server) process(j *job) {
 		return
 	}
 	s.cache.put(j.key, res)
-	s.store.finish(j, res)
 	requestSeconds.Observe(time.Since(j.submitted).Seconds())
 	s.endJobTrace(j, root, sp, false, "")
+	s.store.finish(j, res)
 }
 
-// failJob records a terminal failure: store state, a trace-correlated
-// log line, the SLO error, and (for deadline/panic failures) a
-// flight-recorder dump of the just-completed trace.
+// failJob records a terminal failure: a trace-correlated log line, the
+// SLO error, (for deadline/panic failures) a flight-recorder dump of
+// the just-completed trace, and last the store state.
 func (s *Server) failJob(ctx context.Context, j *job, root, sp *obs.Span, msg, reason string) {
-	s.store.fail(j, msg)
 	obs.Logger(ctx).Error("scan failed", "job", j.id, "reason", reason, "err", msg)
 	s.endJobTrace(j, root, sp, true, reason)
+	s.store.fail(j, msg)
 }
 
 // endJobTrace closes the request's remaining spans — the process span,
 // then the request root LAST, so the flight recorder sees the trace
-// complete exactly once — and feeds the SLO tracker.
+// complete exactly once — and feeds the SLO tracker. It runs before
+// the job turns terminal, so a client that sees the result also sees
+// the whole trace.
 func (s *Server) endJobTrace(j *job, root, sp *obs.Span, failed bool, reason string) {
 	sp.End()
 	root.End()
